@@ -14,7 +14,6 @@ from .adaptive import (
 from .analysis import (
     MCReport,
     MassDiagnostics,
-    consistency_study,
     extract_clusters,
     normality_stat,
     normality_study,
@@ -22,7 +21,6 @@ from .analysis import (
 )
 from .design import (
     Design,
-    add_point,
     d_efficiency,
     info_matrix,
     log_det,

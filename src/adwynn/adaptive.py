@@ -20,13 +20,8 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .design import Design, design_from_counts
-from .errors import (
-    AcquisitionError,
-    DomainError,
-    InitializationError,
-    SingularMatrixError,
-)
+from .design import pd_inverse_logdet
+from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import DataBatch, FitConfig, LSFit, SequentialLS, fit_ls
 from .model import Box, DesignSpace, ModelSpec, ParameterSpace
 from .noise import ErrorProcess, ErrorSpec, make_rng, next_error
@@ -82,6 +77,10 @@ class WynnConfig:
             },
             "estimator": self.estimator,
         }
+
+
+class EndRun(Exception):
+    """Raised by a response source to end the run early; see ``run``."""
 
 
 class ResponseSource(Protocol):
@@ -299,17 +298,9 @@ class WynnState:
         self.xs[self.n] = x
         self.ys[self.n] = y
         self.n += 1
+        # support points are equal when their bytes are, as in empirical_design
         key = x.tobytes()
         idx = self._index.get(key)
-        if idx is None:
-            # fall back to a tolerance scan; non-grid points may repeat
-            # with tiny representation differences
-            sup = self._support[: self._n_support]
-            if self._n_support:
-                d2 = ((sup - x) ** 2).sum(axis=1)
-                hit = int(np.argmin(d2))
-                if d2[hit] <= 1e-24:
-                    idx = hit
         if idx is None:
             if self._n_support == self._support.shape[0]:
                 self._support = np.vstack([self._support, np.empty_like(self._support)])
@@ -322,14 +313,6 @@ class WynnState:
 
     def support_arrays(self) -> tuple[Array, Array]:
         return self._support[: self._n_support], self._counts[: self._n_support]
-
-    def design(self) -> Design:
-        sup, counts = self.support_arrays()
-        return design_from_counts(sup.copy(), counts.copy())
-
-    def weights(self) -> Array:
-        sup, counts = self.support_arrays()
-        return counts / float(self.n)
 
     def compute_info(self, theta: Array) -> Array:
         sup, counts = self.support_arrays()
@@ -347,17 +330,6 @@ class WynnState:
             self._steps_since_refresh = 0
         self.estimates.append(np.asarray(self.theta, dtype=float).copy())
         self.M = self.compute_info(self.theta)
-
-
-def _eigh_checked(M: Array, floor: float) -> tuple[Array, float]:
-    eigvals, eigvecs = np.linalg.eigh(M)
-    if eigvals[0] <= floor:
-        raise SingularMatrixError(
-            "information matrix fell below the positive-definiteness floor",
-            float(eigvals[0]),
-        )
-    Minv = (eigvecs / eigvals) @ eigvecs.T
-    return Minv, float(np.log(eigvals).sum())
 
 
 def _polish_point(state: WynnState, x0: Array, Minv: Array, d0: float) -> tuple[Array, float]:
@@ -400,7 +372,7 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     """One iteration: argmax the sensitivity, observe, refit, update."""
     if state.theta is None or state.M is None:
         raise DomainError("state is not initialized")
-    Minv, logdet = _eigh_checked(state.M, state.config.pd_floor)
+    Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
     F_grid = np.asarray(state.model.f(state.grid, state.theta), dtype=float)
     d = np.einsum("ij,jk,ik->i", F_grid, Minv, F_grid)
     idx = int(np.argmax(d))
@@ -431,7 +403,7 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complete record of one adaptive run."""
+    """Complete record of one adaptive run; ``estimates`` is (stages, p)."""
 
     model_name: str
     seed: int
@@ -451,15 +423,7 @@ class Trajectory:
 
     @property
     def p(self) -> int:
-        if self.estimates.ndim == 2 and self.estimates.shape[1]:
-            return self.estimates.shape[1]
-        if self.records:
-            return len(self.records[0].theta)
-        lower = self.parameter_space_echo.get("lower")
-        return len(lower) if lower else 1
-
-    def design_points(self, n: Optional[int] = None) -> Array:
-        return self.points[: (self.n if n is None else n)]
+        return self.estimates.shape[1]
 
     def to_jsonable(self) -> dict:
         return {
@@ -515,8 +479,8 @@ class Trajectory:
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         estimates = np.asarray(obj["estimates"], dtype=float)
-        if estimates.size == 0:
-            estimates = np.zeros((0, 1))
+        if estimates.size == 0:  # keep p columns, as run does
+            estimates = np.zeros((0, len(obj.get("parameter_space", {}).get("lower", [0]))))
         return Trajectory(
             model_name=obj["model"],
             seed=int(obj["seed"]),
@@ -543,12 +507,7 @@ class Trajectory:
 
     def csv_rows(self) -> tuple[list[str], list[list[str]]]:
         k = self.points.shape[1] if self.points.ndim == 2 and self.points.shape[1] else 1
-        if self.estimates.ndim == 2 and self.estimates.shape[1]:
-            p = self.estimates.shape[1]
-        elif self.records:
-            p = len(self.records[0].theta)
-        else:
-            p = 1
+        p = self.p
         header = (
             ["n"]
             + [f"x{j}" for j in range(k)]
@@ -579,15 +538,21 @@ def _space_echo(space: DesignSpace) -> dict:
     return {"kind": "finite", "points": [list(map(float, row)) for row in space.points]}
 
 
-def initialize_state(
+def run(
     model: ModelSpec,
     design_space: DesignSpace,
     parameter_space: ParameterSpace,
     config: WynnConfig,
     response_source: ResponseSource,
+    seed: int,
     estimator: Optional[AdaptiveEstimator] = None,
-) -> WynnState:
-    """Build the starting design, take its observations, and fit once."""
+) -> Trajectory:
+    """Build and observe the starting design, fit once, then step to n_max.
+
+    A source that raises EndRun ends the run early: the trajectory holds
+    the points observed so far, and ``final_fit`` is None while the
+    starting design is incomplete.
+    """
     if estimator is None:
         if config.estimator != "ls":
             raise DomainError(
@@ -601,36 +566,25 @@ def initialize_state(
         model, parameter_space, state.grid, theta_sample, config.pd_floor
     )
     if config.n_max < initial.shape[0]:
-        raise DomainError(
+        raise ConfigError(
             f"n_max = {config.n_max} is below the starting design size {initial.shape[0]}"
         )
-    for i, x in enumerate(initial):
-        y = response_source.observe(x, i + 1)
-        state._append(np.asarray(x, dtype=float), float(y))
-        state.estimator.update(np.asarray(x, dtype=float), float(y))
-    state.n_start = state.n
-    state._refresh(force=True)
-    return state
-
-
-def run(
-    model: ModelSpec,
-    design_space: DesignSpace,
-    parameter_space: ParameterSpace,
-    config: WynnConfig,
-    response_source: ResponseSource,
-    seed: int,
-    estimator: Optional[AdaptiveEstimator] = None,
-) -> Trajectory:
-    """Execute initialization plus n_max - n_start iterations."""
-    state = initialize_state(
-        model, design_space, parameter_space, config, response_source, estimator
-    )
-    while state.n < config.n_max:
-        wynn_step(state, response_source)
-    final_fit = fit_ls(
-        state.data_batch(), model, parameter_space, config.fit, warm_start=state.theta
-    )
+    try:
+        for i, x in enumerate(initial):
+            y = float(response_source.observe(x, i + 1))
+            state._append(x, y)
+            state.estimator.update(x, y)
+        state.n_start = state.n
+        state._refresh(force=True)
+        while state.n < config.n_max:
+            wynn_step(state, response_source)
+    except EndRun:
+        pass
+    final_fit = None
+    if state.n_start:
+        final_fit = fit_ls(
+            state.data_batch(), model, parameter_space, config.fit, warm_start=state.theta
+        )
     return Trajectory(
         model_name=model.name,
         seed=int(seed),
@@ -638,7 +592,7 @@ def run(
         n_start=state.n_start,
         points=state.xs[: state.n].copy(),
         responses=state.ys[: state.n].copy(),
-        estimates=np.asarray(state.estimates, dtype=float),
+        estimates=np.asarray(state.estimates, dtype=float).reshape(-1, model.p),
         records=tuple(state.records),
         final_fit=final_fit,
         design_space_echo=_space_echo(design_space),

@@ -3,7 +3,7 @@
 The two study entry points simulate independent adaptive runs and
 summarize them:
 
-- ``consistency_study`` tracks quantiles of the estimation error at
+- ``run_study`` tracks quantiles of the estimation error at
   checkpoints; strong consistency shows up as stochastically shrinking
   error.
 - ``normality_study`` standardizes the estimation error as
@@ -311,17 +311,8 @@ def window_mass(trajectory: Trajectory, n: int, d: float) -> float:
 
 
 def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict[int, float]:
-    """window_mass for every stage n in [n_from, n]; 1-D fast path."""
-    pts = trajectory.points
-    total = trajectory.n
-    if pts.shape[1] == 1:
-        out: dict[int, float] = {}
-        for n in range(max(1, n_from), total + 1):
-            xs = np.sort(pts[:n, 0])
-            counts = np.searchsorted(xs, xs + d, side="right") - np.arange(n)
-            out[n] = float(counts.max() / n)
-        return out
-    return {n: window_mass(trajectory, n, d) for n in range(max(1, n_from), total + 1)}
+    """window_mass for every stage n in [n_from, n]."""
+    return {n: window_mass(trajectory, n, d) for n in range(max(1, n_from), trajectory.n + 1)}
 
 
 @dataclass(frozen=True)
@@ -446,6 +437,8 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
             [i for i in range(n) if cell_ids[i] == best_cell and not excluded[i]]
         )
         member_pts = pts[members]
+        # members repeat a few grid points; distances need each point once
+        member_uniq = np.unique(member_pts, axis=0)
         clusters.append(
             ClusterInfo(
                 cell_index=best_cell,
@@ -455,8 +448,8 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
                 point_max=tuple(float(v) for v in member_pts.max(axis=0)),
             )
         )
-        member_sets.append(member_pts)
-        d2 = ((pts[:, None, :] - member_pts[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        member_sets.append(member_uniq)
+        d2 = ((pts[:, None, :] - member_uniq[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
         excluded |= d2 <= cell_diameter**2
 
     separations = []
@@ -615,7 +608,7 @@ def _replicate_worker(args) -> dict:
                 "defficiency": d_eff,
             }
         if keep_path:
-            out["trajectory"] = traj.to_jsonable()
+            out["trajectory"] = traj
         return out
     except Exception as exc:  # noqa: BLE001 - a replicate must never kill the study
         return {"index": index, "failed": f"{type(exc).__name__}: {exc}"}
@@ -663,7 +656,7 @@ def run_study(
     ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, args, chunksize=4))
+            results = list(pool.map(_replicate_worker, args))
     else:
         results = [_replicate_worker(a) for a in args]
     results.sort(key=lambda r: r["index"])
@@ -744,9 +737,7 @@ def run_study(
                     ks_distance(t_plugin[:, j], normal_cdf) for j in range(p)
                 )
 
-    kept = tuple(
-        Trajectory.from_jsonable(r["trajectory"]) for r in alive if "trajectory" in r
-    )
+    kept = tuple(r["trajectory"] for r in alive if "trajectory" in r)
     return MCReport(
         replicates=replicates,
         checkpoints=checkpoints,
@@ -759,18 +750,6 @@ def run_study(
         kept_paths=kept,
         **report,
     )
-
-
-def consistency_study(
-    scenario: Scenario,
-    replicates: int,
-    checkpoints: Sequence[int],
-    seed: int,
-    workers: int = 1,
-    keep_paths: int = 0,
-) -> MCReport:
-    """Error quantiles of the least-squares estimate at the checkpoints."""
-    return run_study(scenario, replicates, checkpoints, seed, workers, keep_paths)
 
 
 def normality_study(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,23 +32,20 @@ import numpy as np
 
 from . import analysis
 from .adaptive import (
+    EndRun,
     LSAdaptiveEstimator,
     ReplaySource,
     Scenario,
-    SimulatedSource,
     Trajectory,
     WynnConfig,
-    WynnState,
-    _space_echo,
-    build_initial_design,
     run,
-    wynn_step,
+    simulate_trajectory,
 )
 from .design import equivalence_gap, info_matrix, log_det, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError
-from .estimator import FitConfig, fit_ls
+from .estimator import FitConfig
 from .model import ModelBundle, builtin_bundle
-from .noise import ErrorSpec, make_error_spec, make_rng
+from .noise import ErrorSpec, make_error_spec
 
 JSON_KW = {"indent": 2, "ensure_ascii": True}
 
@@ -286,30 +284,12 @@ def cmd_simulate(args) -> int:
     if cfg.source_kind == "replay":
         if not cfg.replay_file:
             raise ConfigError("$.source.replay_file is required for replay runs")
-        values = read_replay_file(cfg.replay_file)
-        source = ReplaySource(values)
+        source = ReplaySource(read_replay_file(cfg.replay_file))
+        b = cfg.bundle
         wynn = cfg.wynn_config(args.n_max)
-        trajectory = run(
-            cfg.bundle.model,
-            cfg.bundle.design_space,
-            cfg.bundle.parameter_space,
-            wynn,
-            source,
-            seed,
-        )
+        trajectory = run(b.model, b.design_space, b.parameter_space, wynn, source, seed)
     else:
-        scenario = cfg.scenario(args.n_max)
-        source = SimulatedSource(
-            scenario.model, scenario.theta_bar, scenario.noise, make_rng(seed)
-        )
-        trajectory = run(
-            scenario.model,
-            scenario.design_space,
-            scenario.parameter_space,
-            scenario.config,
-            source,
-            seed,
-        )
+        trajectory = simulate_trajectory(cfg.scenario(args.n_max), seed)
     jpath, cpath = write_trajectory_files(trajectory, cfg, args)
     print(f"wrote {jpath} and {cpath}")
     return 0
@@ -414,12 +394,20 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-class _SessionQuit(Exception):
-    pass
-
-
-class _SessionEOF(Exception):
-    pass
+def _parse_observe(line: str) -> float:
+    """The response on an 'OBSERVE <decimal>' line; ValueError says what is wrong."""
+    parts = line.split()
+    if not parts:
+        raise ValueError("empty line")
+    if parts[0] != "OBSERVE" or len(parts) != 2:
+        raise ValueError(f"expected 'OBSERVE <decimal>' or 'QUIT', got {parts[0]!r}")
+    try:
+        y = float(parts[1])
+    except ValueError:
+        raise ValueError(f"not a decimal: {parts[1]!r}") from None
+    if not math.isfinite(y):
+        raise ValueError("observation must be finite")
+    return y
 
 
 class SessionSource:
@@ -438,94 +426,39 @@ class SessionSource:
         self._emit(prompt)
         while True:
             line = self.fin.readline()
-            if line == "":
-                raise _SessionEOF
-            line = line.strip()
-            if line == "QUIT":
-                raise _SessionQuit
-            if not line:
-                self._emit("ERR empty line")
-                self._emit(prompt)
-                continue
-            parts = line.split()
-            if parts[0] != "OBSERVE" or len(parts) != 2:
-                self._emit(f"ERR expected 'OBSERVE <decimal>' or 'QUIT', got {parts[0]!r}")
-                self._emit(prompt)
-                continue
+            if line == "" or line.strip() == "QUIT":  # EOF or QUIT
+                raise EndRun
             try:
-                y = float(parts[1])
-            except ValueError:
-                self._emit(f"ERR not a decimal: {parts[1]!r}")
+                return _parse_observe(line)
+            except ValueError as exc:
+                self._emit(f"ERR {exc}")
                 self._emit(prompt)
-                continue
-            if not np.isfinite(y):
-                self._emit("ERR observation must be finite")
-                self._emit(prompt)
-                continue
-            return y
+
+
+class _AnnouncingEstimator(LSAdaptiveEstimator):
+    """Least squares that writes an ESTIMATE line after each refit."""
+
+    def __init__(self, model, space, config: FitConfig, source: SessionSource):
+        super().__init__(model, space, config)
+        self._source = source
+
+    def estimate(self):
+        theta = super().estimate()
+        self._source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in theta))
+        return theta
 
 
 def cmd_session(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     config = cfg.wynn_config(args.n_max)
-    model = cfg.bundle.model
-    dspace, pspace = cfg.bundle.design_space, cfg.bundle.parameter_space
+    b = cfg.bundle
     source = SessionSource(sys.stdin, sys.stdout)
-
-    estimator = LSAdaptiveEstimator(model, pspace, config.fit)
-    state = WynnState(model, dspace, pspace, config, estimator)
-    complete = False
-    try:
-        theta_sample = pspace.sample_grid(config.theta_check_points_per_axis)
-        initial = build_initial_design(
-            model, pspace, state.grid, theta_sample, config.pd_floor
-        )
-        if config.n_max < initial.shape[0]:
-            raise ConfigError(
-                f"n_max = {config.n_max} is below the starting design size {initial.shape[0]}"
-            )
-        for i, x in enumerate(initial):
-            y = source.observe(x, i + 1)
-            state._append(np.asarray(x, dtype=float), float(y))
-            estimator.update(np.asarray(x, dtype=float), float(y))
-        state.n_start = state.n
-        state._refresh(force=True)
-        source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in state.theta))
-        while state.n < config.n_max:
-            wynn_step(state, source)
-            source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in state.theta))
-        complete = True
-    except (_SessionQuit, _SessionEOF):
-        pass
-
-    final_fit = None
-    if state.n >= max(1, state.n_start) and state.n_start > 0:
-        final_fit = fit_ls(state.data_batch(), model, pspace, config.fit, warm_start=state.theta)
-    estimates = (
-        np.asarray(state.estimates, dtype=float)
-        if state.estimates
-        else np.zeros((0, model.p))
-    )
-    trajectory = Trajectory(
-        model_name=model.name,
-        seed=int(seed),
-        config_echo=config.to_jsonable(),
-        n_start=state.n_start,
-        points=state.xs[: state.n].copy(),
-        responses=state.ys[: state.n].copy(),
-        estimates=estimates,
-        records=tuple(state.records),
-        final_fit=final_fit,
-        design_space_echo=_space_echo(dspace),
-        parameter_space_echo={
-            "lower": [float(v) for v in pspace.lower],
-            "upper": [float(v) for v in pspace.upper],
-        },
-    )
+    estimator = _AnnouncingEstimator(b.model, b.parameter_space, config.fit, source)
+    trajectory = run(b.model, b.design_space, b.parameter_space, config, source, seed, estimator)
     jpath, cpath = write_trajectory_files(trajectory, cfg, args)
     print(f"wrote {jpath} and {cpath}", file=sys.stderr)
-    return 0 if complete else 1
+    return 0 if trajectory.n == config.n_max else 1
 
 
 def read_replay_file(path: str) -> list[float]:
@@ -539,15 +472,12 @@ def read_replay_file(path: str) -> list[float]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "QUIT":
+        if line.split()[0] == "QUIT":
             break
-        if parts[0] != "OBSERVE" or len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'OBSERVE <decimal>'")
         try:
-            values.append(float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: not a decimal: {parts[1]!r}") from None
+            values.append(_parse_observe(line))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

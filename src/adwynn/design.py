@@ -21,7 +21,6 @@ Array = np.ndarray
 
 WEIGHT_SUM_TOL = 1e-12
 PD_FLOOR = 1e-12
-MERGE_TOL = 1e-12
 PRUNE_TOL = 1e-8
 
 
@@ -72,28 +71,9 @@ class Design:
         return Design(np.asarray(obj["support"], dtype=float), np.asarray(obj["weights"], dtype=float))
 
 
-def design_from_counts(points: Array, counts: Array) -> Design:
-    """Empirical design with weights counts/n; counts must be positive ints."""
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    return Design(points, counts / n)
-
-
 # --------------------------------------------------------------------------
 # Information-matrix algebra
 # --------------------------------------------------------------------------
-
-
-def check_info_matrix(M: Array, sym_tol: float = 1e-12, eig_floor: float = -1e-10) -> None:
-    """Validate symmetry and nonnegative definiteness; raises DomainError."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("information matrix must be square")
-    if np.max(np.abs(M - M.T)) > sym_tol:
-        raise DomainError("information matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs[0] < eig_floor:
-        raise DomainError(f"information matrix has eigenvalue {eigs[0]:.3e} < 0")
 
 
 def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
@@ -101,44 +81,6 @@ def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
     F = np.asarray(model.f(design.support, np.asarray(theta, dtype=float)), dtype=float)
     M = (F * design.weights[:, None]).T @ F
     return 0.5 * (M + M.T)
-
-
-def add_point(design: Design, x, n: int) -> Design:
-    """Empirical-measure update: the (n+1)-st observation lands at x.
-
-    Existing support points within MERGE_TOL (Euclidean) absorb the new
-    mass; otherwise x joins the support.  When the weights are exact
-    multiplicities over n (the declared use), the update goes through
-    integer counts so the new weights equal multiplicities over n+1
-    exactly; otherwise the convex-combination form is used.
-    """
-    if n <= 0:
-        raise DomainError("add_point requires the current sample size n >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (design.support.shape[1],):
-        raise DomainError("new point dimension does not match the support")
-    d = np.sqrt(((design.support - x) ** 2).sum(axis=1))
-    hit = int(np.argmin(d))
-    merged = d[hit] <= MERGE_TOL
-
-    counts = np.rint(design.weights * n)
-    empirical = counts.sum() == n and np.max(np.abs(design.weights * n - counts)) <= 1e-9
-    if empirical:
-        if merged:
-            w = counts.copy()
-            w[hit] += 1.0
-            return Design(design.support, w / (n + 1.0))
-        support = np.vstack([design.support, x[None, :]])
-        return Design(support, np.concatenate([counts, [1.0]]) / (n + 1.0))
-
-    new_w = design.weights * (n / (n + 1.0))
-    if merged:
-        w = new_w.copy()
-        w[hit] += 1.0 / (n + 1.0)
-        return Design(design.support, w)
-    support = np.vstack([design.support, x[None, :]])
-    weights = np.concatenate([new_w, [1.0 / (n + 1.0)]])
-    return Design(support, weights)
 
 
 def rank_one_update(M: Array, f: Array, n: int) -> Array:
@@ -154,13 +96,23 @@ def min_eigenvalue(M: Array) -> float:
     return float(np.linalg.eigvalsh(np.asarray(M, dtype=float))[0])
 
 
+def pd_inverse_logdet(M: Array, floor: float = PD_FLOOR) -> tuple[Array, float]:
+    """Inverse and log determinant from one symmetric eigendecomposition.
+
+    Fails fast when the smallest eigenvalue does not clear ``floor``.
+    """
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(M, dtype=float))
+    if eigvals[0] <= floor:
+        raise SingularMatrixError(
+            "information matrix fell below the positive-definiteness floor",
+            float(eigvals[0]),
+        )
+    return (eigvecs / eigvals) @ eigvecs.T, float(np.log(eigvals).sum())
+
+
 def pd_inverse(M: Array, floor: float = PD_FLOOR) -> Array:
     """Inverse via symmetric eigendecomposition; fails fast below the floor."""
-    M = np.asarray(M, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(M)
-    if eigvals[0] <= floor:
-        raise SingularMatrixError("matrix not positive definite", float(eigvals[0]))
-    return (eigvecs / eigvals) @ eigvecs.T
+    return pd_inverse_logdet(M, floor)[0]
 
 
 def sensitivity(x, M: Array, theta: Array, model: ModelSpec, floor: float = PD_FLOOR) -> float:
@@ -181,6 +133,8 @@ def sensitivity_profile(
 
 def log_det(M: Array, floor: float = PD_FLOOR) -> float:
     """Log determinant through the symmetric eigendecomposition."""
+    # eigenvalues only: for p >= 3 they differ from eigh's in the last bits,
+    # and the D-efficiencies in study reports are computed from these
     eigvals = np.linalg.eigvalsh(np.asarray(M, dtype=float))
     if eigvals[0] <= floor:
         raise SingularMatrixError("log_det needs a positive definite matrix", float(eigvals[0]))

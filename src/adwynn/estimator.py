@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, DomainError, FitFailureError
-from .model import DesignSpace, ModelSpec, ParameterSpace
+from .model import ModelSpec, ParameterSpace
 
 Array = np.ndarray
 
@@ -53,11 +53,6 @@ class DataBatch:
     def n(self) -> int:
         return self.xs.shape[0]
 
-    def validate_in_space(self, space: DesignSpace) -> None:
-        for x in self.xs:
-            if not space.contains(x):
-                raise DomainError(f"data point {x.tolist()} outside the design space")
-
 
 @dataclass(frozen=True)
 class LSFit:
@@ -86,9 +81,7 @@ class FitConfig:
 
 def sse(data: DataBatch, theta, model: ModelSpec) -> float:
     """Sum of squared residuals at theta."""
-    theta = np.asarray(theta, dtype=float)
-    r = data.ys - np.asarray(model.mu(data.xs, theta), dtype=float)
-    return float(r @ r)
+    return _sse_arrays(data.xs, data.ys, model, np.asarray(theta, dtype=float))
 
 
 def sse_gradient(
@@ -125,6 +118,16 @@ def _grid_sse(xs: Array, ys: Array, model: ModelSpec, theta_grid: Array) -> Arra
     out = (resid**2).sum(axis=1)
     out[~np.isfinite(out)] = np.inf
     return out
+
+
+def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
+    """Scan winner (lowest index among minima), its objective, and the tie flag."""
+    if not np.any(np.isfinite(values)):
+        raise FitFailureError("objective is non-finite on the whole parameter grid")
+    g_idx = int(np.argmin(values))
+    g_min = float(values[g_idx])
+    tie_tol = 1e-9 * (1.0 + abs(g_min))
+    return theta_grid[g_idx].copy(), g_min, bool(np.sum(values <= g_min + tie_tol) > 1)
 
 
 def _gauss_newton(
@@ -196,13 +199,7 @@ def fit_ls(
     """
     theta_grid = space.sample_grid(config.grid_points_per_axis)
     values = _grid_sse(data.xs, data.ys, model, theta_grid)
-    if not np.any(np.isfinite(values)):
-        raise FitFailureError("objective is non-finite on the whole parameter grid")
-    g_idx = int(np.argmin(values))
-    g_min = float(values[g_idx])
-    tie_tol = 1e-9 * (1.0 + abs(g_min))
-    grid_tie = bool(np.sum(values <= g_min + tie_tol) > 1)
-    grid_minimum = theta_grid[g_idx].copy()
+    grid_minimum, _, grid_tie = _grid_winner(values, theta_grid)
 
     theta, value, converged = _gauss_newton(
         data.xs, data.ys, model, space, grid_minimum, config, trace
@@ -243,10 +240,6 @@ class SequentialLS:
         self._n = 0
         self.previous: Array | None = None
 
-    @property
-    def n(self) -> int:
-        return self._n
-
     def data_arrays(self) -> tuple[Array, Array]:
         return self._xs[: self._n], self._ys[: self._n]
 
@@ -271,15 +264,8 @@ class SequentialLS:
     def estimate(self) -> LSFit:
         if self._n == 0:
             raise FitFailureError("no data to fit")
-        if not np.any(np.isfinite(self.grid_sse)):
-            raise FitFailureError("objective is non-finite on the whole parameter grid")
+        grid_minimum, g_min, grid_tie = _grid_winner(self.grid_sse, self.theta_grid)
         xs, ys = self.data_arrays()
-        g_idx = int(np.argmin(self.grid_sse))
-        g_min = float(self.grid_sse[g_idx])
-        tie_tol = 1e-9 * (1.0 + abs(g_min))
-        grid_tie = bool(np.sum(self.grid_sse <= g_min + tie_tol) > 1)
-        grid_minimum = self.theta_grid[g_idx].copy()
-
         seed = grid_minimum
         if self.previous is not None and _sse_arrays(xs, ys, self.model, self.previous) < g_min:
             seed = self.previous

@@ -193,9 +193,6 @@ class ParameterSpace:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def sample_uniform(self, count: int, rng: np.random.Generator) -> Array:
-        return rng.uniform(self.lower, self.upper, size=(count, self.p))
-
 
 # --------------------------------------------------------------------------
 # Model specification
@@ -215,12 +212,29 @@ class ModelSpec:
     p: int
     mu: Callable[[Array, Array], Array]
     f: Callable[[Array, Array], Array]
-    hessian: Optional[Callable[[Array, Array], Array]] = None
     gradient_is_mu_gradient: bool = True
 
     def __post_init__(self):
         if self.p < 1:
             raise DomainError("parameter dimension must be >= 1")
+
+
+def _checked_args(
+    model: ModelSpec,
+    x,
+    theta,
+    design_space: Optional[DesignSpace],
+    parameter_space: Optional[ParameterSpace],
+) -> tuple[Array, Array]:
+    """Normalized single point and parameter, checked against the optional spaces."""
+    k = design_space.dimension if design_space is not None else np.atleast_1d(np.asarray(x)).size
+    x = as_point(x, k)
+    theta = as_theta(theta, model.p)
+    if design_space is not None and not design_space.contains(x):
+        raise DomainError(f"point {x.tolist()} outside the design space")
+    if parameter_space is not None and not parameter_space.contains(theta):
+        raise DomainError(f"parameter {theta.tolist()} outside the parameter space")
+    return x, theta
 
 
 def eval_mu(
@@ -231,13 +245,7 @@ def eval_mu(
     parameter_space: Optional[ParameterSpace] = None,
 ) -> float:
     """Mean response at a single point/parameter, with optional domain checks."""
-    k = design_space.dimension if design_space is not None else np.atleast_1d(np.asarray(x)).size
-    x = as_point(x, k)
-    theta = as_theta(theta, model.p)
-    if design_space is not None and not design_space.contains(x):
-        raise DomainError(f"point {x.tolist()} outside the design space")
-    if parameter_space is not None and not parameter_space.contains(theta):
-        raise DomainError(f"parameter {theta.tolist()} outside the parameter space")
+    x, theta = _checked_args(model, x, theta, design_space, parameter_space)
     value = float(np.asarray(model.mu(x, theta)))
     if not np.isfinite(value):
         raise DomainError(f"mu({x.tolist()}, {theta.tolist()}) is not finite")
@@ -252,13 +260,7 @@ def eval_f(
     parameter_space: Optional[ParameterSpace] = None,
 ) -> Array:
     """Regressor vector at a single point/parameter, with optional domain checks."""
-    k = design_space.dimension if design_space is not None else np.atleast_1d(np.asarray(x)).size
-    x = as_point(x, k)
-    theta = as_theta(theta, model.p)
-    if design_space is not None and not design_space.contains(x):
-        raise DomainError(f"point {x.tolist()} outside the design space")
-    if parameter_space is not None and not parameter_space.contains(theta):
-        raise DomainError(f"parameter {theta.tolist()} outside the parameter space")
+    x, theta = _checked_args(model, x, theta, design_space, parameter_space)
     vec = np.asarray(model.f(x, theta), dtype=float)
     if vec.shape != (model.p,):
         raise DomainError(f"f returned shape {vec.shape}, expected ({model.p},)")
@@ -458,15 +460,6 @@ def _mm_f(x, theta):
     return np.stack([g1, g2], axis=-1)
 
 
-def _mm_hessian(x, theta):
-    x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-    t1, t2 = (float(v) for v in np.asarray(theta, dtype=float).reshape(-1))
-    d = t2 + x0
-    h12 = -x0 / d**2
-    h22 = 2.0 * t1 * x0 / d**3
-    return np.array([[0.0, h12], [h12, h22]])
-
-
 def _expdecay_mu(x, theta):
     x0 = np.asarray(x, dtype=float)[..., 0]
     th = np.asarray(theta, dtype=float)
@@ -479,13 +472,6 @@ def _expdecay_f(x, theta):
     e = np.exp(-th[..., 1] * x0)
     g1, g2 = np.broadcast_arrays(e, -th[..., 0] * x0 * e)
     return np.stack([g1, g2], axis=-1)
-
-
-def _expdecay_hessian(x, theta):
-    x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-    t1, t2 = (float(v) for v in np.asarray(theta, dtype=float).reshape(-1))
-    e = np.exp(-t2 * x0)
-    return np.array([[0.0, -x0 * e], [-x0 * e, t1 * x0 * x0 * e]])
 
 
 def _poly_mu(x, theta):
@@ -506,11 +492,6 @@ def _poly_f(x, theta):
     return np.stack([base + x0**j for j in range(p)], axis=-1)
 
 
-def _poly_hessian(x, theta):
-    p = np.asarray(theta, dtype=float).reshape(-1).size
-    return np.zeros((p, p))
-
-
 def _exp1_mu(x, theta):
     x0 = np.asarray(x, dtype=float)[..., 0]
     th = np.asarray(theta, dtype=float)
@@ -522,12 +503,6 @@ def _exp1_f(x, theta):
     th = np.asarray(theta, dtype=float)
     g = -x0 * np.exp(-th[..., 0] * x0)
     return np.asarray(g)[..., None]
-
-
-def _exp1_hessian(x, theta):
-    x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-    t = float(np.asarray(theta, dtype=float).reshape(-1)[0])
-    return np.array([[x0 * x0 * np.exp(-t * x0)]])
 
 
 @dataclass(frozen=True)
@@ -545,7 +520,7 @@ def michaelis_menten(
     theta_bounds: Sequence[tuple[float, float]] = ((0.2, 3.0), (0.2, 3.0)),
 ) -> ModelBundle:
     """Saturating response t1*x/(t2+x); identifiable from 2 points when t1 > 0."""
-    model = ModelSpec("michaelis_menten", 2, _mm_mu, _mm_f, _mm_hessian)
+    model = ModelSpec("michaelis_menten", 2, _mm_mu, _mm_f)
     lo = [b[0] for b in theta_bounds]
     hi = [b[1] for b in theta_bounds]
     return ModelBundle(
@@ -561,7 +536,7 @@ def exponential_decay(
     theta_bounds: Sequence[tuple[float, float]] = ((0.5, 2.5), (0.5, 2.5)),
 ) -> ModelBundle:
     """Two-parameter decay t1*exp(-t2*x); identifiable when t1 > 0."""
-    model = ModelSpec("exponential_decay", 2, _expdecay_mu, _expdecay_f, _expdecay_hessian)
+    model = ModelSpec("exponential_decay", 2, _expdecay_mu, _expdecay_f)
     lo = [b[0] for b in theta_bounds]
     hi = [b[1] for b in theta_bounds]
     return ModelBundle(
@@ -585,7 +560,7 @@ def polynomial(
     if degree < 0:
         raise DomainError("polynomial degree must be >= 0")
     p = degree + 1
-    model = ModelSpec(f"polynomial_deg{degree}", p, _poly_mu, _poly_f, _poly_hessian)
+    model = ModelSpec(f"polynomial_deg{degree}", p, _poly_mu, _poly_f)
     return ModelBundle(
         model,
         Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),
@@ -603,7 +578,7 @@ def one_param_exponential(
     The region is bounded away from x = 0, where the response would be
     constant in the parameter and identifiability would fail.
     """
-    model = ModelSpec("one_param_exponential", 1, _exp1_mu, _exp1_f, _exp1_hessian)
+    model = ModelSpec("one_param_exponential", 1, _exp1_mu, _exp1_f)
     return ModelBundle(
         model,
         Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),

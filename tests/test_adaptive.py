@@ -24,7 +24,7 @@ from adwynn.design import (
     rank_one_update,
     sensitivity_profile,
 )
-from adwynn.errors import AcquisitionError, DomainError, SingularMatrixError
+from adwynn.errors import AcquisitionError, ConfigError, DomainError, SingularMatrixError
 from adwynn.estimator import DataBatch, fit_ls
 from adwynn.model import builtin_bundle
 from adwynn.noise import IIDGaussian, make_rng
@@ -171,7 +171,7 @@ def test_run_with_n_max_equal_n_start(mm_bundle):
 
 def test_run_rejects_too_small_n_max(mm_bundle):
     scenario = _zero_noise_scenario(mm_bundle, [1.0, 1.0], 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         simulate_trajectory(scenario, seed=11)
 
 

@@ -12,7 +12,6 @@ from adwynn.analysis import (
     chi2_cdf,
     chi2_quantile,
     compute_gamma_kappa,
-    consistency_study,
     empirical_design,
     extract_clusters,
     ks_distance,
@@ -386,7 +385,7 @@ def _mm_scenario(mm_bundle, sigma=0.1, n_max=60):
 
 def test_consistency_study_zero_noise(mm_bundle):
     scenario = _mm_scenario(mm_bundle, sigma=0.0, n_max=30)
-    report = consistency_study(scenario, replicates=3, checkpoints=[10, 30], seed=5)
+    report = run_study(scenario, replicates=3, checkpoints=[10, 30], seed=5)
     for n in (10, 30):
         assert max(report.error_samples[n]) <= 1e-6
     assert report.failed == ()
@@ -439,7 +438,7 @@ def test_consistency_survives_non_ah_noise(mm_bundle):
         NonAH(sigma_odd=0.05, sigma_even=0.15),
         WynnConfig(n_max=200),
     )
-    report = consistency_study(scenario, 10, [30, 200], seed=5150, workers=1)
+    report = run_study(scenario, 10, [30, 200], seed=5150, workers=1)
     med_early = np.median(report.error_samples[30])
     med_late = np.median(report.error_samples[200])
     assert med_late < med_early

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from adwynn.adaptive import Trajectory
 from adwynn.cli import RunConfig, load_config, main, read_replay_file
 from adwynn.model import builtin_bundle
 
@@ -139,6 +141,16 @@ def test_read_replay_file_validates(tmp_path):
     bad.write_text("OBSERVE 1.0\nNOPE 2\n")
     with pytest.raises(ConfigError):
         read_replay_file(str(bad))
+    for value in ("nan", "inf"):
+        bad.write_text(f"OBSERVE 1.0\n\nOBSERVE {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}:3: observation must be finite")):
+            read_replay_file(str(bad))
+
+
+def test_simulate_n_max_below_start_exits_2(tmp_path, capsys):
+    path, _ = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--n-max", "1"]) == 2
+    assert "below the starting design size" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- oracle
@@ -435,3 +447,80 @@ def test_session_eof_before_start_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", duplex)
     rc = main(["session", "--config", str(_session_config(tmp_path))])
     assert rc == 1
+
+
+def _noiseless_until_quit(quit_when):
+    """Session replies: noiseless responses at (1, 1) until ``quit_when``
+    (responses sent so far, ESTIMATE lines seen) asks for QUIT."""
+    bundle = builtin_bundle("michaelis_menten")
+    sent = []
+
+    def respond(lines):
+        estimates = sum(line.startswith("ESTIMATE") for line in lines)
+        if quit_when(len(sent), estimates):
+            return "QUIT\n"
+        x = float(lines[-1].split()[2])
+        sent.append(float(bundle.model.mu(np.array([x]), np.array([1.0, 1.0]))))
+        return f"OBSERVE {sent[-1]!r}\n"
+
+    return respond
+
+
+def test_session_quit_mid_loop_keeps_steps(tmp_path, monkeypatch):
+    # one ESTIMATE follows the starting design, then one per adaptive step
+    duplex = _Duplex(_noiseless_until_quit(lambda sent, estimates: estimates > 5))
+    monkeypatch.setattr(sys, "stdin", duplex)
+    monkeypatch.setattr(sys, "stdout", duplex)
+    rc = main(["session", "--config", str(_session_config(tmp_path, n_max=20))])
+    assert rc == 1
+    obj = json.loads((tmp_path / "s_trajectory.json").read_text())
+    assert len(obj["points"]) == obj["n_start"] + 5
+    assert len(obj["records"]) == 5
+    assert obj["final_fit"] is not None
+    traj = Trajectory.from_jsonable(obj)
+    assert traj.n == obj["n_start"] + 5
+    assert traj.estimates.shape == (6, 2)
+    header = (tmp_path / "s_trajectory.csv").read_text().splitlines()[0]
+    assert header == "n,x0,y,theta0,theta1,logdet,max_d"
+
+
+def test_session_quit_mid_start_has_no_fit(tmp_path, monkeypatch):
+    duplex = _Duplex(_noiseless_until_quit(lambda sent, estimates: sent >= 1))
+    monkeypatch.setattr(sys, "stdin", duplex)
+    monkeypatch.setattr(sys, "stdout", duplex)
+    rc = main(["session", "--config", str(_session_config(tmp_path))])
+    assert rc == 1
+    obj = json.loads((tmp_path / "s_trajectory.json").read_text())
+    assert len(obj["points"]) == 1
+    assert obj["estimates"] == []
+    assert obj["final_fit"] is None
+    assert Trajectory.from_jsonable(obj).estimates.shape == (0, 2)
+    header = (tmp_path / "s_trajectory.csv").read_text().splitlines()[0]
+    assert header == "n,x0,y,theta0,theta1,logdet,max_d"
+
+
+def test_session_estimate_follows_each_refit(tmp_path, monkeypatch):
+    duplex = _Duplex(_noiseless_until_quit(lambda sent, estimates: False))
+    monkeypatch.setattr(sys, "stdin", duplex)
+    monkeypatch.setattr(sys, "stdout", duplex)
+    path = tmp_path / "sess.json"
+    path.write_text(json.dumps({
+        "model": {"name": "michaelis_menten"},
+        "wynn": {"n_max": 12, "refresh_every": 3},
+        "output": {"dir": str(tmp_path), "prefix": "s"},
+    }))
+    assert main(["session", "--config", str(path)]) == 0
+    obj = json.loads((tmp_path / "s_trajectory.json").read_text())
+    steps = 12 - obj["n_start"]
+    estimates = [l for l in duplex.out_lines if l.startswith("ESTIMATE")]
+    # one refit after the starting design, then one every third step
+    assert len(estimates) == 1 + steps // 3
+
+
+def test_session_n_max_below_start_exits_2(tmp_path, monkeypatch, capsys):
+    duplex = _Duplex(lambda lines: "QUIT\n")
+    monkeypatch.setattr(sys, "stdin", duplex)
+    rc = main(["session", "--config", str(_session_config(tmp_path, n_max=1))])
+    assert rc == 2
+    assert "below the starting design size" in capsys.readouterr().err
+    assert not (tmp_path / "s_trajectory.json").exists()

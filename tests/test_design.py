@@ -7,9 +7,7 @@ import pytest
 
 from adwynn.design import (
     Design,
-    add_point,
     d_efficiency,
-    design_from_counts,
     equivalence_gap,
     info_matrix,
     log_det,
@@ -19,6 +17,7 @@ from adwynn.design import (
     sensitivity_profile,
     solve_locally_d_optimal,
 )
+from adwynn.analysis import empirical_design
 from adwynn.errors import ConvergenceError, DomainError, SingularMatrixError
 
 
@@ -97,43 +96,6 @@ def test_info_matrix_linear_in_weights(mm_bundle, rng):
     assert np.max(np.abs(M_mix - M_lin)) <= 1e-12
 
 
-# ---------------------------------------------------------------- add_point
-
-
-def test_add_point_basic():
-    d = Design(np.array([[0.0]]), np.array([1.0]))
-    d2 = add_point(d, [1.0], n=1)
-    assert np.allclose(sorted(d2.weights), [0.5, 0.5])
-
-
-def test_add_point_merges_existing():
-    d = Design(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-    d3 = add_point(d, [0.0], n=2)
-    w = {float(x): float(wt) for x, wt in zip(d3.support.ravel(), d3.weights)}
-    assert w[0.0] == pytest.approx(2.0 / 3.0)
-    assert w[1.0] == pytest.approx(1.0 / 3.0)
-
-
-def test_add_point_rejects_bad_n():
-    d = Design(np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(DomainError):
-        add_point(d, [1.0], n=0)
-
-
-def test_add_point_thousand_updates_exact(rng):
-    # weights must equal multiplicity/n exactly, verified by recount
-    points = rng.choice(np.linspace(0.0, 1.0, 11), size=1001)
-    design = Design(np.array([[points[0]]]), np.array([1.0]))
-    for n, x in enumerate(points[1:], start=1):
-        design = add_point(design, [x], n=n)
-    total = 1001
-    counts = {}
-    for x in points:
-        counts[float(x)] = counts.get(float(x), 0) + 1
-    for x, w in zip(design.support.ravel(), design.weights):
-        assert w == counts[float(x)] / total  # bitwise: count/n exactly
-
-
 # ---------------------------------------------------------------- rank-one update
 
 
@@ -154,15 +116,12 @@ def test_rank_one_matches_recompute(mm_bundle, rng):
     idx = rng.choice(grid.shape[0], size=202, replace=True)
     pts = grid[idx]
     start = pts[:2]
-    M = info_matrix(design_from_counts(np.unique(start, axis=0),
-                                       np.unique(start, axis=0, return_counts=True)[1]),
-                    theta, mm_bundle.model)
+    M = info_matrix(empirical_design(start), theta, mm_bundle.model)
     worst = 0.0
     for n in range(2, 202):
         f = np.asarray(mm_bundle.model.f(pts[n], theta))
         M = rank_one_update(M, f, n)
-        uniq, counts = np.unique(pts[: n + 1], axis=0, return_counts=True)
-        M_scratch = info_matrix(design_from_counts(uniq, counts), theta, mm_bundle.model)
+        M_scratch = info_matrix(empirical_design(pts[: n + 1]), theta, mm_bundle.model)
         worst = max(worst, float(np.max(np.abs(M - M_scratch))))
     assert worst <= 1e-10
 

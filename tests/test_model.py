@@ -172,22 +172,6 @@ def test_builtin_unknown_name():
         builtin_bundle("nope")
 
 
-def test_hessian_matches_gradient_differences(mm_bundle):
-    model = mm_bundle.model
-    x = np.array([0.9])
-    theta = np.array([1.3, 0.8])
-    H = model.hessian(x, theta)
-    assert np.allclose(H, H.T)
-    fd = np.empty((2, 2))
-    for j in range(2):
-        h = 1e-6
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        fd[:, j] = (np.asarray(model.f(x, tp)) - np.asarray(model.f(x, tm))) / (2 * h)
-    assert np.max(np.abs(H - fd)) <= 1e-6
-
-
 # ---------------------------------------------------------------- span check
 
 

@@ -1,0 +1,114 @@
+"""Print sha256 digests of every output file for a fixed (config, seed).
+
+    python3 tools/output_digests.py
+
+Runs the ``adwynn`` commands of the checkout this script sits in on the
+acceptance suite's determinism config (criterion 9: Michaelis-Menten,
+theta_bar = (1, 1), sigma = 0.1, n_max = 60, 3 replicates at
+checkpoints 30 and 40, seed 31415):
+
+- ``simulate``;
+- ``mc`` with 1 and with 2 workers;
+- three scripted ``session`` runs answered with zero-noise responses at
+  theta_bar: one complete, one that sends QUIT after 5 adaptive
+  observations, and one that sends QUIT after one starting observation.
+
+Each output file and each session's stdout gets a line
+``<sha256>  <name>``, and each command a line ``exit <code>  <run>``.
+Running the script in two checkouts and diffing the outputs shows
+whether a change keeps every output byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = {
+    "model": {"name": "michaelis_menten"},
+    "theta_bar": [1.0, 1.0],
+    "noise": {"variant": "iid_gaussian", "sigma": 0.1},
+    "wynn": {"n_max": 60},
+    "mc": {"replicates": 3, "checkpoints": [30, 40], "workers": 1},
+    "seed": 31415,
+}
+QUIT_AFTER_ADAPTIVE = 5
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _adwynn(args: list[str], **kwargs) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "adwynn.cli", *args], env=_env(), **kwargs)
+
+
+def _mu(x: float) -> float:
+    t1, t2 = CONFIG["theta_bar"]
+    return t1 * x / (t2 + x)
+
+
+def _session(cfg: Path, prefix: str, quit_when) -> tuple[int, bytes]:
+    """Answer every SUGGEST with the noiseless response until ``quit_when``
+    (observations so far, estimates seen) says to send QUIT."""
+    proc = _adwynn(["session", "--config", str(cfg), "--prefix", prefix],
+                   stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    transcript = []
+    observed = estimates = 0
+    for line in proc.stdout:
+        transcript.append(line)
+        if line.startswith(b"ESTIMATE"):
+            estimates += 1
+        elif line.startswith(b"SUGGEST"):
+            if quit_when(observed, estimates):
+                proc.stdin.write(b"QUIT\n")
+            else:
+                proc.stdin.write(b"OBSERVE %r\n" % _mu(float(line.split()[2])))
+                observed += 1
+            proc.stdin.flush()
+    proc.stdin.close()
+    return proc.wait(), b"".join(transcript)
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "output": {"dir": str(out), "prefix": "x"}}))
+
+        def run(name: str, args: list[str]) -> None:
+            rc = _adwynn(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).wait()
+            lines.append(f"exit {rc}  {name}")
+
+        run("simulate", ["simulate", "--config", str(cfg), "--prefix", "simulate"])
+        for workers in (1, 2):
+            run(f"mc_w{workers}", ["mc", "--config", str(cfg), "--prefix", f"mc_w{workers}",
+                                   "--workers", str(workers)])
+        sessions = {
+            "session_complete": lambda obs, est: False,
+            # one ESTIMATE after the starting design, then one per adaptive step
+            "session_quit_loop": lambda obs, est: est > QUIT_AFTER_ADAPTIVE,
+            "session_quit_start": lambda obs, est: obs >= 1,
+        }
+        for name, quit_when in sessions.items():
+            rc, stdout = _session(cfg, name, quit_when)
+            lines.append(f"exit {rc}  {name}")
+            lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
+        for path in sorted(out.iterdir()):
+            if path != cfg:
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
