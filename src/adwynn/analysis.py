@@ -413,6 +413,8 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
     p = trajectory.p
     if n < p:
         raise DomainError("need at least p observations to extract p clusters")
+    if n > trajectory.n:
+        raise DomainError(f"stage n = {n} exceeds the trajectory length {trajectory.n}")
     if cell_diameter <= 0:
         raise DomainError("cell_diameter must be positive")
     pts = trajectory.points[:n]

@@ -251,10 +251,24 @@ def _out_path(cfg: RunConfig, args, suffix: str) -> Path:
     return out_dir / f"{prefix}_{suffix}"
 
 
+def _nonfinite_to_null(obj):
+    """obj with every non-finite float replaced by None, so it encodes as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nonfinite_to_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_to_null(v) for v in obj]
+    return obj
+
+
 def write_json(path: Path, obj: dict) -> None:
+    try:
+        text = json.dumps(obj, allow_nan=False, **JSON_KW)
+    except ValueError:  # NaN or infinity: only then walk obj, a slow walk on long runs
+        text = json.dumps(_nonfinite_to_null(obj), allow_nan=False, **JSON_KW)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, **JSON_KW)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -357,12 +371,20 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    for flag, value in (("--d", args.d), ("--cell-diameter", args.cell_diameter)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value!r}")
     try:
         text = Path(args.trajectory).read_text()
         obj = json.loads(text)
         trajectory = Trajectory.from_jsonable(obj)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse trajectory file {args.trajectory}: {exc}") from None
+    if args.n is not None and not trajectory.p <= args.n <= trajectory.n:
+        raise ConfigError(
+            f"--n must lie between p = {trajectory.p} and the trajectory length "
+            f"{trajectory.n}, got {args.n}"
+        )
     n = args.n if args.n is not None else trajectory.n
     diag = analysis.extract_clusters(trajectory, n, args.cell_diameter)
     curve = analysis.window_mass_curve(trajectory, args.d, n_from=1)

@@ -61,6 +61,7 @@ class LSFit:
     ``grid_minimum`` is the winner of the coarse scan before local
     refinement; ``grid_tie`` flags a non-unique scan minimum, which
     typically means the data under-determine the parameter.
+    ``converged`` says the returned descent met a stop test.
     """
 
     theta_hat: Array
@@ -130,6 +131,10 @@ def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
     return theta_grid[g_idx].copy(), g_min, bool(np.sum(values <= g_min + tie_tol) > 1)
 
 
+# A decrement g.step this small against the SSE is rounding noise no halving can realise.
+STATIONARY_DECREMENT = 1e-15
+
+
 def _gauss_newton(
     xs: Array,
     ys: Array,
@@ -142,13 +147,18 @@ def _gauss_newton(
     """Box-projected damped Gauss-Newton descent from theta0.
 
     Accepts only strictly decreasing steps (step-halving line search),
-    so the objective along the accepted iterates is monotone.
+    so the objective along the accepted iterates is monotone.  Stops
+    before the line search once the Gauss-Newton step shows
+    stationarity (its norm below ``step_tol``, or its decrement g.step
+    negligible against the SSE), or after an accepted move shorter than
+    ``step_tol`` (stopping rules after Dennis & Schnabel 1983, ch. 7).
+    Only these stops report convergence; a non-finite step, an exhausted
+    line search or ``max_iterations`` report ``converged=False``.
     """
     theta = space.project(theta0)
     value = _sse_arrays(xs, ys, model, theta)
     if trace is not None:
         trace.append((theta.copy(), value))
-    converged = True
     for _ in range(config.max_iterations):
         r = ys - np.asarray(model.mu(xs, theta), dtype=float)
         F = np.asarray(model.f(xs, theta), dtype=float)
@@ -159,7 +169,12 @@ def _gauss_newton(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(G, g, rcond=None)[0]
         if not np.all(np.isfinite(step)):
-            break
+            return theta, value, False
+        if (
+            float(np.linalg.norm(step)) < config.step_tol
+            or float(g @ step) <= STATIONARY_DECREMENT * value
+        ):
+            return theta, value, True
         alpha = 1.0
         accepted = None
         for _ in range(config.max_halvings):
@@ -170,16 +185,14 @@ def _gauss_newton(
                 break
             alpha *= 0.5
         if accepted is None:
-            break
+            return theta, value, False
         moved = float(np.linalg.norm(accepted[0] - theta))
         theta, value = accepted
         if trace is not None:
             trace.append((theta.copy(), value))
         if moved < config.step_tol:
-            break
-    else:
-        converged = False
-    return theta, value, converged
+            return theta, value, True
+    return theta, value, False
 
 
 def fit_ls(

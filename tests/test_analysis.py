@@ -278,6 +278,17 @@ def test_extract_clusters_failure_reported_not_raised():
     assert diag.pi0 is None
 
 
+
+@pytest.mark.parametrize("n,cell", [(1, 0.1), (21, 0.1), (20, 0.0)])
+def test_extract_clusters_rejects_bad_stage_and_cell(n, cell):
+    traj = _make_trajectory(
+        np.linspace(0.0, 1.0, 20),
+        space_echo={"kind": "box", "lower": [0.0], "upper": [1.0], "grid_resolution": [11]},
+    )
+    with pytest.raises(DomainError):
+        extract_clusters(traj, n, cell_diameter=cell)
+
+
 # ---------------------------------------------------------------- gamma/kappa
 
 

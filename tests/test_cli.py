@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
@@ -325,6 +326,68 @@ def test_diagnose_parse_failure_exits_2(tmp_path, capsys):
     bad.write_text("{broken")
     rc = main(["diagnose", str(bad), "--d", "0.1", "--cell-diameter", "0.1"])
     assert rc == 2
+
+
+def _twenty_point_trajectory(tmp_path):
+    path, _ = _write_config(tmp_path)
+    main(["simulate", "--config", str(path), "--n-max", "20", "--prefix", "tw"])
+    return str(tmp_path / "tw_trajectory.json")
+
+
+@pytest.mark.parametrize("n", ["500", "1"])
+def test_diagnose_n_outside_trajectory_exits_2(tmp_path, capsys, n):
+    traj = _twenty_point_trajectory(tmp_path)
+    capsys.readouterr()
+    rc = main(["diagnose", traj, "--d", "0.1", "--cell-diameter", "0.1", "--n", n])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "20" in err
+    assert not (tmp_path / "adwynn_diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--d", "--cell-diameter"])
+@pytest.mark.parametrize("value", ["0", "-0.1"])
+def test_diagnose_nonpositive_diameter_exits_2(tmp_path, capsys, flag, value):
+    traj = _twenty_point_trajectory(tmp_path)
+    capsys.readouterr()
+    args = {"--d": "0.1", "--cell-diameter": "0.1", flag: value}
+    rc = main(["diagnose", traj, *[a for kv in args.items() for a in kv]])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_write_json_is_strict_json(tmp_path):
+    from dataclasses import replace
+
+    from adwynn.adaptive import Scenario, WynnConfig
+    from adwynn.analysis import run_study
+    from adwynn.cli import write_json
+    from adwynn.noise import IIDGaussian
+
+    mm = builtin_bundle("michaelis_menten")
+    scenario = Scenario(
+        mm.model,
+        mm.design_space,
+        mm.parameter_space,
+        np.array([1.0, 1.0]),
+        IIDGaussian(0.1),
+        WynnConfig(n_max=10),
+    )
+    report = run_study(scenario, 2, [10], seed=3)
+    report = replace(
+        report,
+        defficiency_samples={10: np.array([math.nan, 0.9])},
+        defficiency_quantiles={10: (math.nan,) * 5},
+    )
+    path = tmp_path / "r_mc.json"
+    write_json(path, report.to_jsonable())
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(path.read_text(), parse_constant=reject)
+    assert obj["per_checkpoint"]["10"]["defficiency_samples"] == [None, 0.9]
+    assert obj["per_checkpoint"]["10"]["defficiency_quantiles"] == [None] * 5
 
 
 # ---------------------------------------------------------------- session

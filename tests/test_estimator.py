@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from adwynn.estimator import (
     DataBatch,
     FitConfig,
     SequentialLS,
+    _gauss_newton,
     fit_ls,
     sse,
     sse_gradient,
@@ -252,3 +254,167 @@ def test_sequential_warm_start_is_used(mm_bundle):
     second = seq.estimate()
     assert np.linalg.norm(second.theta_hat - batch_theta) <= 1e-6
     assert np.linalg.norm(first.theta_hat - batch_theta) <= 1e-6
+
+
+# ---------------------------------------------------------------- stopping rule
+
+
+class _CountingModel:
+    """Wraps a ModelSpec so the calls of mu and f can be counted."""
+
+    def __init__(self, model):
+        self.mu_calls = 0
+        self.f_calls = 0
+
+        def mu(x, theta):
+            self.mu_calls += 1
+            return model.mu(x, theta)
+
+        def f(x, theta):
+            self.f_calls += 1
+            return model.f(x, theta)
+
+        self.spec = replace(model, mu=mu, f=f)
+
+    def reset(self):
+        self.mu_calls = self.f_calls = 0
+
+
+def _mm_noisy_batch(mm_bundle, rng, n=60, sigma=0.1):
+    xs = rng.uniform(0.1, 3.0, size=(n, 1))
+    ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.0, 1.0]))) + rng.normal(0, sigma, n)
+    return xs, ys
+
+
+def test_descent_from_optimum_stops_at_once(mm_bundle, rng):
+    xs, ys = _mm_noisy_batch(mm_bundle, rng)
+    fit = fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space)
+    assert fit.converged
+    counting = _CountingModel(mm_bundle.model)
+    theta, value, converged = _gauss_newton(
+        xs, ys, counting.spec, mm_bundle.parameter_space, fit.theta_hat, FitConfig()
+    )
+    # one SSE at the seed and one residual for the step; no line search
+    assert counting.mu_calls <= 2
+    assert converged
+    assert np.array_equal(theta, fit.theta_hat)
+    assert value == fit.sse_value
+
+
+def test_sequential_refits_are_cheap_along_a_run(mm_bundle):
+    from adwynn.adaptive import Scenario, WynnConfig, simulate_trajectory
+    from adwynn.noise import IIDGaussian
+
+    scenario = Scenario(
+        mm_bundle.model,
+        mm_bundle.design_space,
+        mm_bundle.parameter_space,
+        np.array([1.0, 1.0]),
+        IIDGaussian(0.1),
+        WynnConfig(n_max=2000),
+    )
+    traj = simulate_trajectory(scenario, seed=20)
+    assert traj.final_fit.converged
+    # replay the run's data: the refits see exactly the loop's data and warm starts
+    counting = _CountingModel(mm_bundle.model)
+    seq = SequentialLS(counting.spec, mm_bundle.parameter_space)
+    sse_evals = refits = unconverged = 0
+    for i, (x, y) in enumerate(zip(traj.points, traj.responses)):
+        seq.update(x, float(y))
+        if i + 1 < traj.n_start:
+            continue
+        counting.reset()
+        fit = seq.estimate()
+        # each GN iteration evaluates mu once for its residual besides the SSE calls
+        sse_evals += counting.mu_calls - counting.f_calls
+        refits += 1
+        unconverged += not fit.converged
+        assert np.array_equal(fit.theta_hat, traj.estimates[i + 1 - traj.n_start])
+    assert refits == 2000 - traj.n_start + 1
+    assert sse_evals / refits <= 6.0
+    assert unconverged == 0
+
+
+def _nan_gradient(model):
+    def f(x, theta):
+        return np.full_like(np.asarray(model.f(x, theta), dtype=float), np.nan)
+
+    return replace(model, f=f)
+
+
+def _uphill_gradient(model):
+    """f negated: the Gauss-Newton step then points uphill."""
+
+    def f(x, theta):
+        return -np.asarray(model.f(x, theta), dtype=float)
+
+    return replace(model, f=f)
+
+
+@pytest.mark.parametrize(
+    "broken,config",
+    [
+        (_nan_gradient, FitConfig()),
+        (_uphill_gradient, FitConfig()),
+        (lambda model: model, FitConfig(max_iterations=1)),
+    ],
+    ids=["nonfinite-step", "line-search-exhausted", "max-iterations"],
+)
+def test_failed_stop_is_not_converged(poly1_bundle, rng, broken, config):
+    xs = rng.uniform(-1.0, 1.0, size=(20, 1))
+    ys = 0.5 - 1.0 * xs[:, 0] + rng.normal(0, 0.1, 20)
+    # a start near the optimum keeps every uphill candidate inside the box
+    theta0 = np.array([0.45, -0.95])
+    model = broken(poly1_bundle.model)
+    theta, value, converged = _gauss_newton(
+        xs, ys, model, poly1_bundle.parameter_space, theta0, config
+    )
+    assert not converged
+    assert value <= sse(DataBatch(xs, ys), theta0, poly1_bundle.model)
+
+
+def test_fit_matches_profiled_reference(mm_bundle, rng):
+    """theta_hat against an independent minimizer: a dense scan in theta2 of
+    the SSE profiled over theta1 (mu is linear in theta1), refined by
+    bisection on the profile's derivative, then the KKT check at theta_hat.
+
+    A line search that compares SSE values cannot place theta_hat closer
+    than the SSE resolves: along the flat valley of these designs a move
+    of 1e-8 changes the SSE by about one rounding error.  So theta_hat is
+    held to the reference's SSE within 1e-14 relative, and to its
+    position within 1e-6."""
+    space = mm_bundle.parameter_space
+    for _ in range(5):
+        xs, ys = _mm_noisy_batch(mm_bundle, rng, n=80, sigma=0.2)
+        x = xs[:, 0]
+        batch = DataBatch(xs, ys)
+        fit = fit_ls(batch, mm_bundle.model, space)
+        assert fit.converged
+
+        def profile(t2):
+            h = x / (t2 + x)
+            t1 = float(np.clip((h @ ys) / (h @ h), space.lower[0], space.upper[0]))
+            r = ys - t1 * h
+            # envelope theorem: the theta2 partial of the SSE at the profiled theta1
+            return t1, float(r @ r), float(2.0 * t1 * (r @ (x / (t2 + x) ** 2)))
+
+        t2_grid = np.linspace(space.lower[1], space.upper[1], 2001)
+        values = [profile(t)[1] for t in t2_grid]
+        k = int(np.argmin(values))
+        assert 0 < k < len(t2_grid) - 1  # interior optimum for these data
+        lo, hi = t2_grid[k - 1], t2_grid[k + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if profile(mid)[2] < 0:
+                lo = mid
+            else:
+                hi = mid
+        theta_ref = np.array([profile(0.5 * (lo + hi))[0], 0.5 * (lo + hi)])
+        sse_ref = sse(batch, theta_ref, mm_bundle.model)
+        assert fit.sse_value <= min(values) * (1 + 1e-12)
+        assert fit.sse_value - sse_ref <= 1e-14 * sse_ref
+        assert np.linalg.norm(fit.theta_hat - theta_ref) <= 1e-6
+        # KKT in the Gauss-Newton metric: the decrement g.G^-1.g left at theta_hat
+        F = np.asarray(mm_bundle.model.f(xs, fit.theta_hat))
+        g = F.T @ (ys - np.asarray(mm_bundle.model.mu(xs, fit.theta_hat)))
+        assert g @ np.linalg.solve(F.T @ F, g) <= 1e-14 * fit.sse_value
