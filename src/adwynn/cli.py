@@ -263,10 +263,7 @@ def _nonfinite_to_null(obj):
 
 
 def write_json(path: Path, obj: dict) -> None:
-    try:
-        text = json.dumps(obj, allow_nan=False, **JSON_KW)
-    except ValueError:  # NaN or infinity: only then walk obj, a slow walk on long runs
-        text = json.dumps(_nonfinite_to_null(obj), allow_nan=False, **JSON_KW)
+    text = json.dumps(_nonfinite_to_null(obj), allow_nan=False, **JSON_KW)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 

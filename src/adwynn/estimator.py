@@ -131,6 +131,13 @@ def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
     return theta_grid[g_idx].copy(), g_min, bool(np.sum(values <= g_min + tie_tol) > 1)
 
 
+def _solve(G: Array, g: Array) -> Array:
+    try:
+        return np.linalg.solve(G, g)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(G, g, rcond=None)[0]
+
+
 # A decrement g.step this small against the SSE is rounding noise no halving can realise.
 STATIONARY_DECREMENT = 1e-15
 
@@ -152,6 +159,10 @@ def _gauss_newton(
     stationarity (its norm below ``step_tol``, or its decrement g.step
     negligible against the SSE), or after an accepted move shorter than
     ``step_tol`` (stopping rules after Dennis & Schnabel 1983, ch. 7).
+    A coordinate at a bound whose gradient points out of the box is held
+    there, and the step is solved on the free coordinates (a projected
+    Newton step, Bertsekas 1982), so a minimum on the boundary of the
+    box is reached and passes the stationarity tests too.
     Only these stops report convergence; a non-finite step, an exhausted
     line search or ``max_iterations`` report ``converged=False``.
     """
@@ -164,10 +175,14 @@ def _gauss_newton(
         F = np.asarray(model.f(xs, theta), dtype=float)
         g = F.T @ r
         G = F.T @ F
-        try:
-            step = np.linalg.solve(G, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(G, g, rcond=None)[0]
+        # g is the descent direction: a bound it pushes against holds its coordinate
+        held = ((theta <= space.lower) & (g <= 0.0)) | ((theta >= space.upper) & (g >= 0.0))
+        if held.any():
+            free = ~held
+            step = np.zeros_like(g)
+            step[free] = _solve(G[np.ix_(free, free)], g[free])
+        else:
+            step = _solve(G, g)
         if not np.all(np.isfinite(step)):
             return theta, value, False
         if (
