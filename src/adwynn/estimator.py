@@ -138,6 +138,16 @@ def _solve(G: Array, g: Array) -> Array:
         return np.linalg.lstsq(G, g, rcond=None)[0]
 
 
+def _bounded_step(G: Array, g: Array, theta: Array, space: ParameterSpace) -> Array:
+    """Gauss-Newton step at a point on the box boundary: a coordinate whose
+    bound the descent direction g pushes against is held, the rest solved alone."""
+    held = ((theta <= space.lower) & (g <= 0.0)) | ((theta >= space.upper) & (g >= 0.0))
+    free = ~held
+    step = np.zeros_like(g)
+    step[free] = _solve(G[np.ix_(free, free)], g[free])
+    return step
+
+
 # A decrement g.step this small against the SSE is rounding noise no halving can realise.
 STATIONARY_DECREMENT = 1e-15
 
@@ -166,6 +176,7 @@ def _gauss_newton(
     Only these stops report convergence; a non-finite step, an exhausted
     line search or ``max_iterations`` report ``converged=False``.
     """
+    lower, upper = space.lower.tolist(), space.upper.tolist()
     theta = space.project(theta0)
     value = _sse_arrays(xs, ys, model, theta)
     if trace is not None:
@@ -175,14 +186,10 @@ def _gauss_newton(
         F = np.asarray(model.f(xs, theta), dtype=float)
         g = F.T @ r
         G = F.T @ F
-        # g is the descent direction: a bound it pushes against holds its coordinate
-        held = ((theta <= space.lower) & (g <= 0.0)) | ((theta >= space.upper) & (g >= 0.0))
-        if held.any():
-            free = ~held
-            step = np.zeros_like(g)
-            step[free] = _solve(G[np.ix_(free, free)], g[free])
-        else:
-            step = _solve(G, g)
+        # plain floats: numpy's per-call overhead would cost more than the solve
+        t = theta.tolist()
+        on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
+        step = _bounded_step(G, g, theta, space) if on_bound else _solve(G, g)
         if not np.all(np.isfinite(step)):
             return theta, value, False
         if (
