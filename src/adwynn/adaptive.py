@@ -61,6 +61,8 @@ class WynnConfig:
             raise DomainError("refresh_every must be >= 1")
         if self.pd_floor <= 0:
             raise DomainError("pd_floor must be positive")
+        if self.theta_check_points_per_axis < 1:
+            raise DomainError("theta_check_points_per_axis must be >= 1")
 
     def to_jsonable(self) -> dict:
         return {
@@ -132,15 +134,12 @@ class LSAdaptiveEstimator:
 
     def __init__(self, model: ModelSpec, space: ParameterSpace, config: FitConfig):
         self._seq = SequentialLS(model, space, config)
-        self.last_fit: Optional[LSFit] = None
 
     def update(self, x: Array, y: float) -> None:
         self._seq.update(x, y)
 
     def estimate(self) -> Array:
-        fit = self._seq.estimate()
-        self.last_fit = fit
-        return fit.theta_hat
+        return self._seq.estimate().theta_hat
 
 
 # --------------------------------------------------------------------------
@@ -149,15 +148,13 @@ class LSAdaptiveEstimator:
 
 
 def _best_start_tuple(F_center: Array, p: int) -> list[int]:
-    """Indices of the p-tuple maximizing |det| of stacked regressors.
+    """Indices of the p-tuple (p >= 2) maximizing |det| of stacked regressors.
 
     Exhaustive when the number of combinations is small enough,
     otherwise greedy volume maximization (largest row first, then the
     row with the largest component orthogonal to the current span).
     """
     m = F_center.shape[0]
-    if p == 1:
-        return [int(np.argmax(np.abs(F_center[:, 0])))]
     if p == 2:
         dets = np.abs(
             F_center[:, None, 0] * F_center[None, :, 1]

@@ -43,6 +43,21 @@ Array = np.ndarray
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
+# MCReport's per-checkpoint statistics, in report order
+CHECKPOINT_STATS = (
+    "error_quantiles",
+    "error_samples",
+    "t_known",
+    "t_plugin",
+    "ks_known",
+    "ks_plugin",
+    "ks_mstar",
+    "ks_chi2",
+    "coverage95",
+    "defficiency_quantiles",
+    "defficiency_samples",
+)
+
 
 # --------------------------------------------------------------------------
 # Probability utilities
@@ -503,9 +518,6 @@ class MCReport:
     kept_paths: tuple[Trajectory, ...] = ()
 
     def to_jsonable(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
         return {
             "schema": "adwynn.mc_report.v1",
             "replicates": self.replicates,
@@ -518,17 +530,9 @@ class MCReport:
             "failure_messages": list(self.failure_messages),
             "per_checkpoint": {
                 str(n): {
-                    "error_quantiles": list(self.error_quantiles[n]),
-                    "error_samples": arr(self.error_samples[n]),
-                    "t_known": arr(self.t_known[n]),
-                    "t_plugin": arr(self.t_plugin[n]),
-                    "ks_known": arr(self.ks_known[n]),
-                    "ks_plugin": arr(self.ks_plugin[n]),
-                    "ks_mstar": arr(self.ks_mstar[n]),
-                    "ks_chi2": self.ks_chi2[n],
-                    "coverage95": self.coverage95[n],
-                    "defficiency_quantiles": list(self.defficiency_quantiles[n]),
-                    "defficiency_samples": arr(self.defficiency_samples[n]),
+                    name: None if v is None else np.asarray(v).tolist()
+                    for name in CHECKPOINT_STATS
+                    for v in [getattr(self, name)[n]]
                 }
                 for n in self.checkpoints
             },
@@ -560,11 +564,11 @@ class MCReport:
 
 
 def _replicate_worker(args) -> dict:
-    (scenario, master_seed, index, checkpoints, sigma_known, reference, keep_path) = args
+    scenario, master_seed, index, checkpoints, sigma_known, reference, mstar_root, keep_path = args
+    model, theta_bar = scenario.model, scenario.theta_bar
     seed = mix_seed(master_seed, index)
     try:
-        config = replace(scenario.config, n_max=max(checkpoints))
-        traj = simulate_trajectory(replace(scenario, config=config), seed)
+        traj = simulate_trajectory(scenario, seed)
         out: dict = {"index": index, "failed": None, "checkpoints": {}}
         for n in checkpoints:
             if n < traj.n_start:
@@ -574,46 +578,32 @@ def _replicate_worker(args) -> dict:
             warm = traj.estimates[n - traj.n_start]
             fit = fit_ls(
                 DataBatch(traj.points[:n], traj.responses[:n]),
-                scenario.model,
+                model,
                 scenario.parameter_space,
                 scenario.config.fit,
                 warm_start=warm,
             )
             design_n = empirical_design(traj.points[:n])
-            err = float(np.linalg.norm(fit.theta_hat - scenario.theta_bar))
-            t_known = None
-            if sigma_known is not None:
-                t_known = normality_stat(
-                    fit, design_n, scenario.theta_bar, sigma_known, n, scenario.model
-                )
+            delta = fit.theta_hat - theta_bar
             sigma_hat = math.sqrt(max(fit.sigma2_hat, 1e-300))
-            t_plugin = normality_stat(
-                fit, design_n, scenario.theta_bar, sigma_hat, n, scenario.model
-            )
-            u_mstar = None
-            if reference is not None and sigma_known is not None:
-                Mstar_root = matrix_sqrt(
-                    info_matrix(reference, scenario.theta_bar, scenario.model)
-                )
-                delta = fit.theta_hat - scenario.theta_bar
-                u_mstar = (math.sqrt(n) / sigma_known) * (Mstar_root @ delta)
-            d_eff = (
-                d_efficiency(design_n, reference, scenario.theta_bar, scenario.model)
-                if reference is not None
-                else math.nan
-            )
-            out["checkpoints"][n] = {
-                "error": err,
-                "t_known": None if t_known is None else t_known.tolist(),
-                "t_plugin": t_plugin.tolist(),
-                "u_mstar": None if u_mstar is None else u_mstar.tolist(),
-                "defficiency": d_eff,
+            row = {
+                "error": float(np.linalg.norm(delta)),
+                "t_plugin": normality_stat(fit, design_n, theta_bar, sigma_hat, n, model),
+                "defficiency": d_efficiency(design_n, reference, theta_bar, model),
             }
+            if sigma_known is not None:
+                row["t_known"] = normality_stat(fit, design_n, theta_bar, sigma_known, n, model)
+                row["u_mstar"] = (math.sqrt(n) / sigma_known) * (mstar_root @ delta)
+            out["checkpoints"][n] = row
         if keep_path:
             out["trajectory"] = traj
         return out
     except Exception as exc:  # noqa: BLE001 - a replicate must never kill the study
         return {"index": index, "failed": f"{type(exc).__name__}: {exc}"}
+
+
+def _quantiles(sample: Array) -> tuple[float, ...]:
+    return tuple(float(np.quantile(sample, q)) for q in QUANTILE_LEVELS)
 
 
 def empirical_design(points: Array) -> Design:
@@ -652,8 +642,11 @@ def run_study(
     reference = solve_locally_d_optimal(
         scenario.model, scenario.theta_bar, grid, tol=reference_tol
     )
+    mstar_root = matrix_sqrt(info_matrix(reference, scenario.theta_bar, scenario.model))
+    run_scenario = replace(scenario, config=replace(scenario.config, n_max=checkpoints[-1]))
     args = [
-        (scenario, int(seed), r, checkpoints, sigma_known, reference, r < keep_paths)
+        (run_scenario, int(seed), r, checkpoints, sigma_known, reference, mstar_root,
+         r < keep_paths)
         for r in range(replicates)
     ]
     if workers > 1:
@@ -661,7 +654,6 @@ def run_study(
             results = list(pool.map(_replicate_worker, args))
     else:
         results = [_replicate_worker(a) for a in args]
-    results.sort(key=lambda r: r["index"])
 
     failed = [r["index"] for r in results if r["failed"] is not None]
     messages = [r["failed"] for r in results if r["failed"] is not None]
@@ -674,70 +666,40 @@ def run_study(
         raise StudyError("all replicates failed", failed)
 
     p = scenario.model.p
-    report: dict = {
-        "error_samples": {},
-        "error_quantiles": {},
-        "t_known": {},
-        "t_plugin": {},
-        "ks_known": {},
-        "ks_plugin": {},
-        "ks_mstar": {},
-        "ks_chi2": {},
-        "coverage95": {},
-        "defficiency_samples": {},
-        "defficiency_quantiles": {},
-    }
-    r_alive = len(alive)
-    normality_skipped = r_alive < 2
+    normality_skipped = len(alive) < 2
     chi_crit = chi2_quantile(p, 0.95)
+
+    def ks_normal(sample: Optional[Array]) -> Optional[tuple[float, ...]]:
+        """Per-coordinate KS distances to N(0, 1); None when absent or skipped."""
+        if sample is None or normality_skipped:
+            return None
+        return tuple(ks_distance(sample[:, j], normal_cdf) for j in range(p))
+
+    per_checkpoint = {}
     for n in checkpoints:
-        errs = np.array([r["checkpoints"][n]["error"] for r in alive])
-        report["error_samples"][n] = errs
-        report["error_quantiles"][n] = tuple(
-            float(np.quantile(errs, q)) for q in QUANTILE_LEVELS
+        rows = [r["checkpoints"][n] for r in alive]
+        errs, t_plugin, d_eff = (
+            np.array([row[key] for row in rows]) for key in ("error", "t_plugin", "defficiency")
         )
-        t_plugin = np.array([r["checkpoints"][n]["t_plugin"] for r in alive])
-        report["t_plugin"][n] = t_plugin
-        d_eff = np.array([r["checkpoints"][n]["defficiency"] for r in alive])
-        report["defficiency_samples"][n] = d_eff
-        report["defficiency_quantiles"][n] = tuple(
-            float(np.quantile(d_eff, q)) for q in QUANTILE_LEVELS
-        )
+        t_known = u_mstar = norms2 = None
         if sigma_known is not None:
-            t_known = np.array([r["checkpoints"][n]["t_known"] for r in alive])
-            u_mstar = np.array([r["checkpoints"][n]["u_mstar"] for r in alive])
-            report["t_known"][n] = t_known
-            if normality_skipped:
-                report["ks_known"][n] = None
-                report["ks_plugin"][n] = None
-                report["ks_mstar"][n] = None
-                report["ks_chi2"][n] = None
-                report["coverage95"][n] = None
-            else:
-                report["ks_known"][n] = tuple(
-                    ks_distance(t_known[:, j], normal_cdf) for j in range(p)
-                )
-                report["ks_plugin"][n] = tuple(
-                    ks_distance(t_plugin[:, j], normal_cdf) for j in range(p)
-                )
-                report["ks_mstar"][n] = tuple(
-                    ks_distance(u_mstar[:, j], normal_cdf) for j in range(p)
-                )
+            t_known = np.array([row["t_known"] for row in rows])
+            u_mstar = np.array([row["u_mstar"] for row in rows])
+            if not normality_skipped:
                 norms2 = (t_known**2).sum(axis=1)
-                report["ks_chi2"][n] = ks_distance(norms2, lambda v: chi2_cdf(p, v))
-                report["coverage95"][n] = float((norms2 <= chi_crit).mean())
-        else:
-            report["t_known"][n] = None
-            report["ks_known"][n] = None
-            report["ks_mstar"][n] = None
-            report["ks_chi2"][n] = None
-            report["coverage95"][n] = None
-            if normality_skipped:
-                report["ks_plugin"][n] = None
-            else:
-                report["ks_plugin"][n] = tuple(
-                    ks_distance(t_plugin[:, j], normal_cdf) for j in range(p)
-                )
+        per_checkpoint[n] = {
+            "error_quantiles": _quantiles(errs),
+            "error_samples": errs,
+            "t_known": t_known,
+            "t_plugin": t_plugin,
+            "ks_known": ks_normal(t_known),
+            "ks_plugin": ks_normal(t_plugin),
+            "ks_mstar": ks_normal(u_mstar),
+            "ks_chi2": None if norms2 is None else ks_distance(norms2, lambda v: chi2_cdf(p, v)),
+            "coverage95": None if norms2 is None else float((norms2 <= chi_crit).mean()),
+            "defficiency_quantiles": _quantiles(d_eff),
+            "defficiency_samples": d_eff,
+        }
 
     kept = tuple(r["trajectory"] for r in alive if "trajectory" in r)
     return MCReport(
@@ -750,7 +712,7 @@ def run_study(
         normality_skipped=normality_skipped,
         sigma_known=sigma_known,
         kept_paths=kept,
-        **report,
+        **{name: {n: per_checkpoint[n][name] for n in checkpoints} for name in CHECKPOINT_STATS},
     )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .adaptive import (
     simulate_trajectory,
 )
 from .design import equivalence_gap, info_matrix, log_det, solve_locally_d_optimal
-from .errors import AdwynnError, ConfigError
+from .errors import AdwynnError, ConfigError, DomainError
 from .estimator import FitConfig
 from .model import ModelBundle, builtin_bundle
 from .noise import ErrorSpec, make_error_spec
@@ -84,6 +85,18 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _as_vector(value, where: str) -> np.ndarray:
     try:
         vec = np.asarray(value, dtype=float)
@@ -92,6 +105,32 @@ def _as_vector(value, where: str) -> np.ndarray:
     if vec.ndim != 1 or not np.all(np.isfinite(vec)):
         raise ConfigError(f"{where} must be a flat array of finite numbers")
     return vec
+
+
+def _section(raw: dict, name: str, keys) -> dict:
+    """The optional object ``$.name``; a key not in ``keys`` is a config error."""
+    cfg = _expect(raw, name, dict, "$", required=False, default={})
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"unknown key $.{name}.{key}")
+    return cfg
+
+
+# readers of the $.fit and $.wynn keys, which map one to one onto FitConfig and WynnConfig
+_FIT_KEYS = {
+    "grid_points_per_axis": _as_int,
+    "max_iterations": _as_int,
+    "step_tol": _as_number,
+    "max_halvings": _as_int,
+}
+_WYNN_KEYS = {
+    "n_max": _as_int,
+    "pd_floor": _as_number,
+    "polish": _as_bool,
+    "refresh_every": _as_int,
+    "theta_check_points_per_axis": _as_int,
+    "estimator": _as_str,
+}
 
 
 class RunConfig:
@@ -115,19 +154,14 @@ class RunConfig:
 
         self.seed = int(_expect(raw, "seed", int, "$", required=False, default=0))
 
-        fit_cfg = _expect(raw, "fit", dict, "$", required=False, default={})
-        self.fit = FitConfig(
-            grid_points_per_axis=int(
-                _expect(fit_cfg, "grid_points_per_axis", int, "$.fit", False, 15)
-            ),
-            max_iterations=int(_expect(fit_cfg, "max_iterations", int, "$.fit", False, 200)),
-            step_tol=float(_expect(fit_cfg, "step_tol", (int, float), "$.fit", False, 1e-10)),
-            max_halvings=int(_expect(fit_cfg, "max_halvings", int, "$.fit", False, 40)),
-        )
+        fit_cfg = _section(raw, "fit", _FIT_KEYS)
+        try:
+            self.fit = FitConfig(**{k: _FIT_KEYS[k](v, f"$.fit.{k}") for k, v in fit_cfg.items()})
+        except DomainError as exc:
+            raise ConfigError(f"$.fit: {exc}") from None
 
-        wynn_cfg = _expect(raw, "wynn", dict, "$", required=False, default={})
-        self.wynn_raw = wynn_cfg
-        self.n_max = wynn_cfg.get("n_max")
+        self.wynn_raw = _section(raw, "wynn", _WYNN_KEYS)
+        self.n_max = self.wynn_raw.get("n_max")
 
         self.theta_bar = None
         if "theta_bar" in raw:
@@ -150,7 +184,7 @@ class RunConfig:
             except AdwynnError as exc:
                 raise ConfigError(f"$.noise: {exc}") from None
 
-        source_cfg = _expect(raw, "source", dict, "$", required=False, default={})
+        source_cfg = _section(raw, "source", ("kind", "replay_file"))
         self.source_kind = _expect(
             source_cfg, "kind", str, "$.source", required=False, default="simulated"
         )
@@ -160,7 +194,7 @@ class RunConfig:
             source_cfg, "replay_file", str, "$.source", required=False
         )
 
-        oracle_cfg = _expect(raw, "oracle", dict, "$", required=False, default={})
+        oracle_cfg = _section(raw, "oracle", ("theta", "tol", "max_iterations"))
         self.oracle_theta = None
         if "theta" in oracle_cfg:
             th = _as_vector(oracle_cfg["theta"], "$.oracle.theta")
@@ -174,33 +208,25 @@ class RunConfig:
             _expect(oracle_cfg, "max_iterations", int, "$.oracle", False, 100000)
         )
 
-        mc_cfg = _expect(raw, "mc", dict, "$", required=False, default={})
+        mc_cfg = _section(raw, "mc", ("replicates", "checkpoints", "workers", "keep_paths"))
         self.mc_replicates = _expect(mc_cfg, "replicates", int, "$.mc", required=False)
         self.mc_checkpoints = _expect(mc_cfg, "checkpoints", list, "$.mc", required=False)
         self.mc_workers = _expect(mc_cfg, "workers", int, "$.mc", required=False)
         self.mc_keep_paths = int(_expect(mc_cfg, "keep_paths", int, "$.mc", False, 0))
 
-        out_cfg = _expect(raw, "output", dict, "$", required=False, default={})
+        out_cfg = _section(raw, "output", ("dir", "prefix"))
         self.out_dir = _expect(out_cfg, "dir", str, "$.output", required=False, default=".")
         self.prefix = _expect(out_cfg, "prefix", str, "$.output", required=False, default="adwynn")
 
     def wynn_config(self, n_max_override: Optional[int] = None) -> WynnConfig:
-        n_max = n_max_override if n_max_override is not None else self.n_max
-        if n_max is None:
+        w = dict(self.wynn_raw)
+        if n_max_override is not None:
+            w["n_max"] = n_max_override
+        if "n_max" not in w:
             raise ConfigError("missing required key $.wynn.n_max")
-        w = self.wynn_raw
         try:
             return WynnConfig(
-                n_max=_as_int(n_max, "$.wynn.n_max"),
-                pd_floor=_as_number(w.get("pd_floor", 1e-8), "$.wynn.pd_floor"),
-                polish=bool(w.get("polish", False)),
-                refresh_every=_as_int(w.get("refresh_every", 1), "$.wynn.refresh_every"),
-                theta_check_points_per_axis=_as_int(
-                    w.get("theta_check_points_per_axis", 5),
-                    "$.wynn.theta_check_points_per_axis",
-                ),
-                fit=self.fit,
-                estimator=str(w.get("estimator", "ls")),
+                fit=self.fit, **{k: _WYNN_KEYS[k](v, f"$.wynn.{k}") for k, v in w.items()}
             )
         except AdwynnError as exc:
             if isinstance(exc, ConfigError):
@@ -392,19 +418,7 @@ def cmd_diagnose(args) -> int:
     n0 = (max(violations) + 1) if violations else min(curve)
     if violations and max(violations) == max(curve):
         n0 = None  # still violated at the final stage
-    diag = analysis.MassDiagnostics(
-        n=diag.n,
-        cell_diameter=diag.cell_diameter,
-        window_diameter=args.d,
-        requested=diag.requested,
-        found=diag.found,
-        clusters=diag.clusters,
-        separations=diag.separations,
-        pi0=diag.pi0,
-        excluded_mass=diag.excluded_mass,
-        window_masses=curve,
-        n0=n0,
-    )
+    diag = dataclasses.replace(diag, window_diameter=args.d, window_masses=curve, n0=n0)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.prefix or 'adwynn'}_diagnostics.json"

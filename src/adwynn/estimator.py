@@ -13,6 +13,7 @@ step instead of O(grid * n).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +79,13 @@ class FitConfig:
     max_iterations: int = 200
     step_tol: float = 1e-10
     max_halvings: int = 40
+
+    def __post_init__(self):
+        for name in ("grid_points_per_axis", "max_iterations", "max_halvings"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
+        if not 0.0 <= self.step_tol < math.inf:
+            raise DomainError("step_tol must be finite and >= 0")
 
 
 def sse(data: DataBatch, theta, model: ModelSpec) -> float:

@@ -439,6 +439,48 @@ def test_study_with_non_ah_noise_skips_known_sigma(mm_bundle):
     assert report.error_quantiles[40][2] < 0.5
 
 
+REPORT_STATS = (
+    "error_quantiles",
+    "error_samples",
+    "t_known",
+    "t_plugin",
+    "ks_known",
+    "ks_plugin",
+    "ks_mstar",
+    "ks_chi2",
+    "coverage95",
+    "defficiency_quantiles",
+    "defficiency_samples",
+)
+NORMALITY_STATS = {"ks_known", "ks_plugin", "ks_mstar", "ks_chi2", "coverage95"}
+KNOWN_SIGMA_STATS = {"t_known", "ks_known", "ks_mstar", "ks_chi2", "coverage95"}
+
+
+@pytest.mark.parametrize(
+    "sigma_known,replicates,missing",
+    [
+        (True, 4, set()),
+        (True, 1, NORMALITY_STATS),
+        (False, 4, KNOWN_SIGMA_STATS),
+        (False, 1, NORMALITY_STATS | KNOWN_SIGMA_STATS),
+    ],
+)
+def test_study_missing_statistics_table(mm_bundle, sigma_known, replicates, missing):
+    from dataclasses import replace
+
+    scenario = _mm_scenario(mm_bundle, n_max=30)
+    if not sigma_known:
+        scenario = replace(scenario, noise=NonAH(sigma_odd=0.05, sigma_even=0.1))
+    report = run_study(scenario, replicates, [20, 30], seed=13)
+    assert (report.sigma_known is not None) == sigma_known
+    assert report.normality_skipped == (replicates == 1)
+    per_checkpoint = report.to_jsonable()["per_checkpoint"]
+    for n in (20, 30):
+        assert tuple(per_checkpoint[str(n)]) == REPORT_STATS
+        assert {s for s in REPORT_STATS if getattr(report, s)[n] is None} == missing
+        assert {s for s, v in per_checkpoint[str(n)].items() if v is None} == missing
+
+
 def test_consistency_survives_non_ah_noise(mm_bundle):
     # oscillating conditional variance only needs the martingale structure
     scenario = Scenario(

@@ -83,6 +83,32 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section,entries,key",
+    [
+        ("wynn", {"theta_check_points_per_axis": 0}, "theta_check_points_per_axis"),
+        ("wynn", {"polish": "no"}, "$.wynn.polish"),
+        ("wynn", {"estimator": 5}, "$.wynn.estimator"),
+        ("wynn", {"refresh_evry": 3}, "$.wynn.refresh_evry"),
+        ("fit", {"grid_points_per_axis": 0}, "grid_points_per_axis"),
+        ("fit", {"max_halvings": 0}, "max_halvings"),
+        ("fit", {"max_iterations": True}, "$.fit.max_iterations"),
+        ("fit", {"step_tol": -1.0}, "step_tol"),
+        ("fit", {"max_iter": 5}, "$.fit.max_iter"),
+        ("mc", {"replicate": 2}, "$.mc.replicate"),
+        ("oracle", {"tolerance": 1e-4}, "$.oracle.tolerance"),
+        ("source", {"kind": "simulated", "file": "r.txt"}, "$.source.file"),
+        ("output", {"prefx": "u"}, "$.output.prefx"),
+    ],
+)
+def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
+    _, cfg = _write_config(tmp_path)
+    path, _ = _write_config(tmp_path, **{section: {**cfg.get(section, {}), **entries}})
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 # ---------------------------------------------------------------- simulate
 
 

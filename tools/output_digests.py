@@ -7,8 +7,10 @@ acceptance suite's determinism config (criterion 9: Michaelis-Menten,
 theta_bar = (1, 1), sigma = 0.1, n_max = 60, 3 replicates at
 checkpoints 30 and 40, seed 31415):
 
-- ``simulate``;
-- ``mc`` with 1 and with 2 workers;
+- ``simulate``, and ``diagnose`` on its trajectory;
+- ``mc`` with 1 and with 2 workers, and with 1 replicate;
+- ``mc`` under ``non_ah`` noise (no limiting sigma), with 3 replicates
+  and with 1;
 - three scripted ``session`` runs answered with zero-noise responses at
   theta_bar: one complete, one that sends QUIT after 5 adaptive
   observations, and one that sends QUIT after one starting observation.
@@ -38,6 +40,7 @@ CONFIG = {
     "mc": {"replicates": 3, "checkpoints": [30, 40], "workers": 1},
     "seed": 31415,
 }
+NON_AH_NOISE = {"variant": "non_ah", "sigma_odd": 0.05, "sigma_even": 0.1}
 QUIT_AFTER_ADAPTIVE = 5
 
 
@@ -84,15 +87,23 @@ def main() -> int:
         out = Path(tmp)
         cfg = out / "cfg.json"
         cfg.write_text(json.dumps({**CONFIG, "output": {"dir": str(out), "prefix": "x"}}))
+        cfg_non_ah = out / "cfg_non_ah.json"
+        cfg_non_ah.write_text(json.dumps({**json.loads(cfg.read_text()), "noise": NON_AH_NOISE}))
 
         def run(name: str, args: list[str]) -> None:
             rc = _adwynn(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).wait()
             lines.append(f"exit {rc}  {name}")
 
         run("simulate", ["simulate", "--config", str(cfg), "--prefix", "simulate"])
+        run("diagnose", ["diagnose", str(out / "simulate_trajectory.json"), "--d", "0.3",
+                         "--cell-diameter", "0.1", "--out-dir", str(out), "--prefix", "diagnose"])
         for workers in (1, 2):
             run(f"mc_w{workers}", ["mc", "--config", str(cfg), "--prefix", f"mc_w{workers}",
                                    "--workers", str(workers)])
+        run("mc_r1", ["mc", "--config", str(cfg), "--prefix", "mc_r1", "--replicates", "1"])
+        run("mc_non_ah", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah"])
+        run("mc_non_ah_r1", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah_r1",
+                             "--replicates", "1"])
         sessions = {
             "session_complete": lambda obs, est: False,
             # one ESTIMATE after the starting design, then one per adaptive step
@@ -104,7 +115,7 @@ def main() -> int:
             lines.append(f"exit {rc}  {name}")
             lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
         for path in sorted(out.iterdir()):
-            if path != cfg:
+            if path not in (cfg, cfg_non_ah):
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     print("\n".join(lines))
     return 0
