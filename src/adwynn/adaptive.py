@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import pd_inverse_logdet
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
-from .estimator import DataBatch, FitConfig, LSFit, SequentialLS, fit_ls
+from .estimator import DataBatch, FitConfig, GroupedData, LSFit, SequentialLS, fit_ls
 from .model import Box, DesignSpace, ModelSpec, ParameterSpace
 from .noise import ErrorProcess, ErrorSpec, make_rng, next_error
 
@@ -275,10 +275,7 @@ class WynnState:
         self.xs = np.empty((64, k), dtype=float)
         self.ys = np.empty(64, dtype=float)
         self.n = 0
-        self._support = np.empty((64, k), dtype=float)
-        self._counts = np.zeros(64, dtype=np.int64)
-        self._n_support = 0
-        self._index: dict[bytes, int] = {}
+        self.design = GroupedData()
         self.theta: Optional[Array] = None
         self.M: Optional[Array] = None
         self.records: list[StepRecord] = []
@@ -295,26 +292,11 @@ class WynnState:
         self.xs[self.n] = x
         self.ys[self.n] = y
         self.n += 1
-        # support points are equal when their bytes are, as in empirical_design
-        key = x.tobytes()
-        idx = self._index.get(key)
-        if idx is None:
-            if self._n_support == self._support.shape[0]:
-                self._support = np.vstack([self._support, np.empty_like(self._support)])
-                self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
-            idx = self._n_support
-            self._support[idx] = x
-            self._index[key] = idx
-            self._n_support += 1
-        self._counts[idx] += 1
-
-    def support_arrays(self) -> tuple[Array, Array]:
-        return self._support[: self._n_support], self._counts[: self._n_support]
+        self.design.add(x, y)
 
     def compute_info(self, theta: Array) -> Array:
-        sup, counts = self.support_arrays()
-        F = np.asarray(self.model.f(sup, theta), dtype=float)
-        M = (F * (counts / float(self.n))[:, None]).T @ F
+        F = np.asarray(self.model.f(self.design.points, theta), dtype=float)
+        M = (F * (self.design.counts / float(self.n))[:, None]).T @ F
         return 0.5 * (M + M.T)
 
     def data_batch(self) -> DataBatch:

@@ -326,8 +326,33 @@ def window_mass(trajectory: Trajectory, n: int, d: float) -> float:
 
 
 def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict[int, float]:
-    """window_mass for every stage n in [n_from, n]."""
-    return {n: window_mass(trajectory, n, d) for n in range(max(1, n_from), trajectory.n + 1)}
+    """window_mass for every stage n in [n_from, n].
+
+    One-dimensional regions keep the distinct values seen so far, sorted,
+    with their counts, so a stage costs O(support) instead of a sort of
+    its n points; the window counts are the same integers.
+    """
+    stages = range(max(1, n_from), trajectory.n + 1)
+    if trajectory.points.shape[1] != 1 or not stages:
+        return {n: window_mass(trajectory, n, d) for n in stages}
+    if d <= 0:
+        raise DomainError("window diameter must be positive")
+    xs = trajectory.points[:, 0]
+    values, counts = np.unique(xs[: stages[0] - 1], return_counts=True)
+    hi = np.searchsorted(values, values + d, side="right")
+    curve = {}
+    for n in stages:
+        x = xs[n - 1]
+        j = int(np.searchsorted(values, x))
+        if j < values.size and values[j] == x:
+            counts[j] += 1
+        else:
+            values, counts = np.insert(values, j, x), np.insert(counts, j, 1)
+            hi = np.searchsorted(values, values + d, side="right")
+        below = np.concatenate(([0], np.cumsum(counts)))
+        # a window anchored at each distinct value: points in [v, v + d]
+        curve[n] = float((below[hi] - below[:-1]).max() / n)
+    return curve
 
 
 @dataclass(frozen=True)
@@ -575,14 +600,17 @@ def _replicate_worker(args) -> dict:
                 raise DomainError(
                     f"checkpoint {n} precedes the starting design size {traj.n_start}"
                 )
-            warm = traj.estimates[n - traj.n_start]
-            fit = fit_ls(
-                DataBatch(traj.points[:n], traj.responses[:n]),
-                model,
-                scenario.parameter_space,
-                scenario.config.fit,
-                warm_start=warm,
-            )
+            if n == traj.n and traj.final_fit is not None:
+                # the run's final fit: the same data and warm start as this refit
+                fit = traj.final_fit
+            else:
+                fit = fit_ls(
+                    DataBatch(traj.points[:n], traj.responses[:n]),
+                    model,
+                    scenario.parameter_space,
+                    scenario.config.fit,
+                    warm_start=traj.estimates[n - traj.n_start],
+                )
             design_n = empirical_design(traj.points[:n])
             delta = fit.theta_hat - theta_bar
             sigma_hat = math.sqrt(max(fit.sigma2_hat, 1e-300))

@@ -107,9 +107,9 @@ def _as_vector(value, where: str) -> np.ndarray:
     return vec
 
 
-def _section(raw: dict, name: str, keys) -> dict:
-    """The optional object ``$.name``; a key not in ``keys`` is a config error."""
-    cfg = _expect(raw, name, dict, "$", required=False, default={})
+def _section(raw: dict, name: str, keys, required: bool = False) -> dict:
+    """The object ``$.name``; a key not in ``keys`` is a config error."""
+    cfg = _expect(raw, name, dict, "$", required=required, default={})
     for key in cfg:
         if key not in keys:
             raise ConfigError(f"unknown key $.{name}.{key}")
@@ -133,14 +133,22 @@ _WYNN_KEYS = {
 }
 
 
+_TOP_KEYS = (
+    "model", "theta_bar", "noise", "source", "wynn", "fit", "oracle", "mc", "seed", "output",
+)
+
+
 class RunConfig:
     """Validated configuration; see docs/formats.md for the schema."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
+        for key in raw:
+            if key not in _TOP_KEYS:
+                raise ConfigError(f"unknown key $.{key}")
         self.raw = raw
-        model_cfg = _expect(raw, "model", dict, "$")
+        model_cfg = _section(raw, "model", ("name", "params"), required=True)
         name = _expect(model_cfg, "name", str, "$.model")
         params = _expect(model_cfg, "params", dict, "$.model", required=False, default={})
         try:
@@ -152,7 +160,7 @@ class RunConfig:
         except AdwynnError as exc:
             raise ConfigError(f"$.model: {exc}") from None
 
-        self.seed = int(_expect(raw, "seed", int, "$", required=False, default=0))
+        self.seed = _as_int(raw.get("seed", 0), "$.seed")
 
         fit_cfg = _section(raw, "fit", _FIT_KEYS)
         try:
@@ -201,18 +209,16 @@ class RunConfig:
             if th.shape != (self.bundle.model.p,):
                 raise ConfigError("$.oracle.theta must have length p")
             self.oracle_theta = th
-        self.oracle_tol = float(
-            _expect(oracle_cfg, "tol", (int, float), "$.oracle", False, 1e-5)
-        )
-        self.oracle_max_iterations = int(
-            _expect(oracle_cfg, "max_iterations", int, "$.oracle", False, 100000)
+        self.oracle_tol = _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol")
+        self.oracle_max_iterations = _as_int(
+            oracle_cfg.get("max_iterations", 100000), "$.oracle.max_iterations"
         )
 
         mc_cfg = _section(raw, "mc", ("replicates", "checkpoints", "workers", "keep_paths"))
         self.mc_replicates = _expect(mc_cfg, "replicates", int, "$.mc", required=False)
         self.mc_checkpoints = _expect(mc_cfg, "checkpoints", list, "$.mc", required=False)
         self.mc_workers = _expect(mc_cfg, "workers", int, "$.mc", required=False)
-        self.mc_keep_paths = int(_expect(mc_cfg, "keep_paths", int, "$.mc", False, 0))
+        self.mc_keep_paths = _as_int(mc_cfg.get("keep_paths", 0), "$.mc.keep_paths")
 
         out_cfg = _section(raw, "output", ("dir", "prefix"))
         self.out_dir = _expect(out_cfg, "dir", str, "$.output", required=False, default=".")

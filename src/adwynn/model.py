@@ -456,8 +456,11 @@ def _mm_f(x, theta):
     x0 = np.asarray(x, dtype=float)[..., 0]
     th = np.asarray(theta, dtype=float)
     den = th[..., 1] + x0
-    g1, g2 = np.broadcast_arrays(x0 / den, -th[..., 0] * x0 / den**2)
-    return np.stack([g1, g2], axis=-1)
+    g1 = x0 / den
+    out = np.empty(g1.shape + (2,))
+    out[..., 0] = g1
+    out[..., 1] = -th[..., 0] * x0 / den**2
+    return out
 
 
 def _expdecay_mu(x, theta):
@@ -470,8 +473,10 @@ def _expdecay_f(x, theta):
     x0 = np.asarray(x, dtype=float)[..., 0]
     th = np.asarray(theta, dtype=float)
     e = np.exp(-th[..., 1] * x0)
-    g1, g2 = np.broadcast_arrays(e, -th[..., 0] * x0 * e)
-    return np.stack([g1, g2], axis=-1)
+    out = np.empty(e.shape + (2,))
+    out[..., 0] = e
+    out[..., 1] = -th[..., 0] * x0 * e
+    return out
 
 
 def _poly_mu(x, theta):
@@ -488,8 +493,10 @@ def _poly_f(x, theta):
     x0 = np.asarray(x, dtype=float)[..., 0]
     th = np.asarray(theta, dtype=float)
     p = th.shape[-1]
-    base = np.zeros(np.broadcast_shapes(x0.shape, th[..., 0].shape))
-    return np.stack([base + x0**j for j in range(p)], axis=-1)
+    out = np.empty(np.broadcast_shapes(x0.shape, th[..., 0].shape) + (p,))
+    for j in range(p):
+        out[..., j] = x0**j
+    return out
 
 
 def _exp1_mu(x, theta):

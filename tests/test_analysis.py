@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adwynn.analysis as analysis
 from adwynn.adaptive import Scenario, Trajectory, WynnConfig, simulate_trajectory
@@ -188,6 +191,24 @@ def test_window_mass_curve_matches_pointwise(rng):
     curve = window_mass_curve(traj, 0.2, n_from=3)
     for n, v in curve.items():
         assert v == window_mass(traj, n, 0.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ticks=st.lists(st.integers(0, 12), min_size=1, max_size=60),
+    width=st.integers(1, 4),
+    origin=st.sampled_from([0.0, 0.1, -0.35]),
+    n_from=st.integers(1, 61),
+)
+def test_window_mass_curve_matches_window_mass_at_every_stage(ticks, width, origin, n_from):
+    """Repeated points, and points exactly d apart (origin 0: multiples of
+    0.25 and d add without rounding), give the same curve as the sort."""
+    traj = _make_trajectory(origin + 0.25 * np.array(ticks, dtype=float))
+    d = 0.25 * width
+    curve = window_mass_curve(traj, d, n_from=n_from)
+    assert list(curve) == list(range(n_from, len(ticks) + 1))
+    for n, v in curve.items():
+        assert v == window_mass(traj, n, d)
 
 
 def test_window_mass_validates_inputs():
@@ -556,6 +577,26 @@ def test_study_failure_fraction_enforced(mm_bundle, monkeypatch):
     assert report.failed == (0,)
     assert "injected" in report.failure_messages[0]
     assert report.error_samples[20].shape == (3,)
+
+
+def test_last_checkpoint_reuses_the_final_fit(mm_bundle, monkeypatch):
+    """At a checkpoint equal to n_max the worker takes the run's final fit (the
+    same data and warm start) instead of refitting; the report is unchanged."""
+    scenario = _mm_scenario(mm_bundle, n_max=40)
+    fits = []
+    fit_ls = analysis.fit_ls
+    monkeypatch.setattr(analysis, "fit_ls", lambda *a, **k: fits.append(1) or fit_ls(*a, **k))
+    reused = run_study(scenario, 3, [30, 40], seed=11)
+    assert len(fits) == 3  # one refit per replicate, at checkpoint 30
+
+    simulate = analysis.simulate_trajectory
+    monkeypatch.setattr(
+        analysis, "simulate_trajectory", lambda *a: replace(simulate(*a), final_fit=None)
+    )
+    fits.clear()
+    refitted = run_study(scenario, 3, [30, 40], seed=11)
+    assert len(fits) == 6
+    assert reused.to_jsonable() == refitted.to_jsonable()
 
 
 def test_study_checkpoint_before_start_fails(mm_bundle):

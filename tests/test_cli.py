@@ -99,11 +99,19 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
         ("oracle", {"tolerance": 1e-4}, "$.oracle.tolerance"),
         ("source", {"kind": "simulated", "file": "r.txt"}, "$.source.file"),
         ("output", {"prefx": "u"}, "$.output.prefx"),
+        ("mc", {"keep_paths": True}, "$.mc.keep_paths"),
+        ("oracle", {"max_iterations": True}, "$.oracle.max_iterations"),
+        ("oracle", {"tol": True}, "$.oracle.tol"),
+        ("model", {"parmas": {"grid_resolution": 11}}, "$.model.parmas"),
+        ("$", {"seed": True}, "$.seed"),
+        ("$", {"sed": 5}, "$.sed"),
     ],
 )
 def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
+    """``section`` "$" puts the entries at the top level of the document."""
     _, cfg = _write_config(tmp_path)
-    path, _ = _write_config(tmp_path, **{section: {**cfg.get(section, {}), **entries}})
+    overrides = entries if section == "$" else {section: {**cfg.get(section, {}), **entries}}
+    path, _ = _write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err

@@ -132,6 +132,67 @@ def test_broadcasting_over_points_and_parameters(mm_bundle):
     assert F.shape == (grid.shape[0], 2)
 
 
+def _stacked_f(name):
+    """The built-in regressors as separate components stacked on the last axis."""
+
+    def mm(x0, th):
+        den = th[..., 1] + x0
+        return [x0 / den, -th[..., 0] * x0 / den**2]
+
+    def expdecay(x0, th):
+        e = np.exp(-th[..., 1] * x0)
+        return [e, -th[..., 0] * x0 * e]
+
+    def poly(x0, th):
+        return [x0**j for j in range(th.shape[-1])]
+
+    def exp1(x0, th):
+        return [-x0 * np.exp(-th[..., 0] * x0)]
+
+    parts = {"michaelis_menten": mm, "exponential_decay": expdecay,
+             "polynomial": poly, "one_param_exponential": exp1}[name]
+
+    def f(x, theta):
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        th = np.asarray(theta, dtype=float)
+        return np.stack(np.broadcast_arrays(x0 + 0.0 * th[..., 0], *parts(x0, th))[1:], axis=-1)
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "name,kwargs",
+    [
+        ("michaelis_menten", {}),
+        ("exponential_decay", {}),
+        ("polynomial", {"degree": 0}),
+        ("polynomial", {"degree": 2}),
+        ("one_param_exponential", {}),
+    ],
+)
+def test_builtin_regressors_broadcast(name, kwargs):
+    """f over the broadcast forms of the module docstring and the (G, 1, p)
+    grid form: the shape they promise and the component values bit for bit."""
+    bundle = builtin_bundle(name, **kwargs)
+    f, reference, p = bundle.model.f, _stacked_f(name), bundle.model.p
+    xs = bundle.design_space.grid()[::20]
+    thetas = bundle.parameter_space.sample_grid(3)
+    forms = [
+        (xs, thetas[1], (xs.shape[0], p)),
+        (xs[3], thetas, (thetas.shape[0], p)),
+        (xs[3], thetas[1], (p,)),
+        (xs[None, :, :], thetas[:, None, :], (thetas.shape[0], xs.shape[0], p)),
+    ]
+    for x, theta, shape in forms:
+        got = f(x, theta)
+        assert got.shape == shape
+        assert np.array_equal(got, reference(x, theta))
+    # every row of the grid form is the single-parameter form at that parameter
+    grid_form = f(xs[None, :, :], thetas[:, None, :])
+    for g, theta in enumerate(thetas):
+        assert np.array_equal(grid_form[g], f(xs, theta))
+
+
 @pytest.mark.parametrize(
     "name,kwargs",
     [

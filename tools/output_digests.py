@@ -1,6 +1,6 @@
 """Print sha256 digests of every output file for a fixed (config, seed).
 
-    python3 tools/output_digests.py
+    python3 tools/output_digests.py [--keep DIR]
 
 Runs the ``adwynn`` commands of the checkout this script sits in on the
 acceptance suite's determinism config (criterion 9: Michaelis-Menten,
@@ -18,14 +18,19 @@ checkpoints 30 and 40, seed 31415):
 Each output file and each session's stdout gets a line
 ``<sha256>  <name>``, and each command a line ``exit <code>  <run>``.
 Running the script in two checkouts and diffing the outputs shows
-whether a change keeps every output byte-identical.
+whether a change keeps every output byte-identical.  With ``--keep DIR``
+the output files, and each session's stdout as ``<run>_stdout.txt``,
+are also copied to DIR, so that ``tools/compare_outputs.py`` can compare
+two checkouts' outputs by value where their digests differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -81,8 +86,12 @@ def _session(cfg: Path, prefix: str, quit_when) -> tuple[int, bytes]:
     return proc.wait(), b"".join(transcript)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 digests of every adwynn output")
+    parser.add_argument("--keep", metavar="DIR", help="also copy the outputs into DIR")
+    args = parser.parse_args(argv)
     lines = []
+    transcripts = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         cfg = out / "cfg.json"
@@ -112,11 +121,20 @@ def main() -> int:
         }
         for name, quit_when in sessions.items():
             rc, stdout = _session(cfg, name, quit_when)
+            transcripts[name] = stdout
             lines.append(f"exit {rc}  {name}")
             lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
         for path in sorted(out.iterdir()):
             if path not in (cfg, cfg_non_ah):
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        if args.keep:
+            keep = Path(args.keep)
+            keep.mkdir(parents=True, exist_ok=True)
+            for path in out.iterdir():
+                if path not in (cfg, cfg_non_ah):
+                    shutil.copyfile(path, keep / path.name)
+            for name, stdout in transcripts.items():
+                (keep / f"{name}_stdout.txt").write_bytes(stdout)
     print("\n".join(lines))
     return 0
 
