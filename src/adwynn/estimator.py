@@ -18,6 +18,7 @@ step instead of O(grid * n).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -224,29 +225,57 @@ def _grid_sse(data: GroupedData, model: ModelSpec, theta_grid: Array) -> Array:
 
 
 def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
-    """Scan winner (lowest index among minima), its objective, and the tie flag."""
-    if not np.any(np.isfinite(values)):
-        raise FitFailureError("objective is non-finite on the whole parameter grid")
+    """Scan winner (lowest index among minima), its objective, and the tie flag.
+
+    ``values`` holds no NaN (its producers map non-finite objectives to
+    inf), so the grid is non-finite everywhere exactly when its minimum is.
+    """
     g_idx = int(np.argmin(values))
     g_min = float(values[g_idx])
+    if not math.isfinite(g_min):
+        raise FitFailureError("objective is non-finite on the whole parameter grid")
     tie_tol = 1e-9 * (1.0 + abs(g_min))
     return theta_grid[g_idx].copy(), g_min, bool(np.sum(values <= g_min + tie_tol) > 1)
 
 
-def _solve(G: Array, g: Array) -> Array:
+def _solve(G: Array, g: Array) -> list[float]:
+    """The Gauss-Newton step: the solution of G x = g, as a list of floats.
+
+    p = 1 divides and p = 2 uses Cramer's rule, in plain floats: numpy's
+    per-call overhead would cost more than the arithmetic.  A zero or
+    non-finite determinant there, and every p >= 3, go to LAPACK's solve,
+    and a G that LAPACK finds singular to its least-squares solution.
+    """
+    p = g.shape[0]
+    if p == 1:
+        det = G.item()
+        if det != 0.0 and math.isfinite(det):
+            return [g.item() / det]
+    elif p == 2:
+        (a, b), (c, d) = G.tolist()
+        det = a * d - b * c
+        if det != 0.0 and math.isfinite(det):
+            g0, g1 = g.tolist()
+            return [(d * g0 - b * g1) / det, (a * g1 - c * g0) / det]
     try:
-        return np.linalg.solve(G, g)
+        return np.linalg.solve(G, g).tolist()
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(G, g, rcond=None)[0]
+        return np.linalg.lstsq(G, g, rcond=None)[0].tolist()
 
 
-def _bounded_step(G: Array, g: Array, theta: Array, space: ParameterSpace) -> Array:
-    """Gauss-Newton step at a point on the box boundary: a coordinate whose
+def _bounded_step(
+    G: Array, g: Array, t: list[float], lower: list[float], upper: list[float]
+) -> list[float]:
+    """Gauss-Newton step at a point t on the box boundary: a coordinate whose
     bound the descent direction g pushes against is held, the rest solved alone."""
-    held = ((theta <= space.lower) & (g <= 0.0)) | ((theta >= space.upper) & (g >= 0.0))
-    free = ~held
-    step = np.zeros_like(g)
-    step[free] = _solve(G[np.ix_(free, free)], g[free])
+    free = [
+        j
+        for j, (tj, gj) in enumerate(zip(t, g.tolist()))
+        if not ((tj <= lower[j] and gj <= 0.0) or (tj >= upper[j] and gj >= 0.0))
+    ]
+    step = [0.0] * len(t)
+    for j, s in zip(free, _solve(G[np.ix_(free, free)], g[free])):
+        step[j] = s
     return step
 
 
@@ -287,12 +316,20 @@ def _gauss_newton(
     box is reached and passes the stationarity tests too.
     Only these stops report convergence; a non-finite step, an exhausted
     line search or ``max_iterations`` report ``converged=False``.
+
+    Only f, mu and the products g and G use numpy.  The rest of an
+    iteration is small-p algebra in plain floats, where numpy's per-call
+    overhead would cost more than the arithmetic: the step (``_solve``:
+    closed forms for p <= 2, LAPACK for p >= 3 and singular G), its
+    finiteness, norm and decrement, the clip of each line-search
+    candidate to the box and the length of the accepted move.
     """
     weights = np.ones(ys.shape[0]) if weights is None else weights
     # square roots of the weights scale F, so G = F_w^T F_w stays one symmetric product
     root = np.sqrt(weights)
     lower, upper = space.lower.tolist(), space.upper.tolist()
     theta = space.project(theta0)
+    t = theta.tolist()
     r, value = start if start is not None else _residual(xs, ys, model, theta, weights, offset)
     if trace is not None:
         trace.append((theta.copy(), value))
@@ -300,30 +337,32 @@ def _gauss_newton(
         F = np.asarray(model.f(xs, theta), dtype=float) * root[:, None]
         g = F.T @ (root * r)
         G = F.T @ F
-        # plain floats: numpy's per-call overhead would cost more than the solve
-        t = theta.tolist()
         on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
-        step = _bounded_step(G, g, theta, space) if on_bound else _solve(G, g)
-        if not np.all(np.isfinite(step)):
+        step = _bounded_step(G, g, t, lower, upper) if on_bound else _solve(G, g)
+        if not all(map(math.isfinite, step)):
             return theta, value, False
         if (
-            float(np.linalg.norm(step)) < config.step_tol
-            or float(g @ step) <= STATIONARY_DECREMENT * value
+            math.hypot(*step) < config.step_tol
+            or sum(map(operator.mul, g.tolist(), step)) <= STATIONARY_DECREMENT * value
         ):
             return theta, value, True
         alpha = 1.0
         accepted = None
         for _ in range(config.max_halvings):
-            cand = space.project(theta + alpha * step)
-            cand_r, cand_value = _residual(xs, ys, model, cand, weights, offset)
+            cand = [
+                min(max(tj + alpha * sj, lo), hi)
+                for tj, sj, lo, hi in zip(t, step, lower, upper)
+            ]
+            cand_theta = np.array(cand)
+            cand_r, cand_value = _residual(xs, ys, model, cand_theta, weights, offset)
             if cand_value < value:
                 accepted = cand
                 break
             alpha *= 0.5
         if accepted is None:
             return theta, value, False
-        moved = float(np.linalg.norm(accepted - theta))
-        theta, r, value = accepted, cand_r, cand_value
+        moved = math.hypot(*map(operator.sub, accepted, t))
+        theta, t, r, value = cand_theta, accepted, cand_r, cand_value
         if trace is not None:
             trace.append((theta.copy(), value))
         if moved < config.step_tol:
@@ -347,6 +386,11 @@ def _descend(
     )
 
 
+# Endpoints whose objectives differ by rounding alone: a change of rounding
+# must not flip which one ``fit_ls`` returns.
+WARM_START_RTOL = 1e-14
+
+
 def fit_ls(
     data: DataBatch,
     model: ModelSpec,
@@ -359,8 +403,9 @@ def fit_ls(
 
     The coarse phase scans a full-factorial grid (ties broken toward
     the lexicographically smallest grid index); the winner seeds the
-    local descent.  A warm start, when given, seeds one extra descent
-    and the better endpoint wins.
+    local descent.  A warm start, when given, seeds one extra descent,
+    whose endpoint is kept unless the grid-seeded one has an objective
+    lower by more than the relative ``WARM_START_RTOL``.
     """
     grouped = GroupedData.from_arrays(data.xs, data.ys)
     theta_grid = space.sample_grid(config.grid_points_per_axis)
@@ -372,7 +417,7 @@ def fit_ls(
         theta_w, value_w, conv_w = _descend(
             grouped, model, space, np.asarray(warm_start, dtype=float), config
         )
-        if value_w < value:
+        if value_w - value <= WARM_START_RTOL * value:
             theta, value, converged = theta_w, value_w, conv_w
     return LSFit(
         theta_hat=theta,

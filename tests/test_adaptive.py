@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwynn.adaptive import (
     ReplaySource,
@@ -371,3 +373,37 @@ def test_rank_one_update_tracks_run_at_fixed_theta(mm_bundle):
         M = rank_one_update(M, f, n)
         M_scratch = info_matrix(empirical_design(traj.points[: n + 1]), theta, model)
         assert np.max(np.abs(M - M_scratch)) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["michaelis_menten", "exponential_decay", "polynomial", "one_param_exponential"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.0, 0.05, 0.3]),
+    corner=st.floats(0.0, 1.0),
+)
+def test_information_matrix_stays_positive_definite(name, seed, sigma, corner):
+    """Along short runs of every built-in model, with theta_bar anywhere on
+    the diagonal of the parameter box, M(xi_n, theta_n) at every stage and
+    at the final estimate has its smallest eigenvalue above the floor."""
+    bundle = builtin_bundle(name)
+    space = bundle.parameter_space
+    theta_bar = space.lower + corner * (space.upper - space.lower)
+    scenario = Scenario(
+        bundle.model,
+        bundle.design_space,
+        space,
+        theta_bar,
+        IIDGaussian(sigma),
+        WynnConfig(n_max=30),
+    )
+    traj = simulate_trajectory(scenario, seed)
+    stages = range(traj.n_start, traj.n + 1)
+    assert len(stages) == len(traj.estimates)
+    for n, theta in zip(stages, traj.estimates):
+        M = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)
+        assert min_eigenvalue(M) > scenario.config.pd_floor
+    final = info_matrix(empirical_design(traj.points), traj.final_fit.theta_hat, bundle.model)
+    assert min_eigenvalue(final) > scenario.config.pd_floor

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adwynn.analysis as analysis
@@ -605,10 +605,15 @@ def test_study_checkpoint_before_start_fails(mm_bundle):
         run_study(scenario, 2, [1, 20], seed=2)
 
 
-def test_parallel_reduction_matches_serial(mm_bundle):
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1))
+@example(seed=42)
+def test_parallel_reduction_matches_serial(mm_bundle, seed):
+    """Replicates are seeded by index and reduced in order, so the report
+    does not depend on the worker count."""
     scenario = _mm_scenario(mm_bundle, n_max=30)
-    serial = run_study(scenario, 4, [30], seed=42, workers=1)
-    parallel = run_study(scenario, 4, [30], seed=42, workers=2)
+    serial = run_study(scenario, 3, [20, 30], seed=seed, workers=1, keep_paths=1)
+    parallel = run_study(scenario, 3, [20, 30], seed=seed, workers=2, keep_paths=1)
     assert np.array_equal(serial.error_samples[30], parallel.error_samples[30])
     assert np.array_equal(serial.t_known[30], parallel.t_known[30])
     assert serial.to_jsonable() == parallel.to_jsonable()

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import adwynn.estimator as estimator
 from adwynn.errors import BoundaryWarning, DomainError
 from adwynn.estimator import (
     DataBatch,
@@ -15,6 +18,7 @@ from adwynn.estimator import (
     _gauss_newton,
     _grid_sse,
     _residual,
+    _solve,
     fit_ls,
     sse,
     sse_gradient,
@@ -342,11 +346,21 @@ def test_sequential_refits_are_cheap_along_a_run(mm_bundle):
     assert unconverged == 0
 
 
-def _nan_gradient(model):
-    def f(x, theta):
-        return np.full_like(np.asarray(model.f(x, theta), dtype=float), np.nan)
+def _bad_gradient(value, column):
+    """Column(s) of f set to value: inf or nan enters G and g."""
 
-    return replace(model, f=f)
+    def wrap(model):
+        def f(x, theta):
+            F = np.array(model.f(x, theta), dtype=float)
+            F[..., column] = value
+            return F
+
+        return replace(model, f=f)
+
+    return wrap
+
+
+_nan_gradient = _bad_gradient(math.nan, slice(None))
 
 
 def _uphill_gradient(model):
@@ -364,9 +378,14 @@ def _uphill_gradient(model):
         (_nan_gradient, FitConfig()),
         (_uphill_gradient, FitConfig()),
         (lambda model: model, FitConfig(max_iterations=1)),
+        (_bad_gradient(math.inf, 0), FitConfig()),
+        (_bad_gradient(-math.inf, 1), FitConfig()),
+        (_bad_gradient(math.nan, 1), FitConfig()),
     ],
-    ids=["nonfinite-step", "line-search-exhausted", "max-iterations"],
+    ids=["nonfinite-step", "line-search-exhausted", "max-iterations",
+         "inf-in-G", "minus-inf-in-G", "nan-in-G"],
 )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_stop_is_not_converged(poly1_bundle, rng, broken, config):
     xs = rng.uniform(-1.0, 1.0, size=(20, 1))
     ys = 0.5 - 1.0 * xs[:, 0] + rng.normal(0, 0.1, 20)
@@ -560,3 +579,106 @@ def test_descent_from_a_known_start_skips_its_evaluation(mm_bundle, rng):
     known = _gauss_newton(*args, start=start, **weighted)
     assert counting.mu_calls == plain_calls - 1
     assert np.array_equal(plain[0], known[0]) and plain[1:] == known[1:]
+
+
+# ---------------------------------------------------------------- small-p kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([1, 2]),
+    log_cond=st.floats(0.0, 10.0),
+    angle=st.floats(0.0, math.pi),
+    log_scale=st.floats(-6.0, 6.0),
+    g=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(lambda v: any(v)),
+)
+def test_closed_form_solve_matches_lapack(p, log_cond, angle, log_scale, g):
+    """The p = 1 division and the p = 2 Cramer's rule against LAPACK, on SPD
+    matrices with condition numbers up to 1e10.  Each solves the system to a
+    backward error within 1e-12.  Two stable solvers differ by up to a few
+    cond * eps in the solution (1.6 cond * eps seen over 20 000 random
+    matrices), so the solutions are held to 1e-12 relative where that is
+    larger, and to 4 cond * eps beyond."""
+    c, s = math.cos(angle), math.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    G = 10.0**log_scale * (Q * np.array([1.0, 10.0**-log_cond])) @ Q.T
+    G = (0.5 * (G + G.T))[:p, :p]
+    g = np.array(g[:p])
+    if p == 1 and g[0] == 0.0:
+        g[0] = 1.0
+    x = np.array(_solve(G, g))
+    reference = np.linalg.solve(G, g)
+    cond = np.linalg.cond(G)
+    eps = np.finfo(float).eps
+    scale = np.linalg.norm(reference)
+    assert np.linalg.norm(x - reference) <= max(1e-12, 4.0 * cond * eps) * scale
+    assert np.linalg.norm(G @ x - g) <= 1e-12 * np.linalg.norm(G, 2) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize(
+    "G,g,expected",
+    [
+        ([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0], [0.2, 0.4]),  # minimum-norm solution
+        ([[0.0]], [1.0], [0.0]),
+    ],
+    ids=["p2", "p1"],
+)
+def test_singular_system_takes_the_lstsq_fallback(monkeypatch, G, g, expected):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    x = _solve(np.array(G), np.array(g))
+    assert len(calls) == 1
+    assert x == pytest.approx(expected, abs=1e-15)
+
+
+def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rng):
+    """The boundary-minimum cases above, descended from the box's centre:
+    every iterate lies in the box, and a candidate beyond a bound is clipped
+    onto it exactly, where the coordinate then stays."""
+    poly_xs = rng.uniform(-1.0, 1.0, size=(30, 1))
+    poly_ys = 0.5 + 3.0 * poly_xs[:, 0] + rng.normal(0, 0.1, 30)
+    mm_xs = rng.uniform(0.1, 3.0, size=(40, 1))
+    mm_ys = np.asarray(mm_bundle.model.mu(mm_xs, np.array([1.0, 0.1]))) + rng.normal(0, 0.05, 40)
+    cases = [
+        (poly1_bundle, poly_xs, poly_ys, 1, poly1_bundle.parameter_space.upper[1]),
+        (mm_bundle, mm_xs, mm_ys, 1, mm_bundle.parameter_space.lower[1]),
+    ]
+    for bundle, xs, ys, j, bound in cases:
+        space = bundle.parameter_space
+        trace = []
+        _, _, converged = _gauss_newton(
+            xs, ys, bundle.model, space, space.center(), FitConfig(), trace
+        )
+        assert converged
+        path = np.array([theta for theta, _ in trace])
+        assert np.all(path >= space.lower) and np.all(path <= space.upper)
+        first = int(np.argmax(path[:, j] == bound))
+        assert first > 0 and np.all(path[first:, j] == bound)
+
+
+@pytest.mark.parametrize(
+    "grid_over_warm,warm_kept",
+    [(math.nextafter(1.0, 2.0), True), (1.0, True), (1.0 + 1e-12, False)],
+    ids=["one-ulp", "equal", "grid-lower"],
+)
+def test_fit_keeps_the_warm_start_on_a_rounding_tie(mm_bundle, rng, monkeypatch,
+                                                   grid_over_warm, warm_kept):
+    """The warm-start endpoint is returned unless the grid-seeded one is lower
+    by more than a relative WARM_START_RTOL."""
+    xs, ys = _mm_noisy_batch(mm_bundle, rng)
+    warm_value = 0.6118268606720063
+    grid_end = (np.array([1.0, 1.0]), warm_value / grid_over_warm, True)
+    warm_end = (np.array([1.0 + 1e-8, 1.0]), warm_value, False)
+    endpoints = iter([grid_end, warm_end])
+    monkeypatch.setattr(estimator, "_descend", lambda *args, **kwargs: next(endpoints))
+    fit = fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space,
+                 warm_start=np.array([1.0, 1.0]))
+    kept = warm_end if warm_kept else grid_end
+    assert np.array_equal(fit.theta_hat, kept[0])
+    assert (fit.sse_value, fit.converged) == kept[1:]
