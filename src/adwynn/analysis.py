@@ -176,18 +176,6 @@ def normality_stat(
     return (math.sqrt(n) / sigma) * (root @ delta)
 
 
-def parameter_discrepancy(
-    trajectory: Trajectory, n: int, theta, theta_bar, model: ModelSpec
-) -> float:
-    """Mean squared mean-response difference along the first n design points."""
-    if n < 1 or n > trajectory.n:
-        raise DomainError("n outside the trajectory")
-    pts = trajectory.points[:n]
-    mu_a = np.asarray(model.mu(pts, np.asarray(theta, dtype=float)), dtype=float)
-    mu_b = np.asarray(model.mu(pts, np.asarray(theta_bar, dtype=float)), dtype=float)
-    return float(((mu_a - mu_b) ** 2).sum() / n)
-
-
 # --------------------------------------------------------------------------
 # Regressor-range constants and window calibration
 # --------------------------------------------------------------------------

@@ -132,13 +132,8 @@ def sensitivity_profile(
 
 
 def log_det(M: Array, floor: float = PD_FLOOR) -> float:
-    """Log determinant through the symmetric eigendecomposition."""
-    # eigenvalues only: for p >= 3 they differ from eigh's in the last bits,
-    # and the D-efficiencies in study reports are computed from these
-    eigvals = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    if eigvals[0] <= floor:
-        raise SingularMatrixError("log_det needs a positive definite matrix", float(eigvals[0]))
-    return float(np.log(eigvals).sum())
+    """Log determinant; fails fast below the floor (``pd_inverse_logdet``)."""
+    return pd_inverse_logdet(M, floor)[1]
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,11 @@ a box-projected, step-halving Gauss-Newton descent.  A purely local
 solver would not implement the estimator the asymptotic guarantees are
 about, hence the mandatory grid phase.
 
+Every fit is one descent, seeded by whichever of the scan winner and
+the warm start (the previous estimate) has the lower objective: the
+final fit (``fit_ls``) and each per-step refit (``SequentialLS``) call
+the same core, ``_fit``.
+
 Every fit runs on the data grouped by distinct design point
 (``GroupedData``): the sum of squares is W + sum_x n_x (ybar_x - mu(x))^2,
 so its cost grows with the design's support, not with n.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, DomainError, FitFailureError
-from .model import ModelSpec, ParameterSpace
+from .model import ModelSpec, ParameterSpace, as_theta
 
 Array = np.ndarray
 
@@ -177,7 +182,8 @@ class FitConfig:
 
 def sse(data: DataBatch, theta, model: ModelSpec) -> float:
     """Sum of squared residuals at theta."""
-    return _residual(data.xs, data.ys, model, np.asarray(theta, dtype=float))[1]
+    r = data.ys - np.asarray(model.mu(data.xs, np.asarray(theta, dtype=float)), dtype=float)
+    return float(r @ r)
 
 
 def sse_gradient(
@@ -202,17 +208,10 @@ def sse_gradient(
     return -2.0 * (F.T @ r)
 
 
-def _residual(
-    xs: Array,
-    ys: Array,
-    model: ModelSpec,
-    theta: Array,
-    weights: Array | None = None,
-    offset: float = 0.0,
-) -> tuple[Array, float]:
-    """Residual at theta and the objective offset + sum of weights * r^2."""
-    r = ys - np.asarray(model.mu(xs, theta), dtype=float)
-    return r, offset + float((r if weights is None else weights * r) @ r)
+def _residual(data: GroupedData, model: ModelSpec, theta: Array) -> tuple[Array, float]:
+    """Residual of the means at theta and the objective W + sum n_x r_x^2."""
+    r = data.means - np.asarray(model.mu(data.points, theta), dtype=float)
+    return r, data.within_ss + float((data.counts * r) @ r)
 
 
 def _grid_sse(data: GroupedData, model: ModelSpec, theta_grid: Array) -> Array:
@@ -284,25 +283,21 @@ STATIONARY_DECREMENT = 1e-15
 
 
 def _gauss_newton(
-    xs: Array,
-    ys: Array,
+    data: GroupedData,
     model: ModelSpec,
     space: ParameterSpace,
     theta0: Array,
     config: FitConfig,
     trace: list | None = None,
-    weights: Array | None = None,
-    offset: float = 0.0,
     start: tuple[Array, float] | None = None,
 ) -> tuple[Array, float, bool]:
-    """Box-projected damped Gauss-Newton descent from theta0.
+    """Box-projected damped Gauss-Newton descent from theta0 on grouped data.
 
-    The objective is ``offset + sum_i weights_i (ys_i - mu(xs_i))^2``:
-    raw data by default, or ``GroupedData`` with its means as ys, its
-    counts as weights and W as offset.  ``start`` is the residual and
-    objective at theta0 (inside the box) when the caller has them; the
-    residual of each accepted line-search candidate is reused by the
-    next iteration, so an iteration costs one f and one mu per trial.
+    The objective is ``W + sum_x n_x (ybar_x - mu(x))^2`` (``_residual``).
+    ``start`` is the residual and objective at theta0 (inside the box)
+    when the caller has them; the residual of each accepted line-search
+    candidate is reused by the next iteration, so an iteration costs one
+    f and one mu per trial.
 
     Accepts only strictly decreasing steps (step-halving line search),
     so the objective along the accepted iterates is monotone.  Stops
@@ -324,17 +319,17 @@ def _gauss_newton(
     finiteness, norm and decrement, the clip of each line-search
     candidate to the box and the length of the accepted move.
     """
-    weights = np.ones(ys.shape[0]) if weights is None else weights
-    # square roots of the weights scale F, so G = F_w^T F_w stays one symmetric product
-    root = np.sqrt(weights)
+    points = data.points
+    # square roots of the counts scale F, so G = F_w^T F_w stays one symmetric product
+    root = np.sqrt(data.counts)
     lower, upper = space.lower.tolist(), space.upper.tolist()
     theta = space.project(theta0)
     t = theta.tolist()
-    r, value = start if start is not None else _residual(xs, ys, model, theta, weights, offset)
+    r, value = start if start is not None else _residual(data, model, theta)
     if trace is not None:
         trace.append((theta.copy(), value))
     for _ in range(config.max_iterations):
-        F = np.asarray(model.f(xs, theta), dtype=float) * root[:, None]
+        F = np.asarray(model.f(points, theta), dtype=float) * root[:, None]
         g = F.T @ (root * r)
         G = F.T @ F
         on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
@@ -354,7 +349,7 @@ def _gauss_newton(
                 for tj, sj, lo, hi in zip(t, step, lower, upper)
             ]
             cand_theta = np.array(cand)
-            cand_r, cand_value = _residual(xs, ys, model, cand_theta, weights, offset)
+            cand_r, cand_value = _residual(data, model, cand_theta)
             if cand_value < value:
                 accepted = cand
                 break
@@ -370,25 +365,37 @@ def _gauss_newton(
     return theta, value, False
 
 
-def _descend(
+def _fit(
     data: GroupedData,
     model: ModelSpec,
     space: ParameterSpace,
-    theta0: Array,
     config: FitConfig,
+    values: Array,
+    theta_grid: Array,
+    warm_start: Array | None = None,
     trace: list | None = None,
-    start: tuple[Array, float] | None = None,
-) -> tuple[Array, float, bool]:
-    """``_gauss_newton`` on grouped data."""
-    return _gauss_newton(
-        data.points, data.means, model, space, theta0, config, trace,
-        weights=data.counts, offset=data.within_ss, start=start,
+) -> LSFit:
+    """The least-squares core: one descent from the better of two seeds.
+
+    ``values`` is the objective over ``theta_grid``.  The descent is
+    seeded at the warm start, a point of the box, when its objective is
+    below the scan minimum, and at the scan winner otherwise.
+    """
+    grid_minimum, g_min, grid_tie = _grid_winner(values, theta_grid)
+    seed, start = grid_minimum, None
+    if warm_start is not None:
+        at_warm = _residual(data, model, warm_start)
+        if at_warm[1] < g_min:
+            seed, start = warm_start, at_warm
+    theta, value, converged = _gauss_newton(data, model, space, seed, config, trace, start)
+    return LSFit(
+        theta_hat=theta,
+        sse_value=value,
+        sigma2_hat=value / data.n,
+        converged=converged,
+        grid_minimum=grid_minimum,
+        grid_tie=grid_tie,
     )
-
-
-# Endpoints whose objectives differ by rounding alone: a change of rounding
-# must not flip which one ``fit_ls`` returns.
-WARM_START_RTOL = 1e-14
 
 
 def fit_ls(
@@ -402,31 +409,23 @@ def fit_ls(
     """Global-then-local least squares over the parameter box.
 
     The coarse phase scans a full-factorial grid (ties broken toward
-    the lexicographically smallest grid index); the winner seeds the
-    local descent.  A warm start, when given, seeds one extra descent,
-    whose endpoint is kept unless the grid-seeded one has an objective
-    lower by more than the relative ``WARM_START_RTOL``.
+    the lexicographically smallest grid index), then one descent runs
+    from the better of the scan winner and ``warm_start``, projected into
+    the box (``_fit``).  ``trace`` collects the descent's iterates and
+    objectives.
     """
+    if warm_start is not None:
+        try:
+            warm_start = as_theta(warm_start, space.p)
+        except DomainError as exc:
+            raise DomainError(f"warm_start: {exc}") from None
+        if not np.all(np.isfinite(warm_start)):
+            raise DomainError("warm_start must be finite")
+        warm_start = space.project(warm_start)
     grouped = GroupedData.from_arrays(data.xs, data.ys)
     theta_grid = space.sample_grid(config.grid_points_per_axis)
     values = _grid_sse(grouped, model, theta_grid)
-    grid_minimum, _, grid_tie = _grid_winner(values, theta_grid)
-
-    theta, value, converged = _descend(grouped, model, space, grid_minimum, config, trace)
-    if warm_start is not None:
-        theta_w, value_w, conv_w = _descend(
-            grouped, model, space, np.asarray(warm_start, dtype=float), config
-        )
-        if value_w - value <= WARM_START_RTOL * value:
-            theta, value, converged = theta_w, value_w, conv_w
-    return LSFit(
-        theta_hat=theta,
-        sse_value=value,
-        sigma2_hat=value / data.n,
-        converged=converged,
-        grid_minimum=grid_minimum,
-        grid_tie=grid_tie,
-    )
+    return _fit(grouped, model, space, config, values, theta_grid, warm_start, trace)
 
 
 class SequentialLS:
@@ -434,8 +433,7 @@ class SequentialLS:
 
     The coarse-grid objective is maintained as a running sum, so each
     refit costs O(grid) for the scan plus one descent over the grouped
-    data, O(support).  The descent is seeded by whichever of the scan
-    winner and the previous estimate currently has the smaller objective.
+    data, O(support), with the previous estimate as the warm start.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace, config: FitConfig = FitConfig()):
@@ -456,26 +454,11 @@ class SequentialLS:
         self.grid_sse += contrib
 
     def estimate(self) -> LSFit:
-        data = self.data
-        if data.n == 0:
+        if self.data.n == 0:
             raise FitFailureError("no data to fit")
-        grid_minimum, g_min, grid_tie = _grid_winner(self.grid_sse, self.theta_grid)
-        seed, start = grid_minimum, None
-        if self.previous is not None:
-            at_previous = _residual(
-                data.points, data.means, self.model, self.previous, data.counts, data.within_ss
-            )
-            if at_previous[1] < g_min:
-                seed, start = self.previous, at_previous
-        theta, value, converged = _descend(
-            data, self.model, self.space, seed, self.config, start=start
+        fit = _fit(
+            self.data, self.model, self.space, self.config,
+            self.grid_sse, self.theta_grid, self.previous,
         )
-        self.previous = theta
-        return LSFit(
-            theta_hat=theta,
-            sse_value=value,
-            sigma2_hat=value / data.n,
-            converged=converged,
-            grid_minimum=grid_minimum,
-            grid_tie=grid_tie,
-        )
+        self.previous = fit.theta_hat
+        return fit

@@ -22,7 +22,6 @@ from adwynn.analysis import (
     normal_cdf,
     normality_stat,
     normality_study,
-    parameter_discrepancy,
     run_study,
     sample_unit_directions,
     window_mass,
@@ -369,36 +368,6 @@ def test_calibration_eta_identity(mm_bundle):
     assert (1 - cal.eta) ** (-2) / p == pytest.approx(1 / p + 0.05)
     assert cal.d > 0
     assert cal.threshold == pytest.approx(cal.eta * cal.kappa / cal.gamma)
-
-
-# ---------------------------------------------------------------- discrepancy
-
-
-def test_parameter_discrepancy_examples(mm_bundle, rng):
-    scenario = Scenario(
-        mm_bundle.model,
-        mm_bundle.design_space,
-        mm_bundle.parameter_space,
-        np.array([1.0, 1.0]),
-        IIDGaussian(0.1),
-        WynnConfig(n_max=20),
-    )
-    traj = simulate_trajectory(scenario, seed=17)
-    theta_bar = np.array([1.0, 1.0])
-    assert parameter_discrepancy(traj, 20, theta_bar, theta_bar, mm_bundle.model) == 0.0
-    theta = np.array([1.5, 0.8])
-    got = parameter_discrepancy(traj, 20, theta, theta_bar, mm_bundle.model)
-    terms = [
-        (
-            float(mm_bundle.model.mu(x, theta))
-            - float(mm_bundle.model.mu(x, theta_bar))
-        )
-        ** 2
-        for x in traj.points[:20]
-    ]
-    assert got == pytest.approx(math.fsum(terms) / 20, rel=1e-12)
-    single = parameter_discrepancy(traj, 1, theta, theta_bar, mm_bundle.model)
-    assert single == pytest.approx(terms[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------- studies

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,15 +187,33 @@ def test_response_shift_moves_intercept_only(poly1_bundle, rng):
 
 
 def test_warm_start_only_helps(mm_bundle, rng):
-    xs = rng.uniform(0.1, 3.0, size=(10, 1))
+    """The fit is never worse than its better seed: the warm start or the scan winner."""
+    space = mm_bundle.parameter_space
     theta_bar = np.array([1.0, 1.0])
-    ys = np.asarray(mm_bundle.model.mu(xs, theta_bar)) + rng.normal(0, 0.1, size=10)
-    batch = DataBatch(xs, ys)
-    plain = fit_ls(batch, mm_bundle.model, mm_bundle.parameter_space)
-    warm = fit_ls(
-        batch, mm_bundle.model, mm_bundle.parameter_space, warm_start=theta_bar
-    )
-    assert warm.sse_value <= plain.sse_value + 1e-12
+    for warm_start in (theta_bar, np.array([2.9, 0.2]), np.array([0.3, 2.5])):
+        xs = rng.uniform(0.1, 3.0, size=(10, 1))
+        ys = np.asarray(mm_bundle.model.mu(xs, theta_bar)) + rng.normal(0, 0.1, size=10)
+        batch = DataBatch(xs, ys)
+        fit = fit_ls(batch, mm_bundle.model, space, warm_start=warm_start)
+        scan_minimum = min(sse(batch, t, mm_bundle.model) for t in space.sample_grid(15))
+        best_seed = min(sse(batch, warm_start, mm_bundle.model), scan_minimum)
+        assert fit.sse_value <= best_seed * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "warm_start,message",
+    [
+        (np.array([1.0, 1.0, 1.0]), "warm_start: expected a parameter in R^2"),
+        (np.array([1.0, np.nan]), "warm_start must be finite"),
+        (np.array([np.inf, 1.0]), "warm_start must be finite"),
+    ],
+    ids=["wrong-shape", "nan", "inf"],
+)
+def test_bad_warm_start_fails_at_the_boundary(mm_bundle, rng, warm_start, message):
+    xs, ys = _mm_noisy_batch(mm_bundle, rng, n=10)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space,
+               warm_start=warm_start)
 
 
 def test_fit_failure_on_nonfinite():
@@ -299,7 +318,8 @@ def test_descent_from_optimum_stops_at_once(mm_bundle, rng):
     assert fit.converged
     counting = _CountingModel(mm_bundle.model)
     theta, value, converged = _gauss_newton(
-        xs, ys, counting.spec, mm_bundle.parameter_space, fit.theta_hat, FitConfig()
+        GroupedData.from_arrays(xs, ys), counting.spec, mm_bundle.parameter_space,
+        fit.theta_hat, FitConfig(),
     )
     # one SSE at the seed and one residual for the step; no line search
     assert counting.mu_calls <= 2
@@ -393,7 +413,7 @@ def test_failed_stop_is_not_converged(poly1_bundle, rng, broken, config):
     theta0 = np.array([0.45, -0.95])
     model = broken(poly1_bundle.model)
     theta, value, converged = _gauss_newton(
-        xs, ys, model, poly1_bundle.parameter_space, theta0, config
+        GroupedData.from_arrays(xs, ys), model, poly1_bundle.parameter_space, theta0, config
     )
     assert not converged
     assert value <= sse(DataBatch(xs, ys), theta0, poly1_bundle.model)
@@ -532,15 +552,23 @@ def test_grouped_objective_equals_raw_sse(mm_bundle, rng):
     raw = ((ys[None, :] - mm_bundle.model.mu(xs[None], theta_grid[:, None, :])) ** 2).sum(axis=1)
     np.testing.assert_allclose(_grid_sse(data, mm_bundle.model, theta_grid), raw, rtol=1e-12)
     for theta in theta_grid[::5]:
-        _, value = _residual(
-            data.points, data.means, mm_bundle.model, theta, data.counts, data.within_ss
-        )
+        _, value = _residual(data, mm_bundle.model, theta)
         assert value == pytest.approx(sse(DataBatch(xs, ys), theta, mm_bundle.model), rel=1e-12)
     # all points distinct: the grouped scan is the raw one, bit for bit
     xs = rng.uniform(0.1, 3.0, size=(40, 1))
     data = GroupedData.from_arrays(xs, ys[:40])
     raw = ((ys[None, :40] - mm_bundle.model.mu(xs[None], theta_grid[:, None, :])) ** 2).sum(axis=1)
     assert np.array_equal(_grid_sse(data, mm_bundle.model, theta_grid), raw)
+
+
+def _ungrouped(xs, ys):
+    """The data as GroupedData with one group per observation, repeats included:
+    the descent then runs on the raw residuals."""
+    data = GroupedData()
+    data._points, data._means = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    data._counts = np.ones(ys.shape[0])
+    data.size = data.n = ys.shape[0]
+    return data
 
 
 @pytest.mark.parametrize("name,kwargs", [("michaelis_menten", {}), ("exponential_decay", {})])
@@ -555,7 +583,7 @@ def test_fit_on_grouped_data_matches_raw_descent(name, kwargs, rng):
         else:
             xs, ys = _repeated_batch(bundle, rng, n=n, support=support)
         fit = fit_ls(DataBatch(xs, ys), bundle.model, space)
-        theta, value, converged = _gauss_newton(xs, ys, bundle.model, space,
+        theta, value, converged = _gauss_newton(_ungrouped(xs, ys), bundle.model, space,
                                                 fit.grid_minimum, FitConfig())
         assert converged == fit.converged
         if support is None:
@@ -569,14 +597,12 @@ def test_descent_from_a_known_start_skips_its_evaluation(mm_bundle, rng):
     xs, ys = _repeated_batch(mm_bundle, rng)
     data = GroupedData.from_arrays(xs, ys)
     counting = _CountingModel(mm_bundle.model)
-    args = (data.points, data.means, counting.spec, mm_bundle.parameter_space,
-            np.array([1.5, 1.5]), FitConfig())
-    weighted = {"weights": data.counts, "offset": data.within_ss}
-    plain = _gauss_newton(*args, **weighted)
+    args = (data, counting.spec, mm_bundle.parameter_space, np.array([1.5, 1.5]), FitConfig())
+    plain = _gauss_newton(*args)
     plain_calls = counting.mu_calls
     counting.reset()
-    start = _residual(data.points, data.means, mm_bundle.model, args[4], **weighted)
-    known = _gauss_newton(*args, start=start, **weighted)
+    start = _residual(data, mm_bundle.model, args[3])
+    known = _gauss_newton(*args, start=start)
     assert counting.mu_calls == plain_calls - 1
     assert np.array_equal(plain[0], known[0]) and plain[1:] == known[1:]
 
@@ -653,7 +679,8 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
         space = bundle.parameter_space
         trace = []
         _, _, converged = _gauss_newton(
-            xs, ys, bundle.model, space, space.center(), FitConfig(), trace
+            GroupedData.from_arrays(xs, ys), bundle.model, space, space.center(),
+            FitConfig(), trace,
         )
         assert converged
         path = np.array([theta for theta, _ in trace])
@@ -663,22 +690,91 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
 
 
 @pytest.mark.parametrize(
-    "grid_over_warm,warm_kept",
-    [(math.nextafter(1.0, 2.0), True), (1.0, True), (1.0 + 1e-12, False)],
-    ids=["one-ulp", "equal", "grid-lower"],
+    "shift,warm_wins",
+    [(None, False), ((0.0, 0.0), True), ((1.5, 0.7), False), ((0.0, -1.0), True)],
+    ids=["no-warm-start", "warm-below-scan", "warm-above-scan", "warm-outside-box"],
 )
-def test_fit_keeps_the_warm_start_on_a_rounding_tie(mm_bundle, rng, monkeypatch,
-                                                   grid_over_warm, warm_kept):
-    """The warm-start endpoint is returned unless the grid-seeded one is lower
-    by more than a relative WARM_START_RTOL."""
-    xs, ys = _mm_noisy_batch(mm_bundle, rng)
-    warm_value = 0.6118268606720063
-    grid_end = (np.array([1.0, 1.0]), warm_value / grid_over_warm, True)
-    warm_end = (np.array([1.0 + 1e-8, 1.0]), warm_value, False)
-    endpoints = iter([grid_end, warm_end])
-    monkeypatch.setattr(estimator, "_descend", lambda *args, **kwargs: next(endpoints))
-    fit = fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space,
-                 warm_start=np.array([1.0, 1.0]))
-    kept = warm_end if warm_kept else grid_end
-    assert np.array_equal(fit.theta_hat, kept[0])
-    assert (fit.sse_value, fit.converged) == kept[1:]
+def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
+                                                   shift, warm_wins):
+    """fit_ls descends once: from the warm start (projected into the box) when
+    its objective is below the scan minimum, from the scan winner otherwise.
+    The data put the minimum on the box's lower theta2 bound, so the warm
+    start shifted below that bound projects back onto the minimum."""
+    space = mm_bundle.parameter_space
+    xs = rng.uniform(0.1, 3.0, size=(40, 1))
+    ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.0, 0.1]))) + rng.normal(0, 0.05, 40)
+    batch = DataBatch(xs, ys)
+    optimum = fit_ls(batch, mm_bundle.model, space).theta_hat
+    warm_start = None if shift is None else optimum + np.array(shift)
+    calls = []
+    descend = estimator._gauss_newton
+
+    def recording(data, model, space, theta0, config, trace=None, start=None):
+        calls.append((np.array(theta0), start))
+        calls.append(descend(data, model, space, theta0, config, trace, start))
+        return calls[-1]
+
+    monkeypatch.setattr(estimator, "_gauss_newton", recording)
+    fit = fit_ls(batch, mm_bundle.model, space, warm_start=warm_start)
+    assert len(calls) == 2
+    (seed, start), (theta, value, converged) = calls
+    scan_minimum = min(sse(batch, t, mm_bundle.model) for t in space.sample_grid(15))
+    if warm_start is not None:
+        projected = space.project(warm_start)
+        at_warm = sse(batch, projected, mm_bundle.model)
+        # each case lies clearly on one side of the rule, so rounding cannot decide it
+        assert abs(at_warm - scan_minimum) > 1e-6 * scan_minimum
+        assert (at_warm < scan_minimum) == warm_wins
+    if warm_wins:
+        assert np.array_equal(seed, space.project(warm_start))
+        # the seed's objective was computed for the choice and is handed on
+        assert start is not None and start[1] == pytest.approx(at_warm, rel=1e-12)
+    else:
+        assert np.array_equal(seed, fit.grid_minimum) and start is None
+    assert np.array_equal(fit.theta_hat, theta)
+    assert (fit.sse_value, fit.converged) == (value, converged)
+
+
+_MODELS = [
+    ("michaelis_menten", {}),
+    ("exponential_decay", {}),
+    ("polynomial", {"degree": 1}),
+    ("polynomial", {"degree": 2}),
+    ("one_param_exponential", {}),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    support=st.sampled_from([None, 3]),
+    sigma=st.sampled_from([0.05, 0.5]),
+    warm=st.sampled_from(["none", "inside", "outside"]),
+)
+def test_fit_invariants(model, seed, n, support, sigma, warm):
+    """On random data, with and without a warm start: the returned objective is
+    the SSE at theta_hat, never above the scan minimum, and theta_hat lies in
+    the box."""
+    bundle = builtin_bundle(model[0], **model[1])
+    space = bundle.parameter_space
+    rng = np.random.default_rng(seed)
+    lo, hi = float(bundle.design_space.lower[0]), float(bundle.design_space.upper[0])
+    if support is None:
+        xs = rng.uniform(lo, hi, size=(n, 1))
+    else:
+        xs = rng.choice(np.linspace(lo, hi, support), size=n)[:, None]
+    theta_true = rng.uniform(space.lower, space.upper)
+    ys = np.asarray(bundle.model.mu(xs, theta_true)) + rng.normal(0, sigma, n)
+    batch = DataBatch(xs, ys)
+    warm_start = {
+        "none": None,
+        "inside": rng.uniform(space.lower, space.upper),
+        "outside": space.upper + rng.uniform(0.0, 1.0, space.p),
+    }[warm]
+    fit = fit_ls(batch, bundle.model, space, warm_start=warm_start)
+    assert fit.sse_value == pytest.approx(sse(batch, fit.theta_hat, bundle.model), rel=1e-12)
+    scan_minimum = min(sse(batch, t, bundle.model) for t in space.sample_grid(15))
+    assert fit.sse_value <= scan_minimum * (1 + 1e-12)
+    assert np.all(fit.theta_hat >= space.lower) and np.all(fit.theta_hat <= space.upper)
