@@ -107,6 +107,12 @@ def _as_vector(value, where: str) -> np.ndarray:
     return vec
 
 
+def _oracle_tol(tol: float, where: str) -> float:
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"{where} must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def _section(raw: dict, name: str, keys, required: bool = False) -> dict:
     """The object ``$.name``; a key not in ``keys`` is a config error."""
     cfg = _expect(raw, name, dict, "$", required=required, default={})
@@ -209,10 +215,14 @@ class RunConfig:
             if th.shape != (self.bundle.model.p,):
                 raise ConfigError("$.oracle.theta must have length p")
             self.oracle_theta = th
-        self.oracle_tol = _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol")
+        self.oracle_tol = _oracle_tol(
+            _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol"), "$.oracle.tol"
+        )
         self.oracle_max_iterations = _as_int(
             oracle_cfg.get("max_iterations", 100000), "$.oracle.max_iterations"
         )
+        if self.oracle_max_iterations < 1:
+            raise ConfigError("$.oracle.max_iterations must be >= 1")
 
         mc_cfg = _section(raw, "mc", ("replicates", "checkpoints", "workers", "keep_paths"))
         self.mc_replicates = _expect(mc_cfg, "replicates", int, "$.mc", required=False)
@@ -343,7 +353,7 @@ def cmd_oracle(args) -> int:
     theta = cfg.oracle_theta if cfg.oracle_theta is not None else cfg.theta_bar
     if theta is None:
         raise ConfigError("oracle needs $.oracle.theta or $.theta_bar")
-    tol = args.tol if args.tol is not None else cfg.oracle_tol
+    tol = _oracle_tol(args.tol, "--tol") if args.tol is not None else cfg.oracle_tol
     grid = cfg.bundle.design_space.grid()
     design = solve_locally_d_optimal(
         cfg.bundle.model, theta, grid, tol=tol, max_iterations=cfg.oracle_max_iterations

@@ -10,6 +10,7 @@ max d equals the parameter dimension p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,22 @@ def solve_locally_d_optimal(
 ) -> Design:
     """Locally D-optimal design on the scan grid at a fixed parameter.
 
-    Multiplicative weight iteration w <- w * d/p, which is monotone in
-    the log determinant; convergence is certified by the equivalence
-    gap max d - p <= tol * p.  Support points whose final weight falls
-    below ``prune_tol`` are removed and the gap is re-certified.
+    Vertex exchange (Böhning, Metrika 1986) from the uniform design:
+    each exchange moves weight from the support point of least
+    sensitivity to the grid point of greatest, by the step that
+    maximizes the log determinant along that direction, so the log
+    determinant never decreases.  Convergence is certified by the
+    equivalence gap max d - p <= tol * p; ``max_iterations`` bounds the
+    number of exchanges.  Support points whose final weight falls below
+    ``prune_tol`` are removed and the gap is re-certified.
 
     For p = 1 the optimum is the pointwise maximizer of f^2 and is
     returned directly with an exactly zero gap.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_iterations < 1:
+        raise DomainError(f"max_iterations must be >= 1, got {max_iterations!r}")
     theta = np.asarray(theta, dtype=float)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     m, _ = grid.shape
@@ -180,8 +189,8 @@ def solve_locally_d_optimal(
         return Design(grid[best : best + 1], np.array([1.0]))
 
     w = np.full(m, 1.0 / m)
-    gap = np.inf
-    for _ in range(max_iterations):
+    exchanges = 0
+    while True:
         M = (F * w[:, None]).T @ F
         try:
             Minv = pd_inverse(M)
@@ -190,17 +199,28 @@ def solve_locally_d_optimal(
                 "grid does not support a positive definite information matrix", exc.min_eigenvalue
             ) from exc
         d = np.einsum("ij,jk,ik->i", F, Minv, F)
-        gap = float(d.max() - p)
+        j = int(np.argmax(d))
+        gap = float(d[j] - p)
         if gap <= tol * p:
             break
-        w = w * d / p
-        w = w / w.sum()
-    else:
-        raise ConvergenceError(
-            f"multiplicative iteration did not reach tol*p = {tol * p:.3e} "
-            f"in {max_iterations} iterations",
-            gap,
-        )
+        if exchanges == max_iterations:
+            raise ConvergenceError(
+                f"vertex exchange did not reach tol*p = {tol * p:.3e} "
+                f"in {max_iterations} exchanges",
+                gap,
+            )
+        support = np.flatnonzero(w > 0.0)
+        k = int(support[np.argmin(d[support])])
+        d_jk = float(F[j] @ Minv @ F[k])
+        denom = 2.0 * (d[j] * d[k] - d_jk * d_jk)
+        step = (d[j] - d[k]) / denom if denom > 0.0 else w[k]
+        if step >= w[k]:
+            w[j] += w[k]
+            w[k] = 0.0
+        else:
+            w[j] += step
+            w[k] -= step
+        exchanges += 1
 
     keep = w >= prune_tol
     w = w[keep] / w[keep].sum()

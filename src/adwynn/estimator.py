@@ -74,6 +74,10 @@ class GroupedData:
     pooled within-point sum of squares W (Welford updates).  Points are
     the same when their bytes are.  With all points distinct the counts
     are 1, the means are the responses and W is 0.0.
+
+    ``points``, ``counts`` and ``means`` are views of the first ``size``
+    rows of the storage, rebuilt only when ``size`` is set, so reading
+    them in an objective evaluation costs no slicing.
     """
 
     def __init__(self):
@@ -109,16 +113,15 @@ class GroupedData:
         return data
 
     @property
-    def points(self) -> Array:
-        return self._points[: self.size]
+    def size(self) -> int:
+        return self._size
 
-    @property
-    def counts(self) -> Array:
-        return self._counts[: self.size]
-
-    @property
-    def means(self) -> Array:
-        return self._means[: self.size]
+    @size.setter
+    def size(self, size: int) -> None:
+        self._size = size
+        self.points = self._points[:size]
+        self.counts = self._counts[:size]
+        self.means = self._means[:size]
 
     def add(self, x: Array, y: float) -> None:
         """Record response y at the (k,) point x."""

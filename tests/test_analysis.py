@@ -405,6 +405,22 @@ def test_study_reports_both_standardizations(mm_bundle):
     assert all(b >= a for a, b in zip(q, q[1:]))  # nondecreasing in level
 
 
+def test_study_sets_up_where_the_oracle_once_failed(expdecay_bundle):
+    # the pruned reference design at this theta_bar has a gap close to tol * p
+    scenario = Scenario(
+        expdecay_bundle.model,
+        expdecay_bundle.design_space,
+        expdecay_bundle.parameter_space,
+        np.array([1.2, 0.9]),
+        IIDGaussian(0.1),
+        WynnConfig(n_max=30),
+    )
+    report = run_study(scenario, 2, [30], seed=4)
+    assert report.failed == ()
+    # log det M - log det M* <= gap <= p * tol, so efficiency <= exp(tol)
+    assert all(0.0 < e <= math.exp(1e-5) for e in report.defficiency_samples[30])
+
+
 def test_study_degenerate_single_replicate(mm_bundle):
     report = run_study(_mm_scenario(mm_bundle), 1, [60], seed=8)
     assert report.normality_skipped

@@ -105,6 +105,9 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
         ("model", {"parmas": {"grid_resolution": 11}}, "$.model.parmas"),
         ("$", {"seed": True}, "$.seed"),
         ("$", {"sed": 5}, "$.sed"),
+        ("oracle", {"tol": -1e-4}, "$.oracle.tol"),
+        ("oracle", {"tol": math.nan}, "$.oracle.tol"),
+        ("oracle", {"max_iterations": 0}, "$.oracle.max_iterations"),
     ],
 )
 def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
@@ -222,6 +225,14 @@ def test_oracle_single_parameter_model(tmp_path):
     obj = json.loads((tmp_path / "p1_design.json").read_text())
     assert len(obj["support"]) == 1
     assert obj["weights"] == [1.0]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-4", "inf"])
+def test_oracle_bad_tol_flag_exits_2(tmp_path, capsys, tol):
+    path, _ = _write_config(tmp_path)
+    assert main(["oracle", "--config", str(path), f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--tol" in err
 
 
 def test_oracle_unattainable_tol_exits_1(tmp_path, capsys):

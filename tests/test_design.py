@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwynn.design import (
+    WEIGHT_SUM_TOL,
     Design,
     d_efficiency,
     equivalence_gap,
@@ -19,6 +22,7 @@ from adwynn.design import (
 )
 from adwynn.analysis import empirical_design
 from adwynn.errors import ConvergenceError, DomainError, SingularMatrixError
+from adwynn.model import exponential_decay, michaelis_menten, polynomial
 
 
 def _random_design(grid, rng, size=5):
@@ -248,6 +252,91 @@ def test_oracle_unattainable_tolerance(mm_bundle):
             mm_bundle.model, np.array([1.0, 1.0]), grid, tol=0.0, max_iterations=200
         )
     assert exc.value.gap > 0
+
+
+@pytest.mark.parametrize(
+    "bundle,theta,tol",
+    [
+        (exponential_decay(), (1.2, 0.9), 1e-5),
+        (exponential_decay(), (1.0, 0.5), 1e-5),
+        (exponential_decay(), (1.0, 1.0), 1e-6),
+        (polynomial(degree=2), (0.5, -1.0, 0.7), 1e-6),
+    ],
+)
+def test_oracle_certifies_after_pruning(bundle, theta, tol):
+    # cases whose gap after pruning lies close to tol * p
+    grid = bundle.design_space.grid()
+    theta = np.array(theta)
+    des = solve_locally_d_optimal(bundle.model, theta, grid, tol=tol)
+    assert equivalence_gap(des, theta, bundle.model, grid) <= tol * bundle.model.p
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": -1e-6}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": -3}, "max_iterations"),
+    ],
+)
+def test_oracle_rejects_bad_settings(mm_bundle, kwargs, name):
+    grid = mm_bundle.design_space.grid()
+    with pytest.raises(DomainError, match=name):
+        solve_locally_d_optimal(mm_bundle.model, np.array([1.0, 1.0]), grid, **kwargs)
+
+
+def test_oracle_michaelis_menten_analytic_bounds(mm_bundle):
+    # the optimum over the continuous region [0.1, 3] at theta = (1, 1) puts
+    # weight 1/2 on 3 and on 3 / (2 + 3) = 0.6, which lies between grid points
+    grid = mm_bundle.design_space.grid()
+    theta = np.array([1.0, 1.0])
+    des = solve_locally_d_optimal(mm_bundle.model, theta, grid)
+    assert 3.0 in des.support[:, 0]
+    ld = log_det(info_matrix(des, theta, mm_bundle.model))
+    half = np.array([0.5, 0.5])
+    on_grid = log_det(info_matrix(Design(np.array([[0.593], [3.0]]), half), theta, mm_bundle.model))
+    continuous = log_det(info_matrix(Design(np.array([[0.6], [3.0]]), half), theta, mm_bundle.model))
+    assert on_grid <= ld <= continuous
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bundle=st.sampled_from(
+        [michaelis_menten(), exponential_decay(), polynomial(), polynomial(degree=2)]
+    ),
+    corner=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_properties(bundle, corner, seed):
+    space, model = bundle.parameter_space, bundle.model
+    theta = space.lower + np.array(corner[: model.p]) * (space.upper - space.lower)
+    grid = bundle.design_space.grid()
+    tol = 1e-5
+    des = solve_locally_d_optimal(model, theta, grid, tol=tol)
+    assert np.all(des.weights > 0.0)
+    assert abs(des.weights.sum() - 1.0) <= WEIGHT_SUM_TOL
+    gap = equivalence_gap(des, theta, model, grid)
+    assert gap <= tol * model.p
+    # equivalence theorem: log det M(xi) <= log det M(xi_hat) + max d - p for every xi
+    ld = log_det(info_matrix(des, theta, model))
+    # on designs far from and near the oracle's: mixtures (1 - a) xi_hat + a xi
+    rng = np.random.default_rng(seed)
+    for alpha in (1.0, 0.3, 1e-2, 1e-4):
+        other = _random_design(grid, rng, size=int(rng.integers(model.p, 9)))
+        support = np.vstack([des.support, other.support])
+        weights = np.concatenate([(1 - alpha) * des.weights, alpha * other.weights])
+        uniq, inverse = np.unique(support, axis=0, return_inverse=True)
+        merged = np.zeros(uniq.shape[0])
+        np.add.at(merged, inverse.ravel(), weights)
+        keep = merged > 0.0
+        mix = Design(uniq[keep], merged[keep] / merged[keep].sum())
+        try:
+            ld_mix = log_det(info_matrix(mix, theta, model))
+        except SingularMatrixError:
+            continue
+        assert ld_mix <= ld + gap + 1e-12
 
 
 # ---------------------------------------------------------------- efficiency
