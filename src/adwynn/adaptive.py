@@ -20,7 +20,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .design import pd_inverse_logdet
+from .design import pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import DataBatch, FitConfig, GroupedData, LSFit, SequentialLS, fit_ls
 from .model import Box, DesignSpace, ModelSpec, ParameterSpace
@@ -296,7 +296,7 @@ class WynnState:
 
     def compute_info(self, theta: Array) -> Array:
         F = np.asarray(self.model.f(self.design.points, theta), dtype=float)
-        M = (F * (self.design.counts / float(self.n))[:, None]).T @ F
+        M = (F.T * (self.design.counts / float(self.n))) @ F
         return 0.5 * (M + M.T)
 
     def data_batch(self) -> DataBatch:
@@ -353,15 +353,15 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
         raise DomainError("state is not initialized")
     Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
     F_grid = np.asarray(state.model.f(state.grid, state.theta), dtype=float)
-    d = np.einsum("ij,jk,ik->i", F_grid, Minv, F_grid)
-    idx = int(np.argmax(d))
+    d = quadratic_form(F_grid, Minv)
+    idx = int(d.argmax())
     x_next = state.grid[idx].copy()
     max_d = float(d[idx])
     if state.config.polish:
         x_next, max_d = _polish_point(state, x_next, Minv, max_d)
 
     n_before = state.n
-    theta_before = np.asarray(state.theta, dtype=float).copy()
+    theta_before = tuple(np.asarray(state.theta, dtype=float).tolist())
     y_next = response_source.observe(x_next, n_before + 1)
 
     state._append(x_next, float(y_next))
@@ -370,8 +370,8 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     state.records.append(
         StepRecord(
             n=n_before,
-            x_next=tuple(float(v) for v in x_next),
-            theta=tuple(float(v) for v in theta_before),
+            x_next=tuple(x_next.tolist()),
+            theta=theta_before,
             logdet=logdet,
             max_d=max_d,
             y_next=float(y_next),

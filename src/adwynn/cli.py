@@ -45,7 +45,7 @@ from .adaptive import (
 from .design import equivalence_gap, info_matrix, log_det, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError, DomainError
 from .estimator import FitConfig
-from .model import ModelBundle, builtin_bundle
+from .model import ModelBundle, builtin_bundle, finite_real_array
 from .noise import ErrorSpec, make_error_spec
 
 JSON_KW = {"indent": 2, "ensure_ascii": True}
@@ -54,12 +54,6 @@ JSON_KW = {"indent": 2, "ensure_ascii": True}
 # --------------------------------------------------------------------------
 # Configuration loading
 # --------------------------------------------------------------------------
-
-
-def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
 
 
 def _expect(cfg: dict, key: str, types, where: str, required: bool = True, default=None):
@@ -82,7 +76,10 @@ def _as_int(value, where: str) -> int:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ConfigError(f"{where} must be a number in float range") from None
 
 
 def _as_bool(value, where: str) -> bool:
@@ -99,10 +96,10 @@ def _as_str(value, where: str) -> str:
 
 def _as_vector(value, where: str) -> np.ndarray:
     try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an array of numbers") from None
-    if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+        vec = finite_real_array(value, where)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    if vec.ndim != 1:
         raise ConfigError(f"{where} must be a flat array of finite numbers")
     return vec
 
@@ -158,11 +155,7 @@ class RunConfig:
         name = _expect(model_cfg, "name", str, "$.model")
         params = _expect(model_cfg, "params", dict, "$.model", required=False, default={})
         try:
-            self.bundle: ModelBundle = builtin_bundle(
-                name, **{k: _tupled(v) for k, v in params.items()}
-            )
-        except TypeError as exc:
-            raise ConfigError(f"$.model.params invalid for {name!r}: {exc}") from None
+            self.bundle: ModelBundle = builtin_bundle(name, **params)
         except AdwynnError as exc:
             raise ConfigError(f"$.model: {exc}") from None
 
@@ -278,6 +271,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return RunConfig(raw)
 
 
@@ -591,6 +586,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except AdwynnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a grid_resolution too large to allocate the scan grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

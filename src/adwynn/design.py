@@ -6,6 +6,18 @@ the weighted sum of regressor outer products; the sensitivity function
 d(x) = f' M^{-1} f drives both the sequential point selection and the
 equivalence-theorem certificate (a design is D-optimal on the grid iff
 max d equals the parameter dimension p).
+
+For p = 2 the inverse and log determinant of M are closed forms in
+plain floats, where numpy's per-call overhead would cost more than the
+arithmetic: with M = [[a, b], [b, c]] the smallest eigenvalue is
+(a + c)/2 - hypot((a - c)/2, b), the inverse is the adjugate over
+det = ac - b^2 and the log determinant is log(det).  The sensitivity
+over a grid is then (a' F0 + 2 b' F1) F0 + c' F1^2, with a', b', c' the
+entries of M^{-1} and F0, F1 the regressor columns.  For p != 2 the
+inverse and log determinant come from LAPACK's symmetric
+eigendecomposition and the sensitivity from one einsum.  An information
+matrix with a non-finite entry fails like one below the
+positive-definiteness floor, on either path.
 """
 
 from __future__ import annotations
@@ -98,21 +110,42 @@ def min_eigenvalue(M: Array) -> float:
 
 
 def pd_inverse_logdet(M: Array, floor: float = PD_FLOOR) -> tuple[Array, float]:
-    """Inverse and log determinant from one symmetric eigendecomposition.
+    """Inverse and log determinant of a symmetric positive definite M.
 
-    Fails fast when the smallest eigenvalue does not clear ``floor``.
+    Raises ``SingularMatrixError`` when an entry of M is not finite or
+    the smallest eigenvalue does not clear ``floor``.  Only the lower
+    triangle enters the result, as in LAPACK's ``eigh``.  For p = 2 the
+    eigenvalue, inverse and log determinant are closed forms in plain
+    floats: lambda_min = (a + c)/2 - hypot((a - c)/2, b),
+    M^{-1} = [[c, -b], [-b, a]] / det and log det with det = ac - b^2
+    (a rounded det <= 0 fails the floor too).  For p != 2 one symmetric
+    eigendecomposition gives all three.
     """
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(M, dtype=float))
-    if eigvals[0] <= floor:
+    M = np.asarray(M, dtype=float)
+    if M.shape[0] != 2:
+        if not np.isfinite(M).all():
+            raise SingularMatrixError("information matrix is not finite", math.nan)
+        eigvals, eigvecs = np.linalg.eigh(M)
+        if eigvals[0] <= floor:
+            raise SingularMatrixError(
+                "information matrix fell below the positive-definiteness floor",
+                float(eigvals[0]),
+            )
+        return (eigvecs / eigvals) @ eigvecs.T, float(np.log(eigvals).sum())
+    (a, b_upper), (b, c) = M.tolist()
+    if not all(map(math.isfinite, (a, b_upper, b, c))):
+        raise SingularMatrixError("information matrix is not finite", math.nan)
+    lam = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+    det = a * c - b * b
+    if not (lam > floor and det > 0.0):
         raise SingularMatrixError(
-            "information matrix fell below the positive-definiteness floor",
-            float(eigvals[0]),
+            "information matrix fell below the positive-definiteness floor", lam
         )
-    return (eigvecs / eigvals) @ eigvecs.T, float(np.log(eigvals).sum())
+    return np.array([[c / det, -b / det], [-b / det, a / det]]), math.log(det)
 
 
 def pd_inverse(M: Array, floor: float = PD_FLOOR) -> Array:
-    """Inverse via symmetric eigendecomposition; fails fast below the floor."""
+    """The inverse from ``pd_inverse_logdet``; fails fast below the floor."""
     return pd_inverse_logdet(M, floor)[0]
 
 
@@ -129,6 +162,19 @@ def sensitivity_profile(
     """Vectorized sensitivity over a point array, shape (m,)."""
     Minv = pd_inverse(M, floor)
     F = np.asarray(model.f(np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(theta, dtype=float)), dtype=float)
+    return quadratic_form(F, Minv)
+
+
+def quadratic_form(F: Array, Minv: Array) -> Array:
+    """f' Minv f for each row f of the (m, p) array F, shape (m,).
+
+    For p = 2 it is (a F0 + 2b F1) F0 + c F1^2 on the columns of F, with
+    the entries of the symmetric Minv as plain floats; otherwise one einsum.
+    """
+    if F.shape[1] == 2:
+        (a, _), (b, c) = Minv.tolist()
+        F0, F1 = F.T
+        return (a * F0 + 2.0 * b * F1) * F0 + c * (F1 * F1)
     return np.einsum("ij,jk,ik->i", F, Minv, F)
 
 
@@ -198,7 +244,7 @@ def solve_locally_d_optimal(
             raise SingularMatrixError(
                 "grid does not support a positive definite information matrix", exc.min_eigenvalue
             ) from exc
-        d = np.einsum("ij,jk,ik->i", F, Minv, F)
+        d = quadratic_form(F, Minv)
         j = int(np.argmax(d))
         gap = float(d[j] - p)
         if gap <= tol * p:

@@ -232,12 +232,12 @@ def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
     ``values`` holds no NaN (its producers map non-finite objectives to
     inf), so the grid is non-finite everywhere exactly when its minimum is.
     """
-    g_idx = int(np.argmin(values))
+    g_idx = int(values.argmin())
     g_min = float(values[g_idx])
     if not math.isfinite(g_min):
         raise FitFailureError("objective is non-finite on the whole parameter grid")
     tie_tol = 1e-9 * (1.0 + abs(g_min))
-    return theta_grid[g_idx].copy(), g_min, bool(np.sum(values <= g_min + tie_tol) > 1)
+    return theta_grid[g_idx].copy(), g_min, bool(np.count_nonzero(values <= g_min + tie_tol) > 1)
 
 
 def _solve(G: Array, g: Array) -> list[float]:

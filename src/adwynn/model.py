@@ -17,6 +17,8 @@ axis last: ``f(x[(m, k)], theta[(p,)]) -> (m, p)``.
 
 from __future__ import annotations
 
+import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,6 +49,26 @@ def as_theta(theta, p: int) -> Array:
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if arr.shape != (p,):
         raise DomainError(f"expected a parameter in R^{p}, got shape {arr.shape}")
+    return arr
+
+
+def finite_real_array(value, name: str) -> Array:
+    """``value`` as a float array; it must nest only finite real numbers
+    (no booleans, strings, ragged rows or integers beyond float range)."""
+
+    def real(v) -> bool:
+        if isinstance(v, np.ndarray):
+            return v.dtype.kind in "iuf"
+        if isinstance(v, (list, tuple)):
+            return all(map(real, v))
+        return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+    try:
+        arr = np.asarray(value, dtype=float) if real(value) else None
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must hold only finite numbers")
     return arr
 
 
@@ -601,10 +623,32 @@ BUILTIN_MODELS: dict[str, Callable[..., ModelBundle]] = {
 }
 
 
+def _factory_argument(factory: Callable[..., ModelBundle], key: str, value):
+    """``value`` checked against the type and shape of the factory's default
+    for ``key``: an integer for an integer default, otherwise finite numbers
+    in the default's shape."""
+    params = inspect.signature(factory).parameters
+    if key not in params:
+        raise DomainError(
+            f"{factory.__name__} takes no parameter {key!r}; it takes {', '.join(params)}"
+        )
+    default = params[key].default
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    arr = finite_real_array(value, key)
+    if arr.shape != np.shape(default):
+        raise DomainError(f"{key} must have the shape {np.shape(default)} of its default {default}")
+    return arr.tolist()
+
+
 def builtin_bundle(name: str, **kwargs) -> ModelBundle:
+    """The named built-in model; each keyword is checked against the type and
+    shape of the factory's default before the factory checks its range."""
     try:
         factory = BUILTIN_MODELS[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_MODELS))
         raise DomainError(f"unknown model {name!r}; known models: {known}") from None
-    return factory(**kwargs)
+    return factory(**{k: _factory_argument(factory, k, v) for k, v in kwargs.items()})

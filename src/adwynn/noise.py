@@ -183,6 +183,6 @@ def make_error_spec(variant: str, **params) -> ErrorSpec:
         )
     try:
         values = {k: float(v) for k, v in params.items()}
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"noise variant {variant!r} parameters must be numbers") from None
     return cls(**values)

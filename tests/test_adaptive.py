@@ -153,6 +153,16 @@ def test_step_requires_positive_definite_matrix(poly1_bundle):
         wynn_step(state, ReplaySource([0.0]))
 
 
+def test_step_rejects_non_finite_information_matrix(poly1_bundle):
+    # a NaN entry once slipped past the floor check and the NaN sensitivity's
+    # argmax silently selected the first grid point
+    state = _manual_state(poly1_bundle, [[-1.0], [1.0]], [0.0, 0.0], [0.0, 0.0])
+    state.M = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        wynn_step(state, ReplaySource([0.0]))
+    assert state.records == [] and state.n == 2
+
+
 def test_zero_noise_estimates_freeze(mm_bundle):
     traj = simulate_trajectory(_zero_noise_scenario(mm_bundle, [1.0, 1.0], 15), seed=3)
     for theta in traj.estimates:
@@ -359,6 +369,38 @@ def test_trajectory_invariants_along_run(mm_bundle):
         # average sensitivity over the design's own support equals p
         d_sup = sensitivity_profile(design.support, M, theta_n, model)
         assert float(design.weights @ d_sup) == pytest.approx(2.0, abs=1e-8)
+
+
+def test_trajectory_matches_lapack_recomputation(mm_bundle):
+    """Every step of a 500-observation acceptance-scenario trajectory against
+    the stage's M rebuilt from its points and estimate and inverted by
+    LAPACK's eigh: the recorded logdet and max_d agree to 1e-12 relative,
+    and x_next maximizes the einsum sensitivity, rivals within 1e-12
+    relative counting as ties."""
+    scenario = Scenario(
+        mm_bundle.model,
+        mm_bundle.design_space,
+        mm_bundle.parameter_space,
+        np.array([1.0, 1.0]),
+        IIDGaussian(0.1),
+        WynnConfig(n_max=500),
+    )
+    traj = simulate_trajectory(scenario, seed=20)
+    grid = mm_bundle.design_space.grid()
+    model = mm_bundle.model
+    assert len(traj.records) == 500 - traj.n_start
+    for rec in traj.records:
+        theta = np.asarray(rec.theta)
+        support, counts = np.unique(traj.points[: rec.n], axis=0, return_counts=True)
+        F = np.asarray(model.f(support, theta))
+        M = (F * (counts / rec.n)[:, None]).T @ F
+        eigvals, eigvecs = np.linalg.eigh(M)
+        F_grid = np.asarray(model.f(grid, theta))
+        d = np.einsum("ij,jk,ik->i", F_grid, (eigvecs / eigvals) @ eigvecs.T, F_grid)
+        assert rec.logdet == pytest.approx(float(np.log(eigvals).sum()), rel=1e-12)
+        assert rec.max_d == pytest.approx(float(d.max()), rel=1e-12)
+        (chosen,) = np.flatnonzero(grid[:, 0] == rec.x_next[0])
+        assert d[chosen] >= d.max() * (1.0 - 1e-12)
 
 
 def test_rank_one_update_tracks_run_at_fixed_theta(mm_bundle):

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwynn.adaptive import Trajectory
 from adwynn.cli import RunConfig, load_config, main, read_replay_file
-from adwynn.model import builtin_bundle
+from adwynn.model import BUILTIN_MODELS, builtin_bundle
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -83,6 +88,9 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+_BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
+
+
 @pytest.mark.parametrize(
     "section,entries,key",
     [
@@ -108,6 +116,16 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
         ("oracle", {"tol": -1e-4}, "$.oracle.tol"),
         ("oracle", {"tol": math.nan}, "$.oracle.tol"),
         ("oracle", {"max_iterations": 0}, "$.oracle.max_iterations"),
+        ("model", {"params": {"x_bounds": [0, _BEYOND_FLOAT]}}, "x_bounds"),
+        ("model", {"name": "polynomial", "params": {"coef_bound": _BEYOND_FLOAT}}, "coef_bound"),
+        ("model", {"params": {"grid_resolution": 21.5}}, "grid_resolution"),
+        ("model", {"params": {"x_bounds": [[0.1, 3.0]]}}, "x_bounds"),
+        ("model", {"params": {"theta_bounds": [0.2, 3.0]}}, "theta_bounds"),
+        ("model", {"name": "one_param_exponential", "params": {"theta_bounds": [[0.5, 2.0]]}}, "theta_bounds"),
+        ("model", {"params": {"degree": 2}}, "degree"),
+        ("noise", {"sigma": _BEYOND_FLOAT}, "$.noise"),
+        ("$", {"theta_bar": [_BEYOND_FLOAT, 1.0]}, "$.theta_bar"),
+        ("oracle", {"tol": _BEYOND_FLOAT}, "$.oracle.tol"),
     ],
 )
 def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
@@ -118,6 +136,125 @@ def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, 
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def test_config_integer_literal_beyond_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"model": {"name": "michaelis_menten"}, "seed": ' + "9" * 5000 + "}")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_grid_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 10**18 float64 grid points are 8 EiB, beyond any address space, so the
+    # allocation fails at once
+    params = {"grid_resolution": 10**18}
+    path, _ = _write_config(tmp_path, model={"name": "michaelis_menten", "params": params})
+    assert main(["oracle", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+# integers stay at most 50 so that no n_max, grid or iteration count makes an example
+# slow; the model's degree and the per-axis counts of the parameter grids, whose sizes
+# grow as a power of p, stay smaller still
+_INT = st.integers(-3, 50)
+# JSON integers beyond float range, which json.loads keeps as Python ints
+_HUGE = st.integers(10**309, 10**400) | st.integers(-(10**400), -(10**309))
+_NUMBER = st.one_of(
+    _INT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300]),
+    _HUGE,
+)
+# JSON values that no integer key accepts: the integers a key can take come from its
+# own strategy below
+_OTHER_TYPE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(_NUMBER, max_size=3),
+    st.lists(st.lists(_NUMBER, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), _INT, max_size=2),
+)
+_VECTOR = st.one_of(st.lists(_NUMBER, max_size=3), st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
+_PAIRS = st.lists(st.lists(st.floats(-1.0, 4.0), min_size=2, max_size=2), min_size=1, max_size=3)
+# the documented keys of docs/formats.md (except $.output, which says where files go),
+# each with values of its own type, in and out of range, beside values of other types
+_DOCUMENTED_KEYS = {
+    ("model", "name"): st.sampled_from(sorted(BUILTIN_MODELS)),
+    ("model", "params", "x_bounds"): _VECTOR,
+    ("model", "params", "grid_resolution"): _INT,
+    ("model", "params", "theta_bounds"): st.one_of(_PAIRS, _VECTOR),
+    ("model", "params", "degree"): st.integers(-2, 2),
+    ("model", "params", "coef_bound"): _NUMBER,
+    ("theta_bar",): _VECTOR,
+    ("noise", "variant"): st.sampled_from(
+        ["iid_gaussian", "iid_scaled_t", "heteroscedastic", "non_ah"]
+    ),
+    ("noise", "sigma"): _NUMBER,
+    ("source", "kind"): st.sampled_from(["simulated", "replay"]),
+    ("source", "replay_file"): st.text(max_size=4),
+    ("wynn", "n_max"): _INT,
+    ("wynn", "pd_floor"): _NUMBER,
+    ("wynn", "polish"): st.booleans(),
+    ("wynn", "refresh_every"): _INT,
+    ("wynn", "theta_check_points_per_axis"): st.integers(-2, 9),
+    ("wynn", "estimator"): st.sampled_from(["ls", "LS", ""]),
+    ("fit", "grid_points_per_axis"): st.integers(-2, 9),
+    ("fit", "max_iterations"): _INT,
+    ("fit", "step_tol"): _NUMBER,
+    ("fit", "max_halvings"): _INT,
+    ("oracle", "theta"): _VECTOR,
+    ("oracle", "tol"): _NUMBER,
+    ("oracle", "max_iterations"): _INT,
+    ("mc", "replicates"): _INT,
+    ("mc", "checkpoints"): _VECTOR,
+    ("mc", "workers"): _INT,
+    ("mc", "keep_paths"): _INT,
+    ("seed",): st.integers(-(2**70), 2**70),
+}
+_MUTATION = st.sampled_from(sorted(_DOCUMENTED_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(_DOCUMENTED_KEYS[key], _OTHER_TYPE))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "oracle"]),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+)
+def test_any_config_exits_0_1_or_2(command, mutations):
+    """Documented keys set to values of any JSON type, in or out of range:
+    the command returns 0, 1 or 2 with a one-line error, never a traceback."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = {
+            "model": {"name": "michaelis_menten", "params": {"grid_resolution": 21}},
+            "theta_bar": [1.0, 1.0],
+            "noise": {"variant": "iid_gaussian", "sigma": 0.1},
+            "wynn": {"n_max": 20},
+            "oracle": {"theta": [1.0, 1.0], "max_iterations": 2000},
+            "seed": 7,
+            "output": {"dir": out, "prefix": "t"},
+        }
+        for key, value in mutations:
+            node = cfg
+            for part in key[:-1]:
+                if not isinstance(node.get(part), dict):
+                    node[part] = {}
+                node = node[part]
+            node[key[-1]] = value
+        path = f"{out}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", path])
+    assert rc in (0, 1, 2)
+    if rc:
+        prefix = "config error: " if rc == 2 else "error: "
+        assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------- simulate

@@ -15,6 +15,8 @@ from adwynn.design import (
     info_matrix,
     log_det,
     pd_inverse,
+    pd_inverse_logdet,
+    quadratic_form,
     rank_one_update,
     sensitivity,
     sensitivity_profile,
@@ -23,6 +25,8 @@ from adwynn.design import (
 from adwynn.analysis import empirical_design
 from adwynn.errors import ConvergenceError, DomainError, SingularMatrixError
 from adwynn.model import exponential_decay, michaelis_menten, polynomial
+
+EPS = np.finfo(float).eps
 
 
 def _random_design(grid, rng, size=5):
@@ -192,6 +196,79 @@ def test_pd_inverse_floor():
         pd_inverse(np.diag([1.0, 1e-13]))
     Minv = pd_inverse(np.diag([2.0, 4.0]))
     assert np.allclose(Minv, np.diag([0.5, 0.25]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "p,entry", [(1, (0, 0)), (2, (0, 0)), (2, (1, 0)), (2, (0, 1)), (3, (2, 2)), (3, (2, 0))]
+)
+def test_pd_inverse_logdet_rejects_non_finite(p, entry, value):
+    M = np.eye(p)
+    M[entry] = value
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        pd_inverse_logdet(M)
+
+
+def _spd(log_scale: float, log_kappa: float, angle: float, p: int) -> np.ndarray:
+    """Symmetric positive definite p x p (p = 1, 2): largest eigenvalue
+    10**log_scale, condition number 10**log_kappa, eigenvectors at ``angle``."""
+    lam_max = 10.0**log_scale
+    if p == 1:
+        return np.array([[lam_max]])
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    M = R @ np.diag([lam_max, lam_max / 10.0**log_kappa]) @ R.T
+    return 0.5 * (M + M.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([1, 2]),
+    log_scale=st.floats(-6.0, 6.0),
+    log_kappa=st.floats(0.0, 6.0),
+    angle=st.floats(0.0, math.pi),
+    log_floor_ratio=st.floats(-1.0, 1.0),
+)
+def test_closed_form_inverse_logdet_matches_lapack(p, log_scale, log_kappa, angle, log_floor_ratio):
+    """The p = 2 closed form against LAPACK's eigh on the same matrix (p = 1,
+    which goes through eigh itself, checks the shared floor and logdet rules).
+
+    In the log determinant both sides lose about eps * kappa to
+    cancellation in the smallest eigenvalue, so the bound has a kappa
+    term beside the 1e-12 relative one."""
+    M = _spd(log_scale, log_kappa, angle, p)
+    eigvals, eigvecs = np.linalg.eigh(M)
+    kappa = eigvals[-1] / eigvals[0]
+    ref_logdet = float(np.log(eigvals).sum())
+    Minv, logdet = pd_inverse_logdet(M, floor=0.0)
+    assert np.abs(M @ Minv - np.eye(p)).max() <= 1e-9 * kappa
+    assert abs(logdet - ref_logdet) <= 1e-12 * (1.0 + abs(ref_logdet)) + 64 * EPS * kappa
+    # the floor decision, away from a floor within 1e-9 relative of lambda_min
+    floor = eigvals[0] * 10.0**log_floor_ratio
+    if abs(eigvals[0] - floor) <= 1e-9 * floor:
+        return
+    if eigvals[0] <= floor:
+        with pytest.raises(SingularMatrixError):
+            pd_inverse_logdet(M, floor)
+    else:
+        pd_inverse_logdet(M, floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    rows=st.integers(1, 40),
+    log_kappa=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadratic_form_matches_einsum(p, rows, log_kappa, seed):
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    Minv = Q @ np.diag(np.logspace(0.0, log_kappa, p)) @ Q.T
+    Minv = 0.5 * (Minv + Minv.T)
+    F = rng.standard_normal((rows, p))
+    ref = np.einsum("ij,jk,ik->i", F, Minv, F)
+    assert np.all(np.abs(quadratic_form(F, Minv) - ref) <= 1e-12 * np.abs(ref))
 
 
 # ---------------------------------------------------------------- oracle
