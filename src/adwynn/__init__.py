@@ -42,7 +42,6 @@ from .model import (
     eval_mu,
 )
 from .noise import (
-    ErrorProcess,
     Heteroscedastic,
     IIDGaussian,
     IIDScaledT,
@@ -51,7 +50,6 @@ from .noise import (
     make_error_spec,
     make_rng,
     mix_seed,
-    next_error,
 )
 
 __version__ = "0.1.0"

@@ -2,13 +2,14 @@
 
 Each iteration evaluates the sensitivity function at the current
 parameter estimate, takes an observation at its maximizer over the scan
-grid, refreshes the estimate, and updates the empirical design.  A
-starting design certified positive definite across a parameter sample
-makes every later information matrix positive definite by induction,
-since each update is a convex combination with a rank-one term.
+grid, refits least squares on all observations so far, and updates the
+empirical design.  A starting design certified positive definite across
+a parameter sample makes every later information matrix positive
+definite by induction, since each update is a convex combination with a
+rank-one term.
 
-The estimate entering the argmax may come from any adaptive estimator;
-the default refits least squares after every observation.
+``run`` accepts an adaptive estimator object in place of least
+squares; ``adwynn session`` passes one that announces each refit.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .design import pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import DataBatch, FitConfig, GroupedData, LSFit, SequentialLS, fit_ls
 from .model import Box, DesignSpace, ModelSpec, ParameterSpace
-from .noise import ErrorProcess, ErrorSpec, make_rng, next_error
+from .noise import ErrorSpec, make_rng
 
 Array = np.ndarray
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COMBO_CAP = 200000
 
 
@@ -42,23 +42,16 @@ class WynnConfig:
     """Settings for one adaptive run.
 
     ``n_max`` counts total observations including the starting design.
-    ``refresh_every`` > 1 re-estimates only every k-th step, a speed
-    knob that deviates from the per-step refresh of the default.
     """
 
     n_max: int
     pd_floor: float = 1e-8
-    polish: bool = False
-    refresh_every: int = 1
     theta_check_points_per_axis: int = 5
     fit: FitConfig = field(default_factory=FitConfig)
-    estimator: str = "ls"
 
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if self.refresh_every < 1:
-            raise DomainError("refresh_every must be >= 1")
         if self.pd_floor <= 0:
             raise DomainError("pd_floor must be positive")
         if self.theta_check_points_per_axis < 1:
@@ -68,8 +61,6 @@ class WynnConfig:
         return {
             "n_max": self.n_max,
             "pd_floor": self.pd_floor,
-            "polish": self.polish,
-            "refresh_every": self.refresh_every,
             "theta_check_points_per_axis": self.theta_check_points_per_axis,
             "fit": {
                 "grid_points_per_axis": self.fit.grid_points_per_axis,
@@ -77,7 +68,6 @@ class WynnConfig:
                 "step_tol": self.fit.step_tol,
                 "max_halvings": self.fit.max_halvings,
             },
-            "estimator": self.estimator,
         }
 
 
@@ -101,11 +91,11 @@ class SimulatedSource:
     ):
         self._model = model
         self._theta_bar = np.asarray(theta_bar, dtype=float)
-        self._process = ErrorProcess(noise)
+        self._noise = noise
         self._rng = rng
 
     def observe(self, x: Array, step: int) -> float:
-        e = next_error(self._process, self._rng)
+        e = float(self._noise.draw(step, self._rng))
         return float(self._model.mu(np.atleast_1d(x), self._theta_bar)) + e
 
 
@@ -266,7 +256,6 @@ class WynnState:
         estimator: AdaptiveEstimator,
     ):
         self.model = model
-        self.design_space = design_space
         self.parameter_space = parameter_space
         self.config = config
         self.estimator = estimator
@@ -281,7 +270,6 @@ class WynnState:
         self.records: list[StepRecord] = []
         self.estimates: list[Array] = []
         self.n_start = 0
-        self._steps_since_refresh = 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -302,49 +290,10 @@ class WynnState:
     def data_batch(self) -> DataBatch:
         return DataBatch(self.xs[: self.n].copy(), self.ys[: self.n].copy())
 
-    def _refresh(self, force: bool = False) -> None:
-        self._steps_since_refresh += 1
-        if force or self._steps_since_refresh >= self.config.refresh_every:
-            self.theta = self.estimator.estimate()
-            self._steps_since_refresh = 0
+    def _refresh(self) -> None:
+        self.theta = self.estimator.estimate()
         self.estimates.append(np.asarray(self.theta, dtype=float).copy())
         self.M = self.compute_info(self.theta)
-
-
-def _polish_point(state: WynnState, x0: Array, Minv: Array, d0: float) -> tuple[Array, float]:
-    """Golden-section sweep per axis around a grid argmax (Box spaces)."""
-    space = state.design_space
-    if not isinstance(space, Box):
-        return x0, d0
-    model, theta = state.model, state.theta
-
-    def d_at(x: Array) -> float:
-        f = np.asarray(model.f(x, theta), dtype=float)
-        return float(f @ Minv @ f)
-
-    best_x, best_d = x0.copy(), d0
-    for axis in range(space.dimension):
-        h = (space.upper[axis] - space.lower[axis]) / (space.grid_resolution[axis] - 1)
-        lo = max(space.lower[axis], best_x[axis] - h)
-        hi = min(space.upper[axis], best_x[axis] + h)
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        xc, xd = best_x.copy(), best_x.copy()
-        for _ in range(40):
-            xc[axis], xd[axis] = c, d
-            if d_at(xc) > d_at(xd):
-                b, d = d, c
-                c = b - _GOLDEN * (b - a)
-            else:
-                a, c = c, d
-                d = a + _GOLDEN * (b - a)
-        mid = best_x.copy()
-        mid[axis] = 0.5 * (a + b)
-        val = d_at(mid)
-        if val > best_d:
-            best_x, best_d = mid, val
-    return best_x, best_d
 
 
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
@@ -357,8 +306,6 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     idx = int(d.argmax())
     x_next = state.grid[idx].copy()
     max_d = float(d[idx])
-    if state.config.polish:
-        x_next, max_d = _polish_point(state, x_next, Minv, max_d)
 
     n_before = state.n
     theta_before = tuple(np.asarray(state.theta, dtype=float).tolist())
@@ -533,11 +480,6 @@ def run(
     starting design is incomplete.
     """
     if estimator is None:
-        if config.estimator != "ls":
-            raise DomainError(
-                f"unknown estimator selector {config.estimator!r}; pass an "
-                "estimator object for custom adaptive estimators"
-            )
         estimator = LSAdaptiveEstimator(model, parameter_space, config.fit)
     state = WynnState(model, design_space, parameter_space, config, estimator)
     theta_sample = parameter_space.sample_grid(config.theta_check_points_per_axis)
@@ -554,7 +496,7 @@ def run(
             state._append(x, y)
             state.estimator.update(x, y)
         state.n_start = state.n
-        state._refresh(force=True)
+        state._refresh()
         while state.n < config.n_max:
             wynn_step(state, response_source)
     except EndRun:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -67,9 +68,11 @@ def _expect(cfg: dict, key: str, types, where: str, required: bool = True, defau
     return val
 
 
-def _as_int(value, where: str) -> int:
+def _as_int(value, where: str, lower: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if lower is not None and value < lower:
+        raise ConfigError(f"{where} must be >= {lower}, got {value}")
     return int(value)
 
 
@@ -82,16 +85,13 @@ def _as_number(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number in float range") from None
 
 
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
+def _as_checkpoints(value, where: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a nonempty list of integers >= 1, got {value!r}")
+    checkpoints = [_as_int(c, f"{where}[{i}]", lower=1) for i, c in enumerate(value)]
+    if len(set(checkpoints)) != len(checkpoints):
+        raise ConfigError(f"{where} must hold distinct stages, got {checkpoints}")
+    return checkpoints
 
 
 def _as_vector(value, where: str) -> np.ndarray:
@@ -119,7 +119,8 @@ def _section(raw: dict, name: str, keys, required: bool = False) -> dict:
     return cfg
 
 
-# readers of the $.fit and $.wynn keys, which map one to one onto FitConfig and WynnConfig
+# readers of the $.fit and $.wynn keys, which map one to one onto FitConfig and WynnConfig,
+# and of the $.mc keys, which map onto run_study's arguments
 _FIT_KEYS = {
     "grid_points_per_axis": _as_int,
     "max_iterations": _as_int,
@@ -129,10 +130,13 @@ _FIT_KEYS = {
 _WYNN_KEYS = {
     "n_max": _as_int,
     "pd_floor": _as_number,
-    "polish": _as_bool,
-    "refresh_every": _as_int,
     "theta_check_points_per_axis": _as_int,
-    "estimator": _as_str,
+}
+_MC_KEYS = {
+    "replicates": functools.partial(_as_int, lower=1),
+    "checkpoints": _as_checkpoints,
+    "workers": functools.partial(_as_int, lower=1),
+    "keep_paths": functools.partial(_as_int, lower=0),
 }
 
 
@@ -212,16 +216,16 @@ class RunConfig:
             _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol"), "$.oracle.tol"
         )
         self.oracle_max_iterations = _as_int(
-            oracle_cfg.get("max_iterations", 100000), "$.oracle.max_iterations"
+            oracle_cfg.get("max_iterations", 100000), "$.oracle.max_iterations", lower=1
         )
-        if self.oracle_max_iterations < 1:
-            raise ConfigError("$.oracle.max_iterations must be >= 1")
 
-        mc_cfg = _section(raw, "mc", ("replicates", "checkpoints", "workers", "keep_paths"))
-        self.mc_replicates = _expect(mc_cfg, "replicates", int, "$.mc", required=False)
-        self.mc_checkpoints = _expect(mc_cfg, "checkpoints", list, "$.mc", required=False)
-        self.mc_workers = _expect(mc_cfg, "workers", int, "$.mc", required=False)
-        self.mc_keep_paths = _as_int(mc_cfg.get("keep_paths", 0), "$.mc.keep_paths")
+        mc_cfg = {
+            k: _MC_KEYS[k](v, f"$.mc.{k}") for k, v in _section(raw, "mc", _MC_KEYS).items()
+        }
+        self.mc_replicates = mc_cfg.get("replicates")
+        self.mc_checkpoints = mc_cfg.get("checkpoints")
+        self.mc_workers = mc_cfg.get("workers")
+        self.mc_keep_paths = mc_cfg.get("keep_paths", 0)
 
         out_cfg = _section(raw, "output", ("dir", "prefix"))
         self.out_dir = _expect(out_cfg, "dir", str, "$.output", required=False, default=".")
@@ -374,7 +378,9 @@ def cmd_oracle(args) -> int:
 def cmd_mc(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    replicates = args.replicates if args.replicates is not None else cfg.mc_replicates
+    replicates = cfg.mc_replicates
+    if args.replicates is not None:
+        replicates = _MC_KEYS["replicates"](args.replicates, "--replicates")
     if replicates is None:
         raise ConfigError("missing required key $.mc.replicates")
     checkpoints = cfg.mc_checkpoints
@@ -382,18 +388,14 @@ def cmd_mc(args) -> int:
         if cfg.n_max is None:
             raise ConfigError("missing $.mc.checkpoints (or $.wynn.n_max)")
         checkpoints = [cfg.n_max]
-    checkpoints = [_as_int(c, "$.mc.checkpoints[]") for c in checkpoints]
-    workers = args.workers if args.workers is not None else cfg.mc_workers
+    workers = cfg.mc_workers
+    if args.workers is not None:
+        workers = _MC_KEYS["workers"](args.workers, "--workers")
     if workers is None:
         workers = os.cpu_count() or 1
     scenario = cfg.scenario(max(checkpoints))
     report = analysis.run_study(
-        scenario,
-        _as_int(replicates, "$.mc.replicates"),
-        checkpoints,
-        int(seed),
-        workers=_as_int(workers, "$.mc.workers"),
-        keep_paths=cfg.mc_keep_paths,
+        scenario, replicates, checkpoints, int(seed), workers=workers, keep_paths=cfg.mc_keep_paths
     )
     jpath = _out_path(cfg, args, "mc.json")
     cpath = _out_path(cfg, args, "mc.csv")

@@ -136,27 +136,10 @@ class NonAH:
 ErrorSpec = Union[IIDGaussian, IIDScaledT, Heteroscedastic, NonAH]
 
 
-class ErrorProcess:
-    """Stateful wrapper advancing the step counter across draws."""
-
-    def __init__(self, spec: ErrorSpec):
-        self.spec = spec
-        self.step = 0
-
-    def reset(self) -> None:
-        self.step = 0
-
-
-def next_error(proc: ErrorProcess, rng: np.random.Generator) -> float:
-    proc.step += 1
-    return float(proc.spec.draw(proc.step, rng))
-
-
-def conditional_variance(proc: ErrorProcess | ErrorSpec, step: int) -> float:
+def conditional_variance(spec: ErrorSpec, step: int) -> float:
     """Exact conditional variance the variant uses at the given step."""
     if step < 1:
         raise DomainError("step must be >= 1")
-    spec = proc.spec if isinstance(proc, ErrorProcess) else proc
     return float(spec.conditional_sd(step)) ** 2
 
 

@@ -126,6 +126,7 @@ _BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
         ("noise", {"sigma": _BEYOND_FLOAT}, "$.noise"),
         ("$", {"theta_bar": [_BEYOND_FLOAT, 1.0]}, "$.theta_bar"),
         ("oracle", {"tol": _BEYOND_FLOAT}, "$.oracle.tol"),
+        ("wynn", {"refresh_every": 3}, "$.wynn.refresh_every"),
     ],
 )
 def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
@@ -198,10 +199,7 @@ _DOCUMENTED_KEYS = {
     ("source", "replay_file"): st.text(max_size=4),
     ("wynn", "n_max"): _INT,
     ("wynn", "pd_floor"): _NUMBER,
-    ("wynn", "polish"): st.booleans(),
-    ("wynn", "refresh_every"): _INT,
     ("wynn", "theta_check_points_per_axis"): st.integers(-2, 9),
-    ("wynn", "estimator"): st.sampled_from(["ls", "LS", ""]),
     ("fit", "grid_points_per_axis"): st.integers(-2, 9),
     ("fit", "max_iterations"): _INT,
     ("fit", "step_tol"): _NUMBER,
@@ -420,6 +418,30 @@ def test_mc_deterministic_bytes(tmp_path):
     assert (tmp_path / "m1_mc.csv").read_bytes() == (tmp_path / "m2_mc.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "mc,flags,key",
+    [
+        ({"checkpoints": []}, [], "$.mc.checkpoints"),
+        ({"checkpoints": [10, 10]}, [], "$.mc.checkpoints"),
+        ({"checkpoints": [12, 0]}, [], "$.mc.checkpoints[1]"),
+        ({"checkpoints": 12}, [], "$.mc.checkpoints"),
+        ({"replicates": 0}, [], "$.mc.replicates"),
+        ({"workers": -3}, [], "$.mc.workers"),
+        ({"keep_paths": -1}, [], "$.mc.keep_paths"),
+        ({}, ["--replicates", "0"], "--replicates"),
+        ({}, ["--workers", "0"], "--workers"),
+    ],
+)
+def test_mc_bad_value_exits_2_naming_key(tmp_path, capsys, mc, flags, key):
+    path, _ = _write_config(
+        tmp_path, mc={"replicates": 2, "checkpoints": [8, 12], "workers": 1, **mc}
+    )
+    assert main(["mc", "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "t_mc.json").exists()
+
+
 def test_mc_checkpoint_before_start_exits_1(tmp_path, capsys):
     path, _ = _write_config(
         tmp_path, mc={"replicates": 2, "checkpoints": [1], "workers": 1}
@@ -453,6 +475,20 @@ def test_diagnose_two_point_trajectory(tmp_path):
     assert obj["requested_clusters"] == 2
     assert obj["n0"] is None or obj["n0"] >= 1
     assert len(obj["window_masses"]) == 30
+
+
+def test_diagnose_reads_trajectory_echoing_retired_wynn_keys(tmp_path):
+    # trajectories written before polish, refresh_every and estimator were retired
+    path, _ = _write_config(tmp_path)
+    main(["simulate", "--config", str(path), "--n-max", "20", "--prefix", "old"])
+    traj_path = tmp_path / "old_trajectory.json"
+    obj = json.loads(traj_path.read_text())
+    obj["config"].update({"polish": False, "refresh_every": 1, "estimator": "ls"})
+    traj_path.write_text(json.dumps(obj))
+    assert Trajectory.from_jsonable(obj).config_echo["estimator"] == "ls"
+    flags = ["--d", "0.05", "--cell-diameter", "0.05", "--out-dir", str(tmp_path)]
+    assert main(["diagnose", str(traj_path), *flags, "--prefix", "old"]) == 0
+    assert (tmp_path / "old_diagnostics.json").exists()
 
 
 def test_diagnose_huge_window_is_total_mass(tmp_path):
@@ -751,15 +787,16 @@ def test_session_estimate_follows_each_refit(tmp_path, monkeypatch):
     path = tmp_path / "sess.json"
     path.write_text(json.dumps({
         "model": {"name": "michaelis_menten"},
-        "wynn": {"n_max": 12, "refresh_every": 3},
+        "wynn": {"n_max": 12},
         "output": {"dir": str(tmp_path), "prefix": "s"},
     }))
     assert main(["session", "--config", str(path)]) == 0
     obj = json.loads((tmp_path / "s_trajectory.json").read_text())
     steps = 12 - obj["n_start"]
     estimates = [l for l in duplex.out_lines if l.startswith("ESTIMATE")]
-    # one refit after the starting design, then one every third step
-    assert len(estimates) == 1 + steps // 3
+    # one refit after the starting design, then one after every step
+    assert len(estimates) == 1 + steps
+    assert [[float(v) for v in l.split()[1:]] for l in estimates] == obj["estimates"]
 
 
 def test_session_n_max_below_start_exits_2(tmp_path, monkeypatch, capsys):

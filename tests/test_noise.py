@@ -5,7 +5,6 @@ import pytest
 
 from adwynn.errors import DomainError
 from adwynn.noise import (
-    ErrorProcess,
     Heteroscedastic,
     IIDGaussian,
     IIDScaledT,
@@ -14,7 +13,6 @@ from adwynn.noise import (
     make_error_spec,
     make_rng,
     mix_seed,
-    next_error,
 )
 
 
@@ -22,9 +20,9 @@ from adwynn.noise import (
 
 
 def test_conditional_variance_iid_gaussian():
-    proc = ErrorProcess(IIDGaussian(0.1))
+    spec = IIDGaussian(0.1)
     for step in (1, 5, 1000):
-        assert conditional_variance(proc, step) == pytest.approx(0.01)
+        assert conditional_variance(spec, step) == pytest.approx(0.01)
 
 
 def test_conditional_variance_heteroscedastic():
@@ -58,36 +56,33 @@ def test_ah_convergence_bound():
 
 
 def test_degenerate_gaussian_is_zero():
-    proc = ErrorProcess(IIDGaussian(0.0))
+    spec = IIDGaussian(0.0)
     rng = make_rng(1)
-    assert all(next_error(proc, rng) == 0.0 for _ in range(20))
+    assert all(spec.draw(step, rng) == 0.0 for step in range(1, 21))
 
 
 def test_gaussian_law_of_large_numbers():
-    proc = ErrorProcess(IIDGaussian(0.1))
+    spec = IIDGaussian(0.1)
     rng = make_rng(777)
-    draws = np.array([next_error(proc, rng) for _ in range(100000)])
+    draws = np.array([spec.draw(step, rng) for step in range(1, 100001)])
     assert abs(draws.mean()) <= 4 * 0.1 / np.sqrt(100000)
     assert abs(draws.var() - 0.01) <= 0.05 * 0.01
 
 
 def test_scaled_t_variance_matches_scale():
-    proc = ErrorProcess(IIDScaledT(df=5.0, scale=0.5))
+    spec = IIDScaledT(df=5.0, scale=0.5)
     rng = make_rng(2024)
-    draws = np.array([next_error(proc, rng) for _ in range(200000)])
+    draws = np.array([spec.draw(step, rng) for step in range(1, 200001)])
     assert abs(draws.mean()) <= 0.01
     assert draws.var() == pytest.approx(0.25, rel=0.05)
 
 
 def test_heteroscedastic_step_advances():
-    proc = ErrorProcess(Heteroscedastic(sigma=1.0, decay=1.0))
-    rng = make_rng(5)
-    next_error(proc, rng)
-    assert proc.step == 1
-    next_error(proc, rng)
-    assert proc.step == 2
-    proc.reset()
-    assert proc.step == 0
+    # a draw at step s scales one standard normal by the s.d. at step s
+    spec = Heteroscedastic(sigma=1.0, decay=1.0)
+    rng, ref = make_rng(5), make_rng(5)
+    for step in (1, 2, 7):
+        assert spec.draw(step, rng) == np.sqrt(1.0 + 1.0 / step) * ref.standard_normal()
 
 
 def test_martingale_property_binned_history():
@@ -98,9 +93,8 @@ def test_martingale_property_binned_history():
     e1 = np.empty(paths)
     e2 = np.empty(paths)
     for r in range(paths):
-        proc = ErrorProcess(spec)
-        e1[r] = next_error(proc, rng)
-        e2[r] = next_error(proc, rng)
+        e1[r] = spec.draw(1, rng)
+        e2[r] = spec.draw(2, rng)
     bins = np.quantile(e1, [0.25, 0.5, 0.75])
     which = np.digitize(e1, bins)
     for b in range(4):
@@ -112,8 +106,7 @@ def test_martingale_property_binned_history():
 def test_lindeberg_proxy_decreases_for_scaled_t():
     spec = IIDScaledT(df=5.0, scale=1.0)
     rng = make_rng(31)
-    proc = ErrorProcess(spec)
-    sample = np.array([next_error(proc, rng) for _ in range(200000)])
+    sample = np.array([spec.draw(step, rng) for step in range(1, 200001)])
     eps = 0.5
     values = []
     for n in (10, 100, 1000):

@@ -12,6 +12,11 @@ field is equal.  Design points are the JSON values under ``points`` and
 session's ``SUGGEST`` lines.  JSON and CSV files are parsed; any other
 file is compared as lines of whitespace-separated tokens.
 
+Two files differ in shape when a leaf (a JSON value, a CSV cell or a
+token, named by its path such as ``config.polish``) exists in one of them
+only.  The script then lists those leaves, up to ten per side, and
+compares the shared leaves by value as above.
+
 Exits 1 when a file exists on one side only, when two files differ in
 shape, or when a design point or non-numeric field differs; else 0.
 """
@@ -79,16 +84,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _names(paths: list, limit: int = 10) -> str:
+    names = ", ".join(".".join(str(part) for part in path) for path in paths[:limit])
+    return names + (f" and {len(paths) - limit} more" if len(paths) > limit else "")
+
+
 def compare(a: Path, b: Path) -> tuple[str, bool]:
     """One report line for a file pair, and whether the pair is acceptable."""
     if a.read_bytes() == b.read_bytes():
         return "byte-equal", True
-    left, right = _leaves(a), _leaves(b)
-    if len(left) != len(right) or any(p != q for (p, _, _), (q, _, _) in zip(left, right)):
-        return "shape differs", False
+    left = {path: (value, design) for path, value, design in _leaves(a)}
+    right = {path: value for path, value, _ in _leaves(b)}
+    one_sided = [
+        f"only in {side.parent}: {_names(paths)}"
+        for side, paths in (
+            (a, [path for path in left if path not in right]),
+            (b, [path for path in right if path not in left]),
+        )
+        if paths
+    ]
     max_abs = max_rel = 0.0
     points_equal = fields_equal = True
-    for (_, u, design), (_, v, _) in zip(left, right):
+    for path, (u, design) in left.items():
+        if path not in right:
+            continue
+        v = right[path]
         same = u == v or (_is_number(u) and _is_number(v) and math.isnan(u) and math.isnan(v))
         if _is_number(u) and _is_number(v) and not same:
             diff = abs(u - v)
@@ -102,11 +122,13 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
         elif not same and not (_is_number(u) and _is_number(v)):
             fields_equal = False
     line = (
-        f"differs: max abs diff {max_abs:.3g}, max rel diff {max_rel:.3g}; "
+        f"max abs diff {max_abs:.3g}, max rel diff {max_rel:.3g}; "
         f"design points {'equal' if points_equal else 'DIFFER'}; "
         f"non-numeric fields {'equal' if fields_equal else 'DIFFER'}"
     )
-    return line, points_equal and fields_equal
+    if one_sided:
+        return f"shape differs ({'; '.join(one_sided)}); shared leaves: {line}", False
+    return f"differs: {line}", points_equal and fields_equal
 
 
 def main(argv: list[str]) -> int:
