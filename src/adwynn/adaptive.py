@@ -8,8 +8,11 @@ a parameter sample makes every later information matrix positive
 definite by induction, since each update is a convex combination with a
 rank-one term.
 
-``run`` accepts an adaptive estimator object in place of least
-squares; ``adwynn session`` passes one that announces each refit.
+The loop's own objects are the run's record: the estimator's grouped
+data is the one empirical design, and its fits are the trajectory's
+``final_fit`` and requested stages.  ``run`` takes an
+``LSAdaptiveEstimator`` or a subclass; ``adwynn session`` passes one
+that announces each refit.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from .design import pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
-from .estimator import DataBatch, FitConfig, GroupedData, LSFit, SequentialLS, fit_ls
+from .estimator import FitConfig, LSAdaptiveEstimator, LSFit
 from .model import Box, DesignSpace, ModelSpec, ParameterSpace
 from .noise import ErrorSpec, make_rng
 
@@ -112,24 +115,6 @@ class ReplaySource:
         y = self._values[self._cursor]
         self._cursor += 1
         return y
-
-
-class AdaptiveEstimator(Protocol):
-    def update(self, x: Array, y: float) -> None: ...
-    def estimate(self) -> Array: ...
-
-
-class LSAdaptiveEstimator:
-    """Default estimator: incremental least squares, refit on demand."""
-
-    def __init__(self, model: ModelSpec, space: ParameterSpace, config: FitConfig):
-        self._seq = SequentialLS(model, space, config)
-
-    def update(self, x: Array, y: float) -> None:
-        self._seq.update(x, y)
-
-    def estimate(self) -> Array:
-        return self._seq.estimate().theta_hat
 
 
 # --------------------------------------------------------------------------
@@ -227,6 +212,16 @@ def build_initial_design(
     return grid[chosen].copy()
 
 
+def starting_design(
+    model: ModelSpec, design_space: DesignSpace, parameter_space: ParameterSpace, config: WynnConfig
+) -> Array:
+    """The starting points ``run`` observes under ``config``."""
+    sample = parameter_space.sample_grid(config.theta_check_points_per_axis)
+    return build_initial_design(
+        model, parameter_space, design_space.grid(), sample, config.pd_floor
+    )
+
+
 # --------------------------------------------------------------------------
 # Run state and trajectory records
 # --------------------------------------------------------------------------
@@ -245,7 +240,8 @@ class StepRecord:
 
 
 class WynnState:
-    """Mutable single-run state; one writer per run."""
+    """Mutable single-run state; one writer per run.  ``design`` is the
+    estimator's grouped data, read by the refit and ``compute_info`` alike."""
 
     def __init__(
         self,
@@ -253,23 +249,26 @@ class WynnState:
         design_space: DesignSpace,
         parameter_space: ParameterSpace,
         config: WynnConfig,
-        estimator: AdaptiveEstimator,
+        estimator: LSAdaptiveEstimator,
+        keep_stages: Sequence[int] = (),
     ):
         self.model = model
         self.parameter_space = parameter_space
         self.config = config
         self.estimator = estimator
+        self.design = estimator.data
         self.grid = design_space.grid()
         k = self.grid.shape[1]
         self.xs = np.empty((64, k), dtype=float)
         self.ys = np.empty(64, dtype=float)
         self.n = 0
-        self.design = GroupedData()
-        self.theta: Optional[Array] = None
+        self.fit: Optional[LSFit] = None
         self.M: Optional[Array] = None
         self.records: list[StepRecord] = []
         self.estimates: list[Array] = []
         self.n_start = 0
+        self.keep_stages = frozenset(keep_stages)
+        self.stages: dict[int, tuple[LSFit, Array, Array]] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -280,39 +279,38 @@ class WynnState:
         self.xs[self.n] = x
         self.ys[self.n] = y
         self.n += 1
-        self.design.add(x, y)
+        self.estimator.update(x, y)
 
     def compute_info(self, theta: Array) -> Array:
         F = np.asarray(self.model.f(self.design.points, theta), dtype=float)
         M = (F.T * (self.design.counts / float(self.n))) @ F
         return 0.5 * (M + M.T)
 
-    def data_batch(self) -> DataBatch:
-        return DataBatch(self.xs[: self.n].copy(), self.ys[: self.n].copy())
-
     def _refresh(self) -> None:
-        self.theta = self.estimator.estimate()
-        self.estimates.append(np.asarray(self.theta, dtype=float).copy())
-        self.M = self.compute_info(self.theta)
+        self.fit = self.estimator.estimate()
+        self.estimates.append(self.fit.theta_hat.copy())
+        self.M = self.compute_info(self.fit.theta_hat)
+        if self.n in self.keep_stages:
+            self.stages[self.n] = (self.fit, self.design.points.copy(), self.design.counts.copy())
 
 
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     """One iteration: argmax the sensitivity, observe, refit, update."""
-    if state.theta is None or state.M is None:
+    if state.M is None:
         raise DomainError("state is not initialized")
+    theta = state.fit.theta_hat
     Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
-    F_grid = np.asarray(state.model.f(state.grid, state.theta), dtype=float)
+    F_grid = np.asarray(state.model.f(state.grid, theta), dtype=float)
     d = quadratic_form(F_grid, Minv)
     idx = int(d.argmax())
     x_next = state.grid[idx].copy()
     max_d = float(d[idx])
 
     n_before = state.n
-    theta_before = tuple(np.asarray(state.theta, dtype=float).tolist())
+    theta_before = tuple(theta.tolist())
     y_next = response_source.observe(x_next, n_before + 1)
 
     state._append(x_next, float(y_next))
-    state.estimator.update(x_next, float(y_next))
     state._refresh()
     state.records.append(
         StepRecord(
@@ -329,7 +327,8 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complete record of one adaptive run; ``estimates`` is (stages, p)."""
+    """Complete record of one adaptive run; ``estimates`` is (stages, p).
+    ``stages`` (see ``run``) is not part of the JSON form."""
 
     model_name: str
     seed: int
@@ -342,6 +341,7 @@ class Trajectory:
     final_fit: Optional[LSFit]
     design_space_echo: dict
     parameter_space_echo: dict
+    stages: dict[int, tuple[LSFit, Array, Array]] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -471,41 +471,34 @@ def run(
     config: WynnConfig,
     response_source: ResponseSource,
     seed: int,
-    estimator: Optional[AdaptiveEstimator] = None,
+    estimator: Optional[LSAdaptiveEstimator] = None,
+    keep_stages: Sequence[int] = (),
 ) -> Trajectory:
     """Build and observe the starting design, fit once, then step to n_max.
 
-    A source that raises EndRun ends the run early: the trajectory holds
-    the points observed so far, and ``final_fit`` is None while the
-    starting design is incomplete.
+    ``final_fit`` is the loop's last fit.  At each stage n of ``keep_stages``
+    reached, ``stages[n]`` keeps the loop's fit and design: (fit, support in
+    order of first appearance, counts).  A source that raises EndRun ends
+    the run early: the trajectory holds the points observed so far, and
+    ``final_fit`` is None while the starting design is incomplete.
     """
     if estimator is None:
         estimator = LSAdaptiveEstimator(model, parameter_space, config.fit)
-    state = WynnState(model, design_space, parameter_space, config, estimator)
-    theta_sample = parameter_space.sample_grid(config.theta_check_points_per_axis)
-    initial = build_initial_design(
-        model, parameter_space, state.grid, theta_sample, config.pd_floor
-    )
+    state = WynnState(model, design_space, parameter_space, config, estimator, keep_stages)
+    initial = starting_design(model, design_space, parameter_space, config)
     if config.n_max < initial.shape[0]:
         raise ConfigError(
             f"n_max = {config.n_max} is below the starting design size {initial.shape[0]}"
         )
     try:
         for i, x in enumerate(initial):
-            y = float(response_source.observe(x, i + 1))
-            state._append(x, y)
-            state.estimator.update(x, y)
+            state._append(x, float(response_source.observe(x, i + 1)))
         state.n_start = state.n
         state._refresh()
         while state.n < config.n_max:
             wynn_step(state, response_source)
     except EndRun:
         pass
-    final_fit = None
-    if state.n_start:
-        final_fit = fit_ls(
-            state.data_batch(), model, parameter_space, config.fit, warm_start=state.theta
-        )
     return Trajectory(
         model_name=model.name,
         seed=int(seed),
@@ -515,12 +508,13 @@ def run(
         responses=state.ys[: state.n].copy(),
         estimates=np.asarray(state.estimates, dtype=float).reshape(-1, model.p),
         records=tuple(state.records),
-        final_fit=final_fit,
+        final_fit=state.fit,
         design_space_echo=_space_echo(design_space),
         parameter_space_echo={
             "lower": [float(v) for v in parameter_space.lower],
             "upper": [float(v) for v in parameter_space.upper],
         },
+        stages=state.stages,
     )
 
 
@@ -547,7 +541,7 @@ class Scenario:
         object.__setattr__(self, "theta_bar", theta)
 
 
-def simulate_trajectory(scenario: Scenario, seed: int) -> Trajectory:
+def simulate_trajectory(scenario: Scenario, seed: int, keep_stages=()) -> Trajectory:
     """Deterministic adaptive run under the scenario's noise at the seed."""
     source = SimulatedSource(
         scenario.model, scenario.theta_bar, scenario.noise, make_rng(seed)
@@ -559,4 +553,5 @@ def simulate_trajectory(scenario: Scenario, seed: int) -> Trajectory:
         scenario.config,
         source,
         seed,
+        keep_stages=keep_stages,
     )

@@ -27,15 +27,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptive import Scenario, Trajectory, simulate_trajectory
+from .adaptive import Scenario, Trajectory, simulate_trajectory, starting_design
 from .design import (
     Design,
     d_efficiency,
     info_matrix,
     solve_locally_d_optimal,
 )
-from .errors import DomainError, SingularMatrixError, StudyError
-from .estimator import DataBatch, LSFit, fit_ls
+from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
+from .estimator import LSFit
 from .model import Box, DesignSpace, FiniteSet, ModelSpec, ParameterSpace
 from .noise import make_rng, mix_seed
 
@@ -581,25 +581,11 @@ def _replicate_worker(args) -> dict:
     model, theta_bar = scenario.model, scenario.theta_bar
     seed = mix_seed(master_seed, index)
     try:
-        traj = simulate_trajectory(scenario, seed)
+        traj = simulate_trajectory(scenario, seed, keep_stages=checkpoints)
         out: dict = {"index": index, "failed": None, "checkpoints": {}}
         for n in checkpoints:
-            if n < traj.n_start:
-                raise DomainError(
-                    f"checkpoint {n} precedes the starting design size {traj.n_start}"
-                )
-            if n == traj.n and traj.final_fit is not None:
-                # the run's final fit: the same data and warm start as this refit
-                fit = traj.final_fit
-            else:
-                fit = fit_ls(
-                    DataBatch(traj.points[:n], traj.responses[:n]),
-                    model,
-                    scenario.parameter_space,
-                    scenario.config.fit,
-                    warm_start=traj.estimates[n - traj.n_start],
-                )
-            design_n = empirical_design(traj.points[:n])
+            fit, support, counts = traj.stages[n]  # the loop's own fit and design
+            design_n = Design(support, counts / n)
             delta = fit.theta_hat - theta_bar
             sigma_hat = math.sqrt(max(fit.sigma2_hat, 1e-300))
             row = {
@@ -641,16 +627,26 @@ def run_study(
 ) -> MCReport:
     """Simulate independent replicates and reduce them into an MCReport.
 
-    Replicates are seeded from the master seed by index, so the report
-    does not depend on the worker count.  Reduction is ordered by
-    replicate index.  If more than ``max_failure_fraction`` of the
-    replicates fail the study raises StudyError.
+    Checkpoint statistics are read off the loop's own fit and design at
+    each stage; a checkpoint below the starting design raises ConfigError
+    before any replicate runs.  Replicates are seeded from the master seed
+    by index, so the report does not depend on the worker count.
+    Reduction is ordered by replicate index.  If more than
+    ``max_failure_fraction`` of the replicates fail the study raises
+    StudyError.
     """
     checkpoints = tuple(sorted(int(n) for n in checkpoints))
     if not checkpoints:
         raise DomainError("at least one checkpoint is required")
     if replicates < 1:
         raise DomainError("need at least one replicate")
+    n_start = starting_design(
+        scenario.model, scenario.design_space, scenario.parameter_space, scenario.config
+    ).shape[0]
+    if checkpoints[0] < n_start:
+        raise ConfigError(
+            f"checkpoint {checkpoints[0]} precedes the starting design size {n_start}"
+        )
     sigma2 = scenario.noise.limit_variance()
     # a zero limiting variance (noiseless runs) admits no standardization
     sigma_known = None if not sigma2 else math.sqrt(sigma2)

@@ -35,7 +35,6 @@ import numpy as np
 from . import analysis
 from .adaptive import (
     EndRun,
-    LSAdaptiveEstimator,
     ReplaySource,
     Scenario,
     Trajectory,
@@ -45,7 +44,7 @@ from .adaptive import (
 )
 from .design import equivalence_gap, info_matrix, log_det, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError, DomainError
-from .estimator import FitConfig
+from .estimator import FitConfig, LSAdaptiveEstimator
 from .model import ModelBundle, builtin_bundle, finite_real_array
 from .noise import ErrorSpec, make_error_spec
 
@@ -383,20 +382,22 @@ def cmd_mc(args) -> int:
         replicates = _MC_KEYS["replicates"](args.replicates, "--replicates")
     if replicates is None:
         raise ConfigError("missing required key $.mc.replicates")
-    checkpoints = cfg.mc_checkpoints
+    checkpoints, where = cfg.mc_checkpoints, "$.mc.checkpoints"
     if checkpoints is None:
         if cfg.n_max is None:
             raise ConfigError("missing $.mc.checkpoints (or $.wynn.n_max)")
-        checkpoints = [cfg.n_max]
+        checkpoints, where = [cfg.n_max], "$.wynn.n_max"
     workers = cfg.mc_workers
     if args.workers is not None:
         workers = _MC_KEYS["workers"](args.workers, "--workers")
     if workers is None:
         workers = os.cpu_count() or 1
     scenario = cfg.scenario(max(checkpoints))
-    report = analysis.run_study(
-        scenario, replicates, checkpoints, int(seed), workers=workers, keep_paths=cfg.mc_keep_paths
-    )
+    try:
+        report = analysis.run_study(scenario, replicates, checkpoints, int(seed),
+                                    workers=workers, keep_paths=cfg.mc_keep_paths)
+    except ConfigError as exc:  # a checkpoint below the starting design
+        raise ConfigError(f"{where}: {exc}") from None
     jpath = _out_path(cfg, args, "mc.json")
     cpath = _out_path(cfg, args, "mc.csv")
     write_json(jpath, report.to_jsonable())
@@ -441,7 +442,8 @@ def cmd_diagnose(args) -> int:
 
 
 def _parse_observe(line: str) -> float:
-    """The response on an 'OBSERVE <decimal>' line; ValueError says what is wrong."""
+    """The response on an 'OBSERVE <decimal>' line; ValueError says what is wrong.
+    The sum of squares of responses beyond 1e150 in magnitude would overflow."""
     parts = line.split()
     if not parts:
         raise ValueError("empty line")
@@ -451,8 +453,8 @@ def _parse_observe(line: str) -> float:
         y = float(parts[1])
     except ValueError:
         raise ValueError(f"not a decimal: {parts[1]!r}") from None
-    if not math.isfinite(y):
-        raise ValueError("observation must be finite")
+    if not abs(y) <= 1e150:
+        raise ValueError("observation must be finite and at most 1e150 in magnitude")
     return y
 
 
@@ -489,9 +491,9 @@ class _AnnouncingEstimator(LSAdaptiveEstimator):
         self._source = source
 
     def estimate(self):
-        theta = super().estimate()
-        self._source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in theta))
-        return theta
+        fit = super().estimate()
+        self._source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in fit.theta_hat))
+        return fit
 
 
 def cmd_session(args) -> int:

@@ -7,17 +7,18 @@ solver would not implement the estimator the asymptotic guarantees are
 about, hence the mandatory grid phase.
 
 Every fit is one descent, seeded by whichever of the scan winner and
-the warm start (the previous estimate) has the lower objective: the
-final fit (``fit_ls``) and each per-step refit (``SequentialLS``) call
-the same core, ``_fit``.
+the warm start (the previous estimate) has the lower objective: a fit
+from scratch (``fit_ls``) and each refit of the adaptive loop
+(``LSAdaptiveEstimator``) call the same core, ``_fit``.
 
 Every fit runs on the data grouped by distinct design point
 (``GroupedData``): the sum of squares is W + sum_x n_x (ybar_x - mu(x))^2,
 so its cost grows with the design's support, not with n.
 
-``SequentialLS`` keeps the grid objective incrementally updated so the
-adaptive loop can refit after every observation at O(grid) cost per
-step instead of O(grid * n).
+``LSAdaptiveEstimator`` keeps the grid objective incrementally updated
+so the adaptive loop can refit after every observation at O(grid) cost
+per step instead of O(grid * n).  Its ``GroupedData`` is the run's one
+empirical design: the loop's information matrix reads it too.
 """
 
 from __future__ import annotations
@@ -91,25 +92,10 @@ class GroupedData:
 
     @classmethod
     def from_arrays(cls, xs: Array, ys: Array) -> "GroupedData":
-        """Group (n, k) points and their n responses in one vectorized pass."""
-        xs = np.ascontiguousarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keys = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).ravel()
-        _, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        group = rank[inverse.ravel()]
+        """Group (n, k) points and their n responses, one ``add`` each, in order."""
         data = cls()
-        data._points = xs[first[order]]
-        data._counts = counts[order].astype(float)
-        data._means = np.bincount(group, weights=ys, minlength=order.size) / data._counts
-        within = ys - data._means[group]
-        data.within_ss = float(within @ within)
-        data._index = {p.tobytes(): i for i, p in enumerate(data._points)}
-        data.size, data.n = order.size, xs.shape[0]
+        for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float).tolist()):
+            data.add(x, y)
         return data
 
     @property
@@ -431,12 +417,14 @@ def fit_ls(
     return _fit(grouped, model, space, config, values, theta_grid, warm_start, trace)
 
 
-class SequentialLS:
+class LSAdaptiveEstimator:
     """Incrementally updated least squares for the adaptive loop.
 
-    The coarse-grid objective is maintained as a running sum, so each
-    refit costs O(grid) for the scan plus one descent over the grouped
-    data, O(support), with the previous estimate as the warm start.
+    ``update`` records one observation in ``data``; ``estimate`` refits
+    on all of them.  The coarse-grid objective is maintained as a running
+    sum, so each refit costs O(grid) for the scan plus one descent over
+    the grouped data, O(support), with the previous estimate as the warm
+    start.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace, config: FitConfig = FitConfig()):

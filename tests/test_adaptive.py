@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,22 +29,26 @@ from adwynn.design import (
     sensitivity_profile,
 )
 from adwynn.errors import AcquisitionError, ConfigError, DomainError, SingularMatrixError
-from adwynn.estimator import DataBatch, fit_ls
+from adwynn.estimator import DataBatch, GroupedData, LSAdaptiveEstimator, LSFit, fit_ls
 from adwynn.model import builtin_bundle
 from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng
 
 
-class FixedEstimator:
-    """Ignores the data; always reports the same parameter."""
+class FixedEstimator(LSAdaptiveEstimator):
+    """Groups the data as least squares does, but always reports the same parameter."""
 
-    def __init__(self, theta):
+    def __init__(self, bundle, theta):
+        super().__init__(bundle.model, bundle.parameter_space)
         self.theta = np.asarray(theta, dtype=float)
 
-    def update(self, x, y):
-        pass
-
     def estimate(self):
-        return self.theta.copy()
+        return LSFit(
+            theta_hat=self.theta.copy(),
+            sse_value=math.nan,
+            sigma2_hat=math.nan,
+            converged=False,
+            grid_minimum=self.theta.copy(),
+        )
 
 
 def _zero_noise_scenario(bundle, theta_bar, n_max):
@@ -113,7 +119,7 @@ def _manual_state(bundle, points, responses, theta):
         bundle.design_space,
         bundle.parameter_space,
         config,
-        FixedEstimator(theta),
+        FixedEstimator(bundle, theta),
     )
     for x, y in zip(points, responses):
         state._append(np.atleast_1d(np.asarray(x, dtype=float)), float(y))
@@ -265,9 +271,10 @@ def test_loop_estimator_choice_does_not_break_ls(mm_bundle):
         WynnConfig(n_max=15),
         source,
         seed=4,
-        estimator=FixedEstimator([2.5, 0.3]),
+        estimator=FixedEstimator(mm_bundle, [2.5, 0.3]),
     )
     assert np.allclose(traj.estimates, 2.5 * np.ones_like(traj.estimates) * [1, 0.12], atol=3)
+    assert np.array_equal(traj.final_fit.theta_hat, [2.5, 0.3])  # the loop's own last fit
     fit = fit_ls(
         DataBatch(traj.points, traj.responses),
         mm_bundle.model,
@@ -427,3 +434,60 @@ def test_information_matrix_stays_positive_definite(name, seed, sigma, corner):
         assert min_eigenvalue(M) > scenario.config.pd_floor
     final = info_matrix(empirical_design(traj.points), traj.final_fit.theta_hat, bundle.model)
     assert min_eigenvalue(final) > scenario.config.pd_floor
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["michaelis_menten", "exponential_decay", "polynomial", "one_param_exponential"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.sets(st.integers(1, 30), max_size=8),
+)
+def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
+    """The run makes one GroupedData, which takes one add per observation; at
+    each kept stage its counts are the multiplicities of the first n points
+    (so they sum to n and the weights to 1), and the stage's M is positive
+    definite and equals the information matrix of the empirical design."""
+    bundle = builtin_bundle(name)
+    space = bundle.parameter_space
+    scenario = Scenario(
+        bundle.model, bundle.design_space, space, space.center(), IIDGaussian(0.1),
+        WynnConfig(n_max=30),
+    )
+    created, adds, at_refresh = [], [], {}
+    init, add, refresh = GroupedData.__init__, GroupedData.add, WynnState._refresh
+
+    def counted_init(self):
+        created.append(self)
+        init(self)
+
+    def counted_add(self, x, y):
+        adds.append(self)
+        add(self, x, y)
+
+    def recorded_refresh(self):
+        refresh(self)
+        at_refresh[self.n] = (len(adds), self.M.copy(), self.design is self.estimator.data)
+
+    with mock.patch.object(GroupedData, "__init__", counted_init), mock.patch.object(
+        GroupedData, "add", counted_add
+    ), mock.patch.object(WynnState, "_refresh", recorded_refresh):
+        traj = simulate_trajectory(scenario, seed, keep_stages=keep)
+    assert len(created) == 1 and len(adds) == traj.n
+    assert all(data is created[0] for data in adds)
+    assert set(traj.stages) == {n for n in keep if n >= traj.n_start}
+    for n, (fit, support, counts) in traj.stages.items():
+        n_adds, M, shared = at_refresh[n]
+        assert n_adds == n and shared
+        assert counts.sum() == n
+        assert abs((counts / n).sum() - 1.0) <= 1e-12
+        distinct, multiplicity = np.unique(traj.points[:n], axis=0, return_counts=True)
+        assert sorted(zip(map(tuple, support), counts)) == sorted(
+            zip(map(tuple, distinct), multiplicity)
+        )
+        assert min_eigenvalue(M) > scenario.config.pd_floor
+        theta = fit.theta_hat
+        assert np.array_equal(theta, traj.estimates[n - traj.n_start])
+        expected = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)
+        assert np.max(np.abs(M - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from adwynn.analysis import (
     window_mass_curve,
 )
 from adwynn.design import Design
-from adwynn.errors import DomainError, StudyError
+from adwynn.errors import ConfigError, DomainError, StudyError
 from adwynn.estimator import LSFit
 from adwynn.model import ModelSpec, ParameterSpace
 from adwynn.noise import IIDGaussian, NonAH
@@ -564,30 +563,91 @@ def test_study_failure_fraction_enforced(mm_bundle, monkeypatch):
     assert report.error_samples[20].shape == (3,)
 
 
-def test_last_checkpoint_reuses_the_final_fit(mm_bundle, monkeypatch):
-    """At a checkpoint equal to n_max the worker takes the run's final fit (the
-    same data and warm start) instead of refitting; the report is unchanged."""
-    scenario = _mm_scenario(mm_bundle, n_max=40)
-    fits = []
-    fit_ls = analysis.fit_ls
-    monkeypatch.setattr(analysis, "fit_ls", lambda *a, **k: fits.append(1) or fit_ls(*a, **k))
-    reused = run_study(scenario, 3, [30, 40], seed=11)
-    assert len(fits) == 3  # one refit per replicate, at checkpoint 30
+def _count_calls(monkeypatch, name, modules):
+    """Count the calls of the function ``name`` through every module that holds it."""
+    calls = []
+    original = getattr(modules[0], name)
 
-    simulate = analysis.simulate_trajectory
-    monkeypatch.setattr(
-        analysis, "simulate_trajectory", lambda *a: replace(simulate(*a), final_fit=None)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _relative(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("name", ["michaelis_menten", "exponential_decay", "polynomial",
+                                  "one_param_exponential"])
+def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
+    """The study reads each checkpoint off the loop's own fit and design.  A
+    from-scratch fit_ls, warm-started at the loop's estimate for stage n, and
+    empirical_design on the first n points give the same statistics: the
+    estimate, tie and convergence flags equal, the rest within 1e-13 relative.
+    The study itself calls neither."""
+    import adwynn
+    from adwynn import adaptive, cli, design, estimator
+    from adwynn.design import d_efficiency, solve_locally_d_optimal
+    from adwynn.estimator import DataBatch, fit_ls
+    from adwynn.model import builtin_bundle
+
+    bundle = builtin_bundle(name)
+    space = bundle.parameter_space
+    theta_bar = space.center()
+    scenario = Scenario(bundle.model, bundle.design_space, space, theta_bar,
+                        IIDGaussian(0.1), WynnConfig(n_max=60))
+    modules = [estimator, adwynn, adaptive, analysis, cli, design]
+    fits = _count_calls(monkeypatch, "fit_ls", modules)
+    designs = _count_calls(monkeypatch, "empirical_design", [analysis, adwynn, cli])
+    n_start = adaptive.starting_design(
+        bundle.model, bundle.design_space, space, scenario.config
+    ).shape[0]
+    checkpoints = (n_start, 30, 60)
+    report = run_study(scenario, 4, checkpoints, seed=17, keep_paths=4)
+    assert fits == [] and designs == []
+    monkeypatch.undo()
+
+    reference = solve_locally_d_optimal(
+        bundle.model, theta_bar, bundle.design_space.grid(), tol=1e-5
     )
-    fits.clear()
-    refitted = run_study(scenario, 3, [30, 40], seed=11)
-    assert len(fits) == 6
-    assert reused.to_jsonable() == refitted.to_jsonable()
+    sigma = report.sigma_known
+    assert len(report.kept_paths) == 4
+    for r, traj in enumerate(report.kept_paths):
+        for n in checkpoints:
+            kept = traj.stages[n][0]
+            refit = fit_ls(
+                DataBatch(traj.points[:n], traj.responses[:n]), bundle.model, space,
+                scenario.config.fit, warm_start=traj.estimates[n - traj.n_start],
+            )
+            design_n = empirical_design(traj.points[:n])
+            assert np.array_equal(kept.theta_hat, refit.theta_hat)
+            assert (kept.grid_tie, kept.converged) == (refit.grid_tie, refit.converged)
+            assert kept.sigma2_hat == pytest.approx(refit.sigma2_hat, rel=1e-13)
+            assert report.error_samples[n][r] == np.linalg.norm(refit.theta_hat - theta_bar)
+            sigma_hat = math.sqrt(max(refit.sigma2_hat, 1e-300))
+            t_plugin = normality_stat(refit, design_n, theta_bar, sigma_hat, n, bundle.model)
+            t_known = normality_stat(refit, design_n, theta_bar, sigma, n, bundle.model)
+            assert _relative(report.t_plugin[n][r], t_plugin) <= 1e-13
+            assert _relative(report.t_known[n][r], t_known) <= 1e-13
+            assert report.defficiency_samples[n][r] == pytest.approx(
+                d_efficiency(design_n, reference, theta_bar, bundle.model), rel=1e-13
+            )
+        assert traj.final_fit is traj.stages[traj.n][0]
 
 
-def test_study_checkpoint_before_start_fails(mm_bundle):
+def test_study_checkpoint_before_start_fails(mm_bundle, monkeypatch):
+    """A checkpoint below the starting design fails before any replicate runs."""
+    ran = _count_calls(monkeypatch, "_replicate_worker", [analysis])
     scenario = _mm_scenario(mm_bundle, n_max=20)
-    with pytest.raises(StudyError):
+    with pytest.raises(ConfigError, match="checkpoint 1 precedes the starting design size"):
         run_study(scenario, 2, [1, 20], seed=2)
+    assert ran == []
 
 
 @settings(max_examples=3, deadline=None)

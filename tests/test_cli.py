@@ -442,12 +442,28 @@ def test_mc_bad_value_exits_2_naming_key(tmp_path, capsys, mc, flags, key):
     assert not (tmp_path / "t_mc.json").exists()
 
 
-def test_mc_checkpoint_before_start_exits_1(tmp_path, capsys):
-    path, _ = _write_config(
-        tmp_path, mc={"replicates": 2, "checkpoints": [1], "workers": 1}
-    )
-    rc = main(["mc", "--config", str(path)])
-    assert rc == 1
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"mc": {"replicates": 2, "checkpoints": [1, 12], "workers": 1}}, "$.mc.checkpoints"),
+        ({"mc": {"replicates": 2, "workers": 1}, "wynn": {"n_max": 1}}, "$.wynn.n_max"),
+    ],
+    ids=["checkpoints", "n_max"],
+)
+def test_mc_checkpoint_before_start_exits_2(tmp_path, capsys, monkeypatch, overrides, key):
+    """A checkpoint below the starting design exits 2 naming where it came
+    from, before any replicate runs or any file is written."""
+    import adwynn.analysis as analysis
+
+    ran = []
+    monkeypatch.setattr(analysis, "_replicate_worker", lambda args: ran.append(args))
+    path, _ = _write_config(tmp_path, **overrides)
+    assert main(["mc", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "precedes the starting design size" in err
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # ---------------------------------------------------------------- diagnose
@@ -806,3 +822,72 @@ def test_session_n_max_below_start_exits_2(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "below the starting design size" in capsys.readouterr().err
     assert not (tmp_path / "s_trajectory.json").exists()
+
+
+_SESSION_LINE = st.one_of(
+    st.floats().map(lambda v: f"OBSERVE {v!r}"),
+    st.floats(-2.0, 2.0).map(lambda v: f"OBSERVE {v!r}"),
+    st.sampled_from(["", "QUIT", " QUIT ", "OBSERVE", "OBSERVE abc", "OBSERVE 1 2",
+                     "observe 1", "OBSERVE 1e151", "OBSERVE -1e150", "OBSERVE 0x10"]),
+    st.text(st.characters(blacklist_characters="\n\r"), max_size=12),
+)
+
+
+def _accepts(line: str) -> bool:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "OBSERVE":
+        return False
+    try:
+        y = float(parts[1])
+    except ValueError:
+        return False
+    return math.isfinite(y) and abs(y) <= 1e150
+
+
+@settings(max_examples=25, deadline=None)
+@given(lines=st.lists(_SESSION_LINE, max_size=14))
+def test_any_session_input_reprompts_or_saves_a_round_tripping_trajectory(lines):
+    """Any line sequence, then EOF: each malformed line gets ERR and the same
+    prompt again, each accepted response lands in the trajectory in order, the
+    ESTIMATE lines are the trajectory's estimates, and the partial or complete
+    trajectory round-trips through Trajectory.from_jsonable."""
+    n_max = 6
+    accepted, errors = [], 0
+    for line in lines:  # the protocol, line by line, until the run ends
+        if line.strip() == "QUIT" or len(accepted) == n_max:
+            break
+        if _accepts(line):
+            accepted.append(float(line.split()[1]))
+        else:
+            errors += 1
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/sess.json"
+        with open(path, "w") as fh:
+            json.dump({"model": {"name": "michaelis_menten"}, "wynn": {"n_max": n_max},
+                       "output": {"dir": out, "prefix": "s"}}, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        stdin = io.StringIO("".join(line + "\n" for line in lines))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            saved, sys.stdin = sys.stdin, stdin
+            try:
+                rc = main(["session", "--config", path])
+            finally:
+                sys.stdin = saved
+        with open(f"{out}/s_trajectory.json") as fh:
+            obj = json.load(fh)
+    assert rc == (0 if len(accepted) == n_max else 1), stderr.getvalue()
+    out_lines = stdout.getvalue().splitlines()
+    err_at = [i for i, line in enumerate(out_lines) if line.startswith("ERR ")]
+    assert len(err_at) == errors
+    for i in err_at:
+        prompt = [line for line in out_lines[:i] if line.startswith("SUGGEST ")][-1]
+        assert out_lines[i + 1] == prompt
+    assert obj["responses"] == accepted
+    estimates = [line for line in out_lines if line.startswith("ESTIMATE ")]
+    assert [[float(v) for v in line.split()[1:]] for line in estimates] == obj["estimates"]
+    if obj["n_start"] == 0:  # the starting design is incomplete
+        assert obj["final_fit"] is None and obj["estimates"] == []
+    else:
+        assert obj["final_fit"]["theta_hat"] == obj["estimates"][-1]
+        assert len(obj["estimates"]) == len(accepted) - obj["n_start"] + 1
+    assert Trajectory.from_jsonable(obj).to_jsonable() == obj

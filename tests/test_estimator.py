@@ -15,7 +15,7 @@ from adwynn.estimator import (
     DataBatch,
     FitConfig,
     GroupedData,
-    SequentialLS,
+    LSAdaptiveEstimator,
     _gauss_newton,
     _grid_sse,
     _residual,
@@ -236,7 +236,7 @@ def test_fit_failure_on_nonfinite():
         fit_ls(batch, model, ParameterSpace([0.0], [1.0]))
 
 
-# ---------------------------------------------------------------- SequentialLS
+# ---------------------------------------------------------------- LSAdaptiveEstimator
 
 
 def test_sequential_matches_batch_fit(mm_bundle, rng):
@@ -244,7 +244,7 @@ def test_sequential_matches_batch_fit(mm_bundle, rng):
     ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.2, 0.8]))) + rng.normal(
         0, 0.1, size=25
     )
-    seq = SequentialLS(mm_bundle.model, mm_bundle.parameter_space)
+    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space)
     for x, y in zip(xs, ys):
         seq.update(x, float(y))
     fit_seq = seq.estimate()
@@ -254,7 +254,7 @@ def test_sequential_matches_batch_fit(mm_bundle, rng):
 
 
 def test_sequential_incremental_grid_sums(mm_bundle, rng):
-    seq = SequentialLS(mm_bundle.model, mm_bundle.parameter_space, FitConfig())
+    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space, FitConfig())
     xs = rng.uniform(0.1, 3.0, size=(40, 1))
     ys = rng.normal(0.5, 0.2, size=40)
     for x, y in zip(xs, ys):
@@ -269,7 +269,7 @@ def test_sequential_incremental_grid_sums(mm_bundle, rng):
 
 def test_sequential_warm_start_is_used(mm_bundle):
     batch_theta = np.array([1.0, 1.0])
-    seq = SequentialLS(mm_bundle.model, mm_bundle.parameter_space)
+    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space)
     xs = np.linspace(0.1, 3.0, 12)[:, None]
     ys = np.asarray(mm_bundle.model.mu(xs, batch_theta))
     for x, y in zip(xs, ys):
@@ -344,7 +344,7 @@ def test_sequential_refits_are_cheap_along_a_run(mm_bundle):
     assert traj.final_fit.converged
     # replay the run's data: the refits see exactly the loop's data and warm starts
     counting = _CountingModel(mm_bundle.model)
-    seq = SequentialLS(counting.spec, mm_bundle.parameter_space)
+    seq = LSAdaptiveEstimator(counting.spec, mm_bundle.parameter_space)
     sse_evals = mu_calls = refits = unconverged = 0
     for i, (x, y) in enumerate(zip(traj.points, traj.responses)):
         seq.update(x, float(y))

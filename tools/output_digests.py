@@ -9,6 +9,10 @@ checkpoints 30 and 40, seed 31415):
 
 - ``simulate``, and ``diagnose`` on its trajectory;
 - ``mc`` with 1 and with 2 workers, and with 1 replicate;
+- ``mc`` at checkpoints (n_start, 30, 40), n_start being the starting
+  design size of the ``simulate`` run: its statistics come from the
+  loop's fit at the starting design, at a stage below the run's last
+  and at the last;
 - ``mc`` under ``non_ah`` noise (no limiting sigma), with 3 replicates
   and with 1;
 - three scripted ``session`` runs answered with zero-noise responses at
@@ -110,6 +114,13 @@ def main(argv: list[str] | None = None) -> int:
             run(f"mc_w{workers}", ["mc", "--config", str(cfg), "--prefix", f"mc_w{workers}",
                                    "--workers", str(workers)])
         run("mc_r1", ["mc", "--config", str(cfg), "--prefix", "mc_r1", "--replicates", "1"])
+        n_start = json.loads((out / "simulate_trajectory.json").read_text())["n_start"]
+        cfg_stages = out / "cfg_stages.json"
+        cfg_stages.write_text(json.dumps({
+            **json.loads(cfg.read_text()),
+            "mc": {**CONFIG["mc"], "checkpoints": [n_start, *CONFIG["mc"]["checkpoints"]]},
+        }))
+        run("mc_stages", ["mc", "--config", str(cfg_stages), "--prefix", "mc_stages"])
         run("mc_non_ah", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah"])
         run("mc_non_ah_r1", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah_r1",
                              "--replicates", "1"])
@@ -124,14 +135,15 @@ def main(argv: list[str] | None = None) -> int:
             transcripts[name] = stdout
             lines.append(f"exit {rc}  {name}")
             lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
+        configs = (cfg, cfg_non_ah, cfg_stages)
         for path in sorted(out.iterdir()):
-            if path not in (cfg, cfg_non_ah):
+            if path not in configs:
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
         if args.keep:
             keep = Path(args.keep)
             keep.mkdir(parents=True, exist_ok=True)
             for path in out.iterdir():
-                if path not in (cfg, cfg_non_ah):
+                if path not in configs:
                     shutil.copyfile(path, keep / path.name)
             for name, stdout in transcripts.items():
                 (keep / f"{name}_stdout.txt").write_bytes(stdout)
