@@ -59,6 +59,15 @@ CHECKPOINT_STATS = (
 )
 
 
+# element budget of one block of the mass diagnostics' temporary arrays
+_BLOCK_CELLS = 1 << 14
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not value > 0:  # NaN fails too
+        raise DomainError(f"{name} must be positive, got {value!r}")
+
+
 # --------------------------------------------------------------------------
 # Probability utilities
 # --------------------------------------------------------------------------
@@ -242,15 +251,16 @@ def calibrate_window_diameter(
     The selection rule never revisits a window of diameter d when the
     regressor varies by at most eta*kappa/gamma inside it and the
     window already holds slightly more than 1/p of the mass, with
-    eta = 1 - (1 + p*epsilon/2)^(-1/2).  The returned d is the largest
-    grid-pair distance below which the sampled regressor variation
-    stays under that threshold.
+    eta = 1 - (1 + p*epsilon/2)^(-1/2).  The returned d is 0.999 times
+    the shortest distance between two grid points whose regressors,
+    at some sampled parameter, lie more than that threshold apart; with
+    no such pair it is the largest grid-pair distance.  Pairs are
+    visited in ascending distance, in blocks, until one violates.
     """
     p = model.p
     if p < 2:
         raise DomainError("the window mass bound applies only for p >= 2")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _require_positive("epsilon", epsilon)
     if direction_sample is None:
         direction_sample = sample_unit_directions(p, 2 * p + 32, seed=1)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -259,19 +269,20 @@ def calibrate_window_diameter(
     eta = 1.0 - 1.0 / math.sqrt(1.0 + p * epsilon / 2.0)
     threshold = eta * kappa / gamma
 
-    diff = grid[:, None, :] - grid[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    fvar = np.zeros_like(dist)
-    for th in thetas:
-        F = np.asarray(model.f(grid, th), dtype=float)
-        fd = np.sqrt(((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=-1))
-        np.maximum(fvar, fd, out=fvar)
-    violating = fvar > threshold
-    np.fill_diagonal(violating, False)
-    if not violating.any():
-        d = float(dist.max())
-    else:
-        d = 0.999 * float(dist[violating].min())
+    F = np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
+    a, b = np.triu_indices(grid.shape[0], 1)
+    dist = np.sqrt(((grid[a] - grid[b]) ** 2).sum(axis=-1))
+    order = np.argsort(dist, kind="stable")
+    block = max(1, _BLOCK_CELLS // (F.shape[0] * F.shape[2]))
+    d = float(dist.max(initial=0.0))
+    for start in range(0, order.size, block):
+        pairs = order[start : start + block]
+        # the largest regressor distance over the sampled parameters (NaN propagates)
+        fvar = np.sqrt(((F[:, a[pairs]] - F[:, b[pairs]]) ** 2).sum(axis=-1)).max(axis=0)
+        violating = fvar > threshold
+        if violating.any():
+            d = 0.999 * float(dist[pairs[violating.argmax()]])
+            break
     return WindowCalibration(d=d, eta=eta, threshold=threshold, gamma=gamma, kappa=kappa)
 
 
@@ -290,57 +301,68 @@ def _space_from_echo(echo: dict) -> Optional[DesignSpace]:
     return None
 
 
+def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
+    """Largest window mass at each of the stages 1, ..., n, in one pass.
+
+    One-dimensional regions use the intervals [v, v + d] anchored at the
+    observed values v; higher dimensions use balls of radius d/2 around
+    the region's grid points, or around the observed points when the
+    trajectory echoes no region.  A window anchored at an observed point
+    opens at that point's first observation.  Every window's count is a
+    cumulative sum over the stages, taken in blocks that carry the
+    running counts.
+    """
+    pts = trajectory.points[:n]
+    space = _space_from_echo(trajectory.design_space_echo) if pts.shape[1] > 1 else None
+    if space is None:
+        centers, opens = np.unique(pts, axis=0, return_index=True)
+    else:
+        centers, opens = space.grid(), None
+    block = max(1, _BLOCK_CELLS // centers.size)
+    running = np.zeros(centers.shape[0], dtype=np.int64)
+    masses = np.empty(n)
+    for lo in range(1, n + 1, block):
+        stages = np.arange(lo, min(lo + block, n + 1))
+        x = pts[stages - 1]
+        if pts.shape[1] == 1:
+            inside = (x >= centers.T) & (x <= centers.T + d)
+        else:
+            inside = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= (d / 2.0) ** 2
+        counts = np.cumsum(inside, axis=0) + running
+        running = counts[-1].copy()
+        if opens is not None:
+            counts *= opens < stages[:, None]
+        masses[stages - 1] = counts.max(axis=1) / stages
+    return masses
+
+
 def window_mass(trajectory: Trajectory, n: int, d: float) -> float:
     """Largest empirical mass held by any window of diameter <= d at stage n.
 
     One-dimensional regions use exact sliding intervals anchored at the
     observed points; higher dimensions scan balls of radius d/2 around
-    the region's grid points.
+    the region's grid points (the observed points when the trajectory
+    echoes no region).  A d that is not positive (NaN included) or an n
+    outside the trajectory raises DomainError.
     """
-    if d <= 0:
-        raise DomainError("window diameter must be positive")
+    _require_positive("window diameter d", d)
     if n < 1 or n > trajectory.n:
         raise DomainError("n outside the trajectory")
-    pts = trajectory.points[:n]
-    if pts.shape[1] == 1:
-        xs = np.sort(pts[:, 0])
-        counts = np.searchsorted(xs, xs + d, side="right") - np.arange(n)
-        return float(counts.max() / n)
-    space = _space_from_echo(trajectory.design_space_echo)
-    centers = space.grid() if space is not None else pts
-    d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=-1)
-    counts = (d2 <= (d / 2.0) ** 2).sum(axis=1)
-    return float(counts.max() / n)
+    return float(_window_masses(trajectory, d, n)[n - 1])
 
 
 def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict[int, float]:
-    """window_mass for every stage n in [n_from, n].
+    """window_mass for every stage n in [n_from, n], in one pass.
 
-    One-dimensional regions keep the distinct values seen so far, sorted,
-    with their counts, so a stage costs O(support) instead of a sort of
-    its n points; the window counts are the same integers.
+    The counts of every window are accumulated over the stages, so the
+    curve costs O(n * windows) in all, with the same integers as
+    window_mass at each stage.  A d that is not positive (NaN included)
+    raises DomainError; an n_from past the trajectory gives {}.
     """
-    stages = range(max(1, n_from), trajectory.n + 1)
-    if trajectory.points.shape[1] != 1 or not stages:
-        return {n: window_mass(trajectory, n, d) for n in stages}
-    if d <= 0:
-        raise DomainError("window diameter must be positive")
-    xs = trajectory.points[:, 0]
-    values, counts = np.unique(xs[: stages[0] - 1], return_counts=True)
-    hi = np.searchsorted(values, values + d, side="right")
-    curve = {}
-    for n in stages:
-        x = xs[n - 1]
-        j = int(np.searchsorted(values, x))
-        if j < values.size and values[j] == x:
-            counts[j] += 1
-        else:
-            values, counts = np.insert(values, j, x), np.insert(counts, j, 1)
-            hi = np.searchsorted(values, values + d, side="right")
-        below = np.concatenate(([0], np.cumsum(counts)))
-        # a window anchored at each distinct value: points in [v, v + d]
-        curve[n] = float((below[hi] - below[:-1]).max() / n)
-    return curve
+    _require_positive("window diameter d", d)
+    n_from = max(1, n_from)
+    masses = _window_masses(trajectory, d, trajectory.n)[n_from - 1 :]
+    return dict(zip(range(n_from, trajectory.n + 1), masses.tolist()))
 
 
 @dataclass(frozen=True)
@@ -400,93 +422,89 @@ class MassDiagnostics:
         }
 
 
-def _cells_for_space(space: DesignSpace, cell_diameter: float):
-    """Cell assignment function and cell count for a covering by small cells."""
+def _cell_index(space: DesignSpace, cell_diameter: float, points: Array) -> Array:
+    """Cell of each point in a covering of the region by small cells.
+
+    A box is cut into equal cells of diameter <= cell_diameter, and a
+    point's index (one per axis) is truncated toward zero and clamped
+    into the box; a finite set's cell is its nearest set point.
+    """
     if isinstance(space, FiniteSet):
-        pts = space.points
-
-        def assign(x: Array) -> tuple[int, ...]:
-            d2 = ((pts - x) ** 2).sum(axis=1)
-            return (int(np.argmin(d2)),)
-
-        return assign
+        d2 = ((space.points[None, :, :] - points[:, None, :]) ** 2).sum(axis=-1)
+        return d2.argmin(axis=1)[:, None]
     k = space.dimension
     width_target = cell_diameter / math.sqrt(k)
-    counts = [
+    counts = np.array([
         max(1, int(math.ceil((space.upper[j] - space.lower[j]) / width_target)))
         for j in range(k)
-    ]
-    widths = [(space.upper[j] - space.lower[j]) / counts[j] for j in range(k)]
-
-    def assign(x: Array) -> tuple[int, ...]:
-        idx = []
-        for j in range(k):
-            i = int((x[j] - space.lower[j]) / widths[j])
-            idx.append(min(max(i, 0), counts[j] - 1))
-        return tuple(idx)
-
-    return assign
+    ])
+    widths = (space.upper - space.lower) / counts
+    idx = np.trunc((points - space.lower) / widths)
+    return np.clip(idx, 0, counts - 1).astype(np.int64)
 
 
 def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> MassDiagnostics:
     """Greedy extraction of p separated mass clusters at stage n.
 
     Cover the region by cells of diameter <= cell_diameter, repeatedly
-    take the cell holding the most not-yet-excluded mass, then exclude
-    everything within cell_diameter of the points taken.  Separations
-    are reported as achieved point-set distances.  Finding fewer than p
-    clusters is reported, not raised; it usually means n is too small
-    or the cells too large.
+    take the cell holding the most not-yet-excluded mass (the
+    lexicographically first such cell on ties), then exclude everything
+    within cell_diameter of the points taken.  Separations are reported
+    as achieved point-set distances.  Finding fewer than p clusters is
+    reported, not raised; it usually means n is too small or the cells
+    too large.  An n outside [p, trajectory length] or a cell_diameter
+    that is not positive (NaN included) raises DomainError.
     """
     p = trajectory.p
     if n < p:
         raise DomainError("need at least p observations to extract p clusters")
     if n > trajectory.n:
         raise DomainError(f"stage n = {n} exceeds the trajectory length {trajectory.n}")
-    if cell_diameter <= 0:
-        raise DomainError("cell_diameter must be positive")
+    _require_positive("cell_diameter", cell_diameter)
     pts = trajectory.points[:n]
     space = _space_from_echo(trajectory.design_space_echo)
     if space is None:
         space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
-    assign = _cells_for_space(space, cell_diameter)
-    cell_ids = [assign(x) for x in pts]
+    # points repeat a few grid points: work on each distinct point once
+    uniq, inverse, mult = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    # np.unique sorts the cells lexicographically, so argmax breaks ties to the first
+    cells, cell_of = np.unique(
+        _cell_index(space, cell_diameter, uniq), axis=0, return_inverse=True
+    )
+    cell_of = cell_of.reshape(-1)
 
-    excluded = np.zeros(n, dtype=bool)
+    live = np.ones(uniq.shape[0], dtype=bool)  # distinct points not yet excluded
     clusters: list[ClusterInfo] = []
     member_sets: list[Array] = []
     for _ in range(p):
-        masses: dict[tuple[int, ...], int] = {}
-        for i in range(n):
-            if not excluded[i]:
-                masses[cell_ids[i]] = masses.get(cell_ids[i], 0) + 1
-        if not masses:
+        if not live.any():
             break
-        best_cell = max(sorted(masses), key=lambda c: masses[c])
-        members = np.array(
-            [i for i in range(n) if cell_ids[i] == best_cell and not excluded[i]]
-        )
-        member_pts = pts[members]
-        # members repeat a few grid points; distances need each point once
-        member_uniq = np.unique(member_pts, axis=0)
+        best = int(np.bincount(cell_of[live], weights=mult[live]).argmax())
+        members = live & (cell_of == best)
+        count = int(mult[members].sum())
+        # extremes over the points themselves: np.unique keeps one sign of a zero
+        member_pts = pts[members[inverse]]
+        member_uniq = uniq[members]
         clusters.append(
             ClusterInfo(
-                cell_index=best_cell,
-                mass=len(members) / n,
-                count=len(members),
+                cell_index=tuple(int(v) for v in cells[best]),
+                mass=count / n,
+                count=count,
                 point_min=tuple(float(v) for v in member_pts.min(axis=0)),
                 point_max=tuple(float(v) for v in member_pts.max(axis=0)),
             )
         )
         member_sets.append(member_uniq)
-        d2 = ((pts[:, None, :] - member_uniq[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
-        excluded |= d2 <= cell_diameter**2
+        d2 = ((uniq[:, None, :] - member_uniq[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        live &= ~(d2 <= cell_diameter**2)
 
     separations = []
     for i in range(len(member_sets)):
         for j in range(i + 1, len(member_sets)):
             d2 = ((member_sets[i][:, None, :] - member_sets[j][None, :, :]) ** 2).sum(axis=-1)
             separations.append(float(np.sqrt(d2.min())))
+    excluded = n - int(mult[live].sum())
     return MassDiagnostics(
         n=n,
         cell_diameter=cell_diameter,
@@ -496,7 +514,7 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
         clusters=tuple(clusters),
         separations=tuple(separations),
         pi0=min((c.mass for c in clusters), default=None) if len(clusters) >= p else None,
-        excluded_mass=float(excluded.sum()) / n - sum(c.mass for c in clusters),
+        excluded_mass=float(excluded) / n - sum(c.mass for c in clusters),
     )
 
 

@@ -29,7 +29,7 @@ from adwynn.analysis import (
 from adwynn.design import Design
 from adwynn.errors import ConfigError, DomainError, StudyError
 from adwynn.estimator import LSFit
-from adwynn.model import ModelSpec, ParameterSpace
+from adwynn.model import Box, FiniteSet, ModelSpec, ParameterSpace
 from adwynn.noise import IIDGaussian, NonAH
 
 
@@ -191,21 +191,75 @@ def test_window_mass_curve_matches_pointwise(rng):
         assert v == window_mass(traj, n, 0.2)
 
 
+def _window_mass_oracle(points: np.ndarray, n: int, d: float, centers=None) -> float:
+    """The per-stage window count: a sort in 1-D, balls of diameter d around
+    ``centers`` (default: the first n points) otherwise."""
+    pts = points[:n]
+    if pts.shape[1] == 1:
+        xs = np.sort(pts[:, 0])
+        counts = np.searchsorted(xs, xs + d, side="right") - np.arange(n)
+        return float(counts.max() / n)
+    centers = pts if centers is None else centers
+    d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=-1)
+    return float((d2 <= (d / 2.0) ** 2).sum(axis=1).max() / n)
+
+
+# element budgets: one stage per block, a few stages per block, all in one
+_BLOCKS = [1, 40, 1 << 16]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    ticks=st.lists(st.integers(0, 12), min_size=1, max_size=60),
-    width=st.integers(1, 4),
+    ticks=st.lists(st.integers(0, 12), min_size=1, max_size=60)
+    | st.lists(st.integers(0, 2), min_size=1, max_size=150),
+    width=st.sampled_from([0.25, 0.5, 1, 2, 3, 4, 100]),
     origin=st.sampled_from([0.0, 0.1, -0.35]),
-    n_from=st.integers(1, 61),
+    n_from=st.integers(1, 151),
+    block=st.sampled_from(_BLOCKS),
 )
-def test_window_mass_curve_matches_window_mass_at_every_stage(ticks, width, origin, n_from):
+def test_window_mass_curve_matches_window_mass_at_every_stage(ticks, width, origin, n_from, block):
     """Repeated points, and points exactly d apart (origin 0: multiples of
-    0.25 and d add without rounding), give the same curve as the sort."""
-    traj = _make_trajectory(origin + 0.25 * np.array(ticks, dtype=float))
+    0.25 and d add without rounding), give the same curve as the sort,
+    also for d below the lattice step and above the whole range, and
+    with the stages cut into blocks of any size."""
+    points = origin + 0.25 * np.array(ticks, dtype=float)
+    traj = _make_trajectory(points)
     d = 0.25 * width
-    curve = window_mass_curve(traj, d, n_from=n_from)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_CELLS", block)
+        curve = window_mass_curve(traj, d, n_from=n_from)
     assert list(curve) == list(range(n_from, len(ticks) + 1))
     for n, v in curve.items():
+        assert v == window_mass(traj, n, d)
+        assert v == _window_mass_oracle(points[:, None], n, d)
+
+
+_BOX_2D = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid_resolution": [5, 4]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=80),
+    d=st.sampled_from([0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 3.0]),
+    echo=st.booleans(),
+    n_from=st.integers(1, 81),
+    block=st.sampled_from(_BLOCKS),
+)
+# a ball around a later point holds two earlier ones that no earlier ball holds together
+@example(cells=[(0, 0), (2, 0), (1, 0)], d=0.5, echo=False, n_from=1, block=1 << 16)
+def test_window_mass_curve_2d_matches_ball_counts_at_every_stage(cells, d, echo, n_from, block):
+    """In 2-D the cumulative ball counts equal a per-stage recount around
+    the echoed box's grid, or around the points seen so far without an
+    echo; the points sit on that grid, so many lie exactly d/2 apart."""
+    points = np.array(cells, dtype=float) / [4.0, 3.0]
+    traj = _make_trajectory(points, space_echo=_BOX_2D if echo else None)
+    centers = Box([0.0, 0.0], [1.0, 1.0], (5, 4)).grid() if echo else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_CELLS", block)
+        curve = window_mass_curve(traj, d, n_from=n_from)
+    assert list(curve) == list(range(n_from, len(cells) + 1))
+    for n, v in curve.items():
+        assert v == _window_mass_oracle(points, n, d, centers)
         assert v == window_mass(traj, n, d)
 
 
@@ -215,6 +269,25 @@ def test_window_mass_validates_inputs():
         window_mass(traj, 5, 0.0)
     with pytest.raises(DomainError):
         window_mass(traj, 9, 0.1)
+
+
+def test_window_mass_rejects_nan_diameter():
+    traj = _make_trajectory(np.arange(5.0))
+    with pytest.raises(DomainError, match="window diameter d"):
+        window_mass(traj, 5, math.nan)
+
+
+def test_window_mass_curve_rejects_nan_diameter():
+    traj = _make_trajectory(np.arange(5.0))
+    with pytest.raises(DomainError, match="window diameter d"):
+        window_mass_curve(traj, math.nan)
+
+
+def test_window_mass_curve_rejects_negative_diameter_past_the_end():
+    # no stage lies in [n_from, n], but the diameter is still checked
+    traj = _make_trajectory(np.arange(5.0))
+    with pytest.raises(DomainError, match="window diameter d"):
+        window_mass_curve(traj, -1.0, n_from=500)
 
 
 def test_window_mass_multidimensional_balls():
@@ -298,6 +371,121 @@ def test_extract_clusters_failure_reported_not_raised():
 
 
 
+def test_extract_clusters_rejects_nan_cell_diameter():
+    traj = _make_trajectory(
+        np.linspace(0.0, 1.0, 20),
+        space_echo={"kind": "box", "lower": [0.0], "upper": [1.0], "grid_resolution": [11]},
+    )
+    with pytest.raises(DomainError, match="cell_diameter"):
+        extract_clusters(traj, 20, cell_diameter=math.nan)
+
+
+def _extract_clusters_oracle(trajectory, n, cell_diameter):
+    """extract_clusters as a per-point loop: a dict of cell masses per round,
+    the lexicographically first heaviest cell, one exclusion pass."""
+    p = trajectory.p
+    pts = trajectory.points[:n]
+    space = analysis._space_from_echo(trajectory.design_space_echo)
+    if space is None:
+        space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
+    if isinstance(space, FiniteSet):
+        def assign(x):
+            return (int(np.argmin(((space.points - x) ** 2).sum(axis=1))),)
+    else:
+        k = space.dimension
+        width_target = cell_diameter / math.sqrt(k)
+        counts = [
+            max(1, int(math.ceil((space.upper[j] - space.lower[j]) / width_target)))
+            for j in range(k)
+        ]
+        widths = [(space.upper[j] - space.lower[j]) / counts[j] for j in range(k)]
+
+        def assign(x):
+            return tuple(
+                min(max(int((x[j] - space.lower[j]) / widths[j]), 0), counts[j] - 1)
+                for j in range(k)
+            )
+    cell_ids = [assign(x) for x in pts]
+    excluded = np.zeros(n, dtype=bool)
+    clusters, member_sets = [], []
+    for _ in range(p):
+        masses = {}
+        for i in range(n):
+            if not excluded[i]:
+                masses[cell_ids[i]] = masses.get(cell_ids[i], 0) + 1
+        if not masses:
+            break
+        best_cell = max(sorted(masses), key=lambda c: masses[c])
+        members = np.array([i for i in range(n) if cell_ids[i] == best_cell and not excluded[i]])
+        member_pts = pts[members]
+        member_uniq = np.unique(member_pts, axis=0)
+        clusters.append(
+            analysis.ClusterInfo(
+                cell_index=best_cell,
+                mass=len(members) / n,
+                count=len(members),
+                point_min=tuple(float(v) for v in member_pts.min(axis=0)),
+                point_max=tuple(float(v) for v in member_pts.max(axis=0)),
+            )
+        )
+        member_sets.append(member_uniq)
+        d2 = ((pts[:, None, :] - member_uniq[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        excluded |= d2 <= cell_diameter**2
+    separations = []
+    for i in range(len(member_sets)):
+        for j in range(i + 1, len(member_sets)):
+            d2 = ((member_sets[i][:, None, :] - member_sets[j][None, :, :]) ** 2).sum(axis=-1)
+            separations.append(float(np.sqrt(d2.min())))
+    return analysis.MassDiagnostics(
+        n=n,
+        cell_diameter=cell_diameter,
+        window_diameter=3.0 * cell_diameter,
+        requested=p,
+        found=len(clusters),
+        clusters=tuple(clusters),
+        separations=tuple(separations),
+        pi0=min((c.mass for c in clusters), default=None) if len(clusters) >= p else None,
+        excluded_mass=float(excluded.sum()) / n - sum(c.mass for c in clusters),
+    )
+
+
+_FINITE_2D = [[0.0, 0.0], [0.3, 0.1], [0.6, 0.9], [1.0, 0.5], [0.2, 0.8]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from([1, 2]),
+    p=st.integers(1, 3),
+    region=st.sampled_from(["box", "finite", "none"]),
+    cell=st.sampled_from([0.05, 0.1, 0.25, 0.4, 1.5]),
+)
+def test_extract_clusters_matches_per_point_loop(data, k, p, region, cell):
+    """Lattice points repeat and split evenly between cells, so the
+    heaviest cell is often tied and the lexicographic tie-break decides."""
+    ticks = data.draw(st.lists(st.tuples(*[st.integers(0, 8)] * k), min_size=p, max_size=60))
+    points = np.array(ticks, dtype=float) / 8.0
+    echo = {
+        "box": {"kind": "box", "lower": [0.0] * k, "upper": [1.0] * k, "grid_resolution": [9] * k},
+        "finite": {"kind": "finite", "points": [q[:k] for q in _FINITE_2D]},
+        "none": None,
+    }[region]
+    traj = _make_trajectory(points, p=p, space_echo=echo)
+    n = data.draw(st.integers(p, len(ticks)))
+    assert extract_clusters(traj, n, cell) == _extract_clusters_oracle(traj, n, cell)
+
+
+def test_extract_clusters_breaks_mass_ties_to_the_first_cell():
+    # three cells of two points each; the first cluster is the lowest cell
+    pts = np.array([0.9, 0.5, 0.1, 0.9, 0.5, 0.1])
+    traj = _make_trajectory(
+        pts, p=3, space_echo={"kind": "box", "lower": [0.0], "upper": [1.0], "grid_resolution": [11]}
+    )
+    diag = extract_clusters(traj, 6, cell_diameter=0.1)
+    assert [c.point_min for c in diag.clusters] == [(0.1,), (0.5,), (0.9,)]
+    assert diag == _extract_clusters_oracle(traj, 6, 0.1)
+
+
 @pytest.mark.parametrize("n,cell", [(1, 0.1), (21, 0.1), (20, 0.0)])
 def test_extract_clusters_rejects_bad_stage_and_cell(n, cell):
     traj = _make_trajectory(
@@ -355,6 +543,70 @@ def test_gamma_kappa_michaelis_menten(mm_bundle):
     )
     assert np.isfinite(gamma) and gamma > 0
     assert np.isfinite(kappa) and kappa > 0
+
+
+def test_calibration_rejects_nan_epsilon(mm_bundle):
+    grid = mm_bundle.design_space.grid()
+    with pytest.raises(DomainError, match="epsilon"):
+        calibrate_window_diameter(
+            mm_bundle.model, mm_bundle.parameter_space, grid,
+            mm_bundle.parameter_space.sample_grid(2), epsilon=math.nan,
+        )
+
+
+def _calibration_oracle(model, grid, thetas, threshold):
+    """The calibrated d from dense all-pairs distance matrices."""
+    diff = grid[:, None, :] - grid[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    fvar = np.zeros_like(dist)
+    for th in thetas:
+        F = np.asarray(model.f(grid, th), dtype=float)
+        fd = np.sqrt(((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=-1))
+        np.maximum(fvar, fd, out=fvar)
+    violating = fvar > threshold
+    np.fill_diagonal(violating, False)
+    if not violating.any():
+        return float(dist.max())
+    return 0.999 * float(dist[violating].min())
+
+
+def _bent_model(slope: float) -> ModelSpec:
+    """p = 2 regressors (1 + t0 s x0, t1 + s x_last^2): constant when s = 0."""
+
+    def f(x, theta):
+        x = np.asarray(x, dtype=float)
+        th = np.asarray(theta, dtype=float)
+        return np.stack(
+            [1.0 + th[..., 0] * slope * x[..., 0], th[..., 1] + slope * x[..., -1] ** 2], axis=-1
+        )
+
+    def mu(x, theta):
+        return (np.asarray(theta, dtype=float) * f(x, theta)).sum(axis=-1)
+
+    return ModelSpec("bent", 2, mu, f, gradient_is_mu_gradient=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from([1, 2]),
+    slope=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+    epsilon=st.sampled_from([0.01, 0.1, 1.0, 100.0]),
+)
+def test_calibration_matches_dense_all_pairs(data, k, slope, epsilon):
+    """Slope 0 makes the regressor constant in x, so no pair violates and
+    d is the largest grid-pair distance."""
+    ticks = data.draw(st.lists(st.tuples(*[st.integers(0, 12)] * k), min_size=2, max_size=40))
+    grid = np.array(ticks, dtype=float) / 12.0 - 0.5
+    thetas = np.array(
+        data.draw(st.lists(st.tuples(*[st.floats(0.2, 3.0)] * 2), min_size=1, max_size=5))
+    )
+    model = _bent_model(slope)
+    space = ParameterSpace([0.2, 0.2], [3.0, 3.0])
+    cal = calibrate_window_diameter(model, space, grid, thetas, epsilon)
+    assert cal.d == _calibration_oracle(model, grid, thetas, cal.threshold)
+    if slope == 0.0:
+        assert cal.d == float(np.sqrt(((grid[:, None] - grid[None]) ** 2).sum(axis=-1)).max())
 
 
 def test_calibration_eta_identity(mm_bundle):
