@@ -16,8 +16,6 @@ from .analysis import (
     MassDiagnostics,
     extract_clusters,
     normality_stat,
-    normality_study,
-    window_mass,
 )
 from .design import (
     Design,
@@ -25,7 +23,6 @@ from .design import (
     info_matrix,
     log_det,
     rank_one_update,
-    sensitivity,
     solve_locally_d_optimal,
 )
 from .estimator import DataBatch, FitConfig, LSFit, fit_ls, sse, sse_gradient
@@ -38,15 +35,12 @@ from .model import (
     builtin_bundle,
     check_si_numeric,
     check_span,
-    eval_f,
-    eval_mu,
 )
 from .noise import (
     Heteroscedastic,
     IIDGaussian,
     IIDScaledT,
     NonAH,
-    conditional_variance,
     make_error_spec,
     make_rng,
     mix_seed,

@@ -27,7 +27,7 @@ import numpy as np
 from .design import pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import FitConfig, LSAdaptiveEstimator, LSFit
-from .model import Box, DesignSpace, ModelSpec, ParameterSpace
+from .model import DesignSpace, ModelSpec, ParameterSpace
 from .noise import ErrorSpec, make_rng
 
 Array = np.ndarray
@@ -55,8 +55,8 @@ class WynnConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if self.pd_floor <= 0:
-            raise DomainError("pd_floor must be positive")
+        if not 0 < self.pd_floor < math.inf:  # NaN fails too
+            raise DomainError(f"pd_floor must be finite and positive, got {self.pd_floor!r}")
         if self.theta_check_points_per_axis < 1:
             raise DomainError("theta_check_points_per_axis must be >= 1")
 
@@ -453,17 +453,6 @@ class Trajectory:
         return header, rows
 
 
-def _space_echo(space: DesignSpace) -> dict:
-    if isinstance(space, Box):
-        return {
-            "kind": "box",
-            "lower": [float(v) for v in space.lower],
-            "upper": [float(v) for v in space.upper],
-            "grid_resolution": list(space.grid_resolution),
-        }
-    return {"kind": "finite", "points": [list(map(float, row)) for row in space.points]}
-
-
 def run(
     model: ModelSpec,
     design_space: DesignSpace,
@@ -509,7 +498,7 @@ def run(
         estimates=np.asarray(state.estimates, dtype=float).reshape(-1, model.p),
         records=tuple(state.records),
         final_fit=state.fit,
-        design_space_echo=_space_echo(design_space),
+        design_space_echo=design_space.to_jsonable(),
         parameter_space_echo={
             "lower": [float(v) for v in parameter_space.lower],
             "upper": [float(v) for v in parameter_space.upper],

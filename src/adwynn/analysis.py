@@ -1,15 +1,18 @@
 """Monte Carlo verification and design-mass diagnostics.
 
-The two study entry points simulate independent adaptive runs and
-summarize them:
+``run_study`` simulates independent adaptive runs and summarizes them
+at checkpoints:
 
-- ``run_study`` tracks quantiles of the estimation error at
-  checkpoints; strong consistency shows up as stochastically shrinking
-  error.
-- ``normality_study`` standardizes the estimation error as
-  T_n = sqrt(n) / sigma * M^{1/2}(design_n, theta_hat) (theta_hat - theta_bar)
-  and compares it against the standard normal coordinate-wise, its
-  squared norm against chi-square, and counts 95% ellipsoid coverage.
+- quantiles of the estimation error; strong consistency shows up as
+  stochastically shrinking error;
+- the standardized error
+  T_n = sqrt(n) / sigma * M^{1/2}(design_n, theta_hat) (theta_hat - theta_bar),
+  compared against the standard normal coordinate-wise, its squared
+  norm against chi-square, and 95% ellipsoid coverage.  The normality
+  result assumes an interior true parameter and noise whose conditional
+  variance settles to a limit; the study computes these statistics
+  without checking either hypothesis, and with no limiting variance it
+  reports only the plug-in standardization.
 
 The design-mass diagnostics quantify how the adaptive point sequence
 spreads: no small window keeps more than 1/p + eps of the mass past a
@@ -36,7 +39,14 @@ from .design import (
 )
 from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
 from .estimator import LSFit
-from .model import Box, DesignSpace, FiniteSet, ModelSpec, ParameterSpace
+from .model import (
+    Box,
+    DesignSpace,
+    FiniteSet,
+    ModelSpec,
+    ParameterSpace,
+    design_space_from_jsonable,
+)
 from .noise import make_rng, mix_seed
 
 Array = np.ndarray
@@ -215,12 +225,20 @@ def compute_gamma_kappa(
     parameters) of the best squared projection achievable by some grid
     point.  A kappa at zero flags a spanning failure.
     """
+    return _gamma_kappa(_regressor_stack(model, grid, theta_sample), direction_sample)
+
+
+def _regressor_stack(model: ModelSpec, grid: Array, theta_sample: Array) -> Array:
+    """f over the grid at each sampled parameter, shape (thetas, m, p)."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
+    return np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
+
+
+def _gamma_kappa(F_all: Array, direction_sample: Array) -> tuple[float, float]:
     directions = np.atleast_2d(np.asarray(direction_sample, dtype=float))
     if directions.shape[0] == 0:
         raise DomainError("direction sample must be nonempty")
-    thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    F_all = np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
     gamma = float(np.sqrt((F_all**2).sum(axis=-1)).max())
     proj = np.einsum("smp,dp->smd", F_all, directions) ** 2
     kappa = float(proj.max(axis=1).min())
@@ -264,12 +282,11 @@ def calibrate_window_diameter(
     if direction_sample is None:
         direction_sample = sample_unit_directions(p, 2 * p + 32, seed=1)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
-    gamma, kappa = compute_gamma_kappa(model, space, grid, thetas, direction_sample)
+    F = _regressor_stack(model, grid, theta_sample)
+    gamma, kappa = _gamma_kappa(F, direction_sample)
     eta = 1.0 - 1.0 / math.sqrt(1.0 + p * epsilon / 2.0)
     threshold = eta * kappa / gamma
 
-    F = np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
     a, b = np.triu_indices(grid.shape[0], 1)
     dist = np.sqrt(((grid[a] - grid[b]) ** 2).sum(axis=-1))
     order = np.argsort(dist, kind="stable")
@@ -291,16 +308,6 @@ def calibrate_window_diameter(
 # --------------------------------------------------------------------------
 
 
-def _space_from_echo(echo: dict) -> Optional[DesignSpace]:
-    if not echo:
-        return None
-    if echo.get("kind") == "box":
-        return Box(echo["lower"], echo["upper"], tuple(echo["grid_resolution"]))
-    if echo.get("kind") == "finite":
-        return FiniteSet(np.asarray(echo["points"], dtype=float))
-    return None
-
-
 def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
     """Largest window mass at each of the stages 1, ..., n, in one pass.
 
@@ -313,7 +320,7 @@ def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
     running counts.
     """
     pts = trajectory.points[:n]
-    space = _space_from_echo(trajectory.design_space_echo) if pts.shape[1] > 1 else None
+    space = design_space_from_jsonable(trajectory.design_space_echo) if pts.shape[1] > 1 else None
     if space is None:
         centers, opens = np.unique(pts, axis=0, return_index=True)
     else:
@@ -336,28 +343,17 @@ def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
     return masses
 
 
-def window_mass(trajectory: Trajectory, n: int, d: float) -> float:
-    """Largest empirical mass held by any window of diameter <= d at stage n.
+def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict[int, float]:
+    """Largest empirical mass held by any window of diameter <= d, at every
+    stage n in [n_from, trajectory length], in one pass.
 
     One-dimensional regions use exact sliding intervals anchored at the
     observed points; higher dimensions scan balls of radius d/2 around
     the region's grid points (the observed points when the trajectory
-    echoes no region).  A d that is not positive (NaN included) or an n
-    outside the trajectory raises DomainError.
-    """
-    _require_positive("window diameter d", d)
-    if n < 1 or n > trajectory.n:
-        raise DomainError("n outside the trajectory")
-    return float(_window_masses(trajectory, d, n)[n - 1])
-
-
-def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict[int, float]:
-    """window_mass for every stage n in [n_from, n], in one pass.
-
-    The counts of every window are accumulated over the stages, so the
-    curve costs O(n * windows) in all, with the same integers as
-    window_mass at each stage.  A d that is not positive (NaN included)
-    raises DomainError; an n_from past the trajectory gives {}.
+    echoes no region).  The counts of every window are accumulated over
+    the stages, so the curve costs O(n * windows) in all.  A d that is
+    not positive (NaN included) raises DomainError; an n_from past the
+    trajectory gives {}.
     """
     _require_positive("window diameter d", d)
     n_from = max(1, n_from)
@@ -462,7 +458,7 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
         raise DomainError(f"stage n = {n} exceeds the trajectory length {trajectory.n}")
     _require_positive("cell_diameter", cell_diameter)
     pts = trajectory.points[:n]
-    space = _space_from_echo(trajectory.design_space_echo)
+    space = design_space_from_jsonable(trajectory.design_space_echo)
     if space is None:
         space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
     # points repeat a few grid points: work on each distinct point once
@@ -744,24 +740,3 @@ def run_study(
         kept_paths=kept,
         **{name: {n: per_checkpoint[n][name] for n in checkpoints} for name in CHECKPOINT_STATS},
     )
-
-
-def normality_study(
-    scenario: Scenario,
-    replicates: int,
-    n_final: int,
-    seed: int,
-    workers: int = 1,
-    keep_paths: int = 0,
-) -> MCReport:
-    """Distributional checks of the standardized error at a single stage.
-
-    Requires an interior true parameter and noise whose conditional
-    variance settles to a limit; both are hypotheses of the normality
-    result, not implementation limits.
-    """
-    if scenario.noise.limit_variance() is None:
-        raise DomainError("normality study needs noise with a limiting variance")
-    if scenario.parameter_space.on_boundary(scenario.theta_bar, tol=1e-12):
-        raise DomainError("normality study needs an interior true parameter")
-    return run_study(scenario, replicates, [n_final], seed, workers, keep_paths)

@@ -408,7 +408,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    for flag, value in (("--d", args.d), ("--cell-diameter", args.cell_diameter)):
+    for flag, value in (
+        ("--d", args.d), ("--cell-diameter", args.cell_diameter), ("--epsilon", args.epsilon)
+    ):
         if not value > 0:
             raise ConfigError(f"{flag} must be positive, got {value!r}")
     try:

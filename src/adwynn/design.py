@@ -79,10 +79,6 @@ class Design:
             "weights": [float(w) for w in self.weights],
         }
 
-    @staticmethod
-    def from_jsonable(obj: dict) -> "Design":
-        return Design(np.asarray(obj["support"], dtype=float), np.asarray(obj["weights"], dtype=float))
-
 
 # --------------------------------------------------------------------------
 # Information-matrix algebra
@@ -103,10 +99,6 @@ def rank_one_update(M: Array, f: Array, n: int) -> Array:
     M = np.asarray(M, dtype=float)
     f = np.asarray(f, dtype=float)
     return (n / (n + 1.0)) * M + np.outer(f, f) / (n + 1.0)
-
-
-def min_eigenvalue(M: Array) -> float:
-    return float(np.linalg.eigvalsh(np.asarray(M, dtype=float))[0])
 
 
 def pd_inverse_logdet(M: Array, floor: float = PD_FLOOR) -> tuple[Array, float]:
@@ -149,17 +141,10 @@ def pd_inverse(M: Array, floor: float = PD_FLOOR) -> Array:
     return pd_inverse_logdet(M, floor)[0]
 
 
-def sensitivity(x, M: Array, theta: Array, model: ModelSpec, floor: float = PD_FLOOR) -> float:
-    """d(x) = f(x, theta)' M^{-1} f(x, theta)."""
-    Minv = pd_inverse(M, floor)
-    f = np.asarray(model.f(np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(theta, dtype=float)), dtype=float)
-    return float(f @ Minv @ f)
-
-
 def sensitivity_profile(
     points: Array, M: Array, theta: Array, model: ModelSpec, floor: float = PD_FLOOR
 ) -> Array:
-    """Vectorized sensitivity over a point array, shape (m,)."""
+    """d(x) = f(x, theta)' M^{-1} f(x, theta) at each row of a point array, shape (m,)."""
     Minv = pd_inverse(M, floor)
     F = np.asarray(model.f(np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(theta, dtype=float)), dtype=float)
     return quadratic_form(F, Minv)

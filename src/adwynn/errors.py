@@ -49,7 +49,3 @@ class StudyError(AdwynnError):
 
 class ConfigError(AdwynnError):
     """A run configuration is malformed or inconsistent."""
-
-
-class BoundaryWarning(UserWarning):
-    """A gradient was requested on the parameter-box boundary."""

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryWarning, DomainError, FitFailureError
+from .errors import DomainError, FitFailureError
 from .model import ModelSpec, ParameterSpace, as_theta
 
 Array = np.ndarray
@@ -175,23 +174,9 @@ def sse(data: DataBatch, theta, model: ModelSpec) -> float:
     return float(r @ r)
 
 
-def sse_gradient(
-    data: DataBatch,
-    theta,
-    model: ModelSpec,
-    space: ParameterSpace | None = None,
-) -> Array:
-    """Gradient of the residual sum of squares: -2 * sum of r_i * f_i.
-
-    Valid on the interior of the parameter box; when ``space`` is given
-    and theta touches its boundary a BoundaryWarning is emitted (the
-    stationarity interpretation breaks down there).
-    """
-    if not model.gradient_is_mu_gradient:
-        raise DomainError("sse_gradient needs f to be the parameter gradient of mu")
+def sse_gradient(data: DataBatch, theta, model: ModelSpec) -> Array:
+    """Gradient of the residual sum of squares: -2 * sum of r_i * f_i."""
     theta = np.asarray(theta, dtype=float)
-    if space is not None and space.on_boundary(theta):
-        warnings.warn("theta lies on the parameter-box boundary", BoundaryWarning)
     r = data.ys - np.asarray(model.mu(data.xs, theta), dtype=float)
     F = np.asarray(model.f(data.xs, theta), dtype=float)
     return -2.0 * (F.T @ r)

@@ -3,11 +3,13 @@
 A model is a mean response ``mu(x, theta)`` together with a regressor
 family ``f(x, theta)`` in R^p whose outer products form the elementary
 information matrices.  Design spaces are either finite point sets or
-axis-aligned boxes equipped with a scan grid; parameter spaces are
-compact boxes.  The module also provides numeric falsification checks
-for the structural conditions the asymptotic theory relies on: the
-regressor image spanning R^p, and identifiability of the parameter from
-responses at p distinct points.
+axis-aligned boxes equipped with a scan grid; their JSON form
+(``to_jsonable``, ``design_space_from_jsonable``) is the one the
+trajectory file echoes.  Parameter spaces are compact boxes.  The
+module also provides numeric falsification checks for the structural
+conditions the asymptotic theory relies on: the regressor image
+spanning R^p, and identifiability of the parameter from responses at p
+distinct points.
 
 Evaluator convention: ``mu`` and ``f`` broadcast over leading axes of
 both arguments, i.e. ``mu(x[(m, k)], theta[(p,)]) -> (m,)`` and
@@ -35,14 +37,6 @@ def _freeze(a: Array) -> Array:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-def as_point(x, k: int) -> Array:
-    """Normalize a point to a (k,) float array; scalars allowed when k == 1."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (k,):
-        raise DomainError(f"expected a point in R^{k}, got shape {arr.shape}")
-    return arr
 
 
 def as_theta(theta, p: int) -> Array:
@@ -106,14 +100,8 @@ class FiniteSet:
         """Scan grid; for a finite set this is the set itself."""
         return self.points
 
-    def contains(self, x, tol: float = _CONTAINS_TOL) -> bool:
-        x = as_point(x, self.dimension)
-        d = np.sqrt(((self.points - x) ** 2).sum(axis=1))
-        return bool(d.min() <= tol)
-
-    def diameter(self) -> float:
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diffs**2).sum(axis=-1)).max())
+    def to_jsonable(self) -> dict:
+        return {"kind": "finite", "points": [list(map(float, row)) for row in self.points]}
 
 
 @dataclass(frozen=True)
@@ -155,15 +143,27 @@ class Box:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def contains(self, x, tol: float = _CONTAINS_TOL) -> bool:
-        x = as_point(x, self.dimension)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def diameter(self) -> float:
-        return float(np.sqrt(((self.upper - self.lower) ** 2).sum()))
+    def to_jsonable(self) -> dict:
+        return {
+            "kind": "box",
+            "lower": [float(v) for v in self.lower],
+            "upper": [float(v) for v in self.upper],
+            "grid_resolution": list(self.grid_resolution),
+        }
 
 
 DesignSpace = Union[FiniteSet, Box]
+
+
+def design_space_from_jsonable(obj: dict) -> Optional[DesignSpace]:
+    """The region written by ``to_jsonable``; None for an empty or unknown form."""
+    if not obj:
+        return None
+    if obj.get("kind") == "box":
+        return Box(obj["lower"], obj["upper"], tuple(obj["grid_resolution"]))
+    if obj.get("kind") == "finite":
+        return FiniteSet(np.asarray(obj["points"], dtype=float))
+    return None
 
 
 @dataclass(frozen=True)
@@ -225,70 +225,20 @@ class ParameterSpace:
 class ModelSpec:
     """A mean response with its regressor family.
 
-    ``gradient_is_mu_gradient`` asserts that ``f`` is the parameter
-    gradient of ``mu``; all built-in models satisfy this and the
-    normality statistics require it.
+    ``f`` is taken to be the parameter gradient of ``mu``: the
+    Gauss-Newton fit, ``sse_gradient`` and the normality statistics all
+    rely on it.  The built-in models satisfy it, and their tests check it
+    against central differences of ``mu``.
     """
 
     name: str
     p: int
     mu: Callable[[Array, Array], Array]
     f: Callable[[Array, Array], Array]
-    gradient_is_mu_gradient: bool = True
 
     def __post_init__(self):
         if self.p < 1:
             raise DomainError("parameter dimension must be >= 1")
-
-
-def _checked_args(
-    model: ModelSpec,
-    x,
-    theta,
-    design_space: Optional[DesignSpace],
-    parameter_space: Optional[ParameterSpace],
-) -> tuple[Array, Array]:
-    """Normalized single point and parameter, checked against the optional spaces."""
-    k = design_space.dimension if design_space is not None else np.atleast_1d(np.asarray(x)).size
-    x = as_point(x, k)
-    theta = as_theta(theta, model.p)
-    if design_space is not None and not design_space.contains(x):
-        raise DomainError(f"point {x.tolist()} outside the design space")
-    if parameter_space is not None and not parameter_space.contains(theta):
-        raise DomainError(f"parameter {theta.tolist()} outside the parameter space")
-    return x, theta
-
-
-def eval_mu(
-    model: ModelSpec,
-    x,
-    theta,
-    design_space: Optional[DesignSpace] = None,
-    parameter_space: Optional[ParameterSpace] = None,
-) -> float:
-    """Mean response at a single point/parameter, with optional domain checks."""
-    x, theta = _checked_args(model, x, theta, design_space, parameter_space)
-    value = float(np.asarray(model.mu(x, theta)))
-    if not np.isfinite(value):
-        raise DomainError(f"mu({x.tolist()}, {theta.tolist()}) is not finite")
-    return value
-
-
-def eval_f(
-    model: ModelSpec,
-    x,
-    theta,
-    design_space: Optional[DesignSpace] = None,
-    parameter_space: Optional[ParameterSpace] = None,
-) -> Array:
-    """Regressor vector at a single point/parameter, with optional domain checks."""
-    x, theta = _checked_args(model, x, theta, design_space, parameter_space)
-    vec = np.asarray(model.f(x, theta), dtype=float)
-    if vec.shape != (model.p,):
-        raise DomainError(f"f returned shape {vec.shape}, expected ({model.p},)")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError(f"f({x.tolist()}, {theta.tolist()}) is not finite")
-    return vec
 
 
 # --------------------------------------------------------------------------
@@ -404,63 +354,6 @@ def sample_point_tuples(
         raise DomainError("grid smaller than the requested tuple arity")
     idx = np.stack([rng.choice(m, size=arity, replace=False) for _ in range(count)])
     return grid[idx]
-
-
-def check_finiteness(
-    model: ModelSpec,
-    design_space: DesignSpace,
-    parameter_space: ParameterSpace,
-    points_per_axis: int = 5,
-) -> bool:
-    """Evaluate mu and f over the scan grid x a parameter sample; all finite."""
-    grid = design_space.grid()
-    thetas = parameter_space.sample_grid(points_per_axis)
-    for theta in thetas:
-        mu = np.asarray(model.mu(grid, theta), dtype=float)
-        F = np.asarray(model.f(grid, theta), dtype=float)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(F))):
-            return False
-    return True
-
-
-def gradient_matches_mu(
-    model: ModelSpec,
-    design_space: DesignSpace,
-    parameter_space: ParameterSpace,
-    rel_tol: float = 1e-5,
-    points_per_axis: int = 4,
-    shrink: float = 0.2,
-) -> float:
-    """Worst relative deviation of f from central differences of mu.
-
-    Parameters are sampled on an interior sub-box (shrunk by ``shrink``
-    per axis) so that central steps stay inside the space.
-    """
-    lo = parameter_space.lower + shrink * (parameter_space.upper - parameter_space.lower)
-    hi = parameter_space.upper - shrink * (parameter_space.upper - parameter_space.lower)
-    inner = ParameterSpace(lo, np.maximum(hi, lo + 1e-12))
-    thetas = inner.sample_grid(points_per_axis)
-    grid = design_space.grid()
-    sample = grid[:: max(1, grid.shape[0] // 12)]
-    worst = 0.0
-    for theta in thetas:
-        for x in sample:
-            g = np.asarray(model.f(x, theta), dtype=float)
-            fd = np.empty_like(g)
-            for j in range(model.p):
-                h = 1e-6 * max(1.0, abs(theta[j]))
-                tp = theta.copy()
-                tm = theta.copy()
-                tp[j] += h
-                tm[j] -= h
-                fd[j] = (float(model.mu(x, tp)) - float(model.mu(x, tm))) / (2 * h)
-            scale = max(1.0, float(np.max(np.abs(g))))
-            worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
-    if worst > rel_tol:
-        raise DomainError(
-            f"model {model.name}: f deviates from the mu gradient by {worst:.2e}"
-        )
-    return worst
 
 
 # --------------------------------------------------------------------------

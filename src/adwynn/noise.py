@@ -18,6 +18,7 @@ the asymptotic results distinguish:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -46,13 +47,18 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IIDGaussian:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise DomainError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
     def conditional_sd(self, step: int) -> float:
         return self.sigma
@@ -72,10 +78,10 @@ class IIDScaledT:
     scale: float
 
     def __post_init__(self):
-        if self.df <= 4:
-            raise DomainError("df must exceed 4 so third absolute moments exist comfortably")
-        if self.scale <= 0:
-            raise DomainError("scale must be positive")
+        if not 4 < self.df < math.inf:
+            # df > 4: third absolute moments exist comfortably
+            raise DomainError(f"df must be finite and exceed 4, got {self.df!r}")
+        _require_positive_finite("scale", self.scale)
 
     def conditional_sd(self, step: int) -> float:
         return self.scale
@@ -95,10 +101,9 @@ class Heteroscedastic:
     decay: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
-        if self.decay < 0:
-            raise DomainError("decay must be >= 0")
+        _require_positive_finite("sigma", self.sigma)
+        if not 0 <= self.decay < math.inf:
+            raise DomainError(f"decay must be finite and >= 0, got {self.decay!r}")
 
     def conditional_sd(self, step: int) -> float:
         return self.sigma * np.sqrt(1.0 + self.decay / step)
@@ -118,8 +123,8 @@ class NonAH:
     sigma_even: float
 
     def __post_init__(self):
-        if self.sigma_odd <= 0 or self.sigma_even <= 0:
-            raise DomainError("both standard deviations must be positive")
+        _require_positive_finite("sigma_odd", self.sigma_odd)
+        _require_positive_finite("sigma_even", self.sigma_even)
         if self.sigma_odd == self.sigma_even:
             raise DomainError("NonAH requires sigma_odd != sigma_even")
 
@@ -134,13 +139,6 @@ class NonAH:
 
 
 ErrorSpec = Union[IIDGaussian, IIDScaledT, Heteroscedastic, NonAH]
-
-
-def conditional_variance(spec: ErrorSpec, step: int) -> float:
-    """Exact conditional variance the variant uses at the given step."""
-    if step < 1:
-        raise DomainError("step must be >= 1")
-    return float(spec.conditional_sd(step)) ** 2
 
 
 _VARIANTS = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,16 +21,14 @@ from adwynn.analysis import (
     matrix_sqrt,
     normal_cdf,
     normality_stat,
-    normality_study,
     run_study,
     sample_unit_directions,
-    window_mass,
     window_mass_curve,
 )
 from adwynn.design import Design
 from adwynn.errors import ConfigError, DomainError, StudyError
 from adwynn.estimator import LSFit
-from adwynn.model import Box, FiniteSet, ModelSpec, ParameterSpace
+from adwynn.model import Box, FiniteSet, ModelSpec, ParameterSpace, design_space_from_jsonable
 from adwynn.noise import IIDGaussian, NonAH
 
 
@@ -157,19 +156,19 @@ def test_normality_stat_scalar_example():
 def test_window_mass_identical_points():
     traj = _make_trajectory(np.zeros(7))
     for d in (0.01, 1.0):
-        assert window_mass(traj, 7, d) == 1.0
+        assert window_mass_curve(traj, d)[7] == 1.0
 
 
 def test_window_mass_spread_points():
     traj = _make_trajectory(np.arange(10.0))
-    assert window_mass(traj, 10, 0.5) == pytest.approx(0.1)
+    assert window_mass_curve(traj, 0.5)[10] == pytest.approx(0.1)
 
 
 def test_window_mass_matches_direct_count(rng):
     pts = rng.choice(np.linspace(0, 1, 9), size=40)
     traj = _make_trajectory(pts)
     d = 0.3
-    got = window_mass(traj, 40, d)
+    got = window_mass_curve(traj, d)[40]
     brute = max(
         np.sum((pts >= a) & (pts <= a + d)) / 40.0 for a in pts
     )
@@ -179,7 +178,7 @@ def test_window_mass_matches_direct_count(rng):
 def test_window_mass_monotone_in_d(rng):
     pts = rng.uniform(0, 1, size=50)
     traj = _make_trajectory(pts)
-    values = [window_mass(traj, 50, d) for d in (0.05, 0.1, 0.2, 0.4, 1.1)]
+    values = [window_mass_curve(traj, d)[50] for d in (0.05, 0.1, 0.2, 0.4, 1.1)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -188,7 +187,7 @@ def test_window_mass_curve_matches_pointwise(rng):
     traj = _make_trajectory(pts)
     curve = window_mass_curve(traj, 0.2, n_from=3)
     for n, v in curve.items():
-        assert v == window_mass(traj, n, 0.2)
+        assert v == _window_mass_oracle(pts[:, None], n, 0.2)
 
 
 def _window_mass_oracle(points: np.ndarray, n: int, d: float, centers=None) -> float:
@@ -230,7 +229,6 @@ def test_window_mass_curve_matches_window_mass_at_every_stage(ticks, width, orig
         curve = window_mass_curve(traj, d, n_from=n_from)
     assert list(curve) == list(range(n_from, len(ticks) + 1))
     for n, v in curve.items():
-        assert v == window_mass(traj, n, d)
         assert v == _window_mass_oracle(points[:, None], n, d)
 
 
@@ -260,21 +258,21 @@ def test_window_mass_curve_2d_matches_ball_counts_at_every_stage(cells, d, echo,
     assert list(curve) == list(range(n_from, len(cells) + 1))
     for n, v in curve.items():
         assert v == _window_mass_oracle(points, n, d, centers)
-        assert v == window_mass(traj, n, d)
 
 
 def test_window_mass_validates_inputs():
     traj = _make_trajectory(np.arange(5.0))
-    with pytest.raises(DomainError):
-        window_mass(traj, 5, 0.0)
-    with pytest.raises(DomainError):
-        window_mass(traj, 9, 0.1)
+    for d in (0.0, -0.1):
+        with pytest.raises(DomainError, match="window diameter d"):
+            window_mass_curve(traj, d)
+    assert window_mass_curve(traj, 0.1, n_from=9) == {}
 
 
 def test_window_mass_rejects_nan_diameter():
-    traj = _make_trajectory(np.arange(5.0))
+    # the 2-D path, around the echoed box's grid
+    traj = _make_trajectory([[0.0, 0.0], [1.0, 1.0]], space_echo=_BOX_2D)
     with pytest.raises(DomainError, match="window diameter d"):
-        window_mass(traj, 5, math.nan)
+        window_mass_curve(traj, math.nan)
 
 
 def test_window_mass_curve_rejects_nan_diameter():
@@ -307,8 +305,8 @@ def test_window_mass_multidimensional_balls():
         design_space_echo=echo,
         parameter_space_echo={"lower": [0, 0], "upper": [1, 1]},
     )
-    assert window_mass(traj, 4, d=0.1) == pytest.approx(0.5)  # the doubled origin
-    assert window_mass(traj, 4, d=4.0) == 1.0
+    assert window_mass_curve(traj, 0.1)[4] == pytest.approx(0.5)  # the doubled origin
+    assert window_mass_curve(traj, 4.0)[4] == 1.0
 
 
 # ---------------------------------------------------------------- clusters
@@ -385,7 +383,7 @@ def _extract_clusters_oracle(trajectory, n, cell_diameter):
     the lexicographically first heaviest cell, one exclusion pass."""
     p = trajectory.p
     pts = trajectory.points[:n]
-    space = analysis._space_from_echo(trajectory.design_space_echo)
+    space = design_space_from_jsonable(trajectory.design_space_echo)
     if space is None:
         space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
     if isinstance(space, FiniteSet):
@@ -583,7 +581,7 @@ def _bent_model(slope: float) -> ModelSpec:
     def mu(x, theta):
         return (np.asarray(theta, dtype=float) * f(x, theta)).sum(axis=-1)
 
-    return ModelSpec("bent", 2, mu, f, gradient_is_mu_gradient=False)
+    return ModelSpec("bent", 2, mu, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -612,9 +610,16 @@ def test_calibration_matches_dense_all_pairs(data, k, slope, epsilon):
 def test_calibration_eta_identity(mm_bundle):
     grid = mm_bundle.design_space.grid()
     thetas = mm_bundle.parameter_space.sample_grid(3)
-    cal = calibrate_window_diameter(
-        mm_bundle.model, mm_bundle.parameter_space, grid, thetas, epsilon=0.1
-    )
+    calls = []
+
+    def counted_f(x, theta):
+        calls.append(None)
+        return mm_bundle.model.f(x, theta)
+
+    model = replace(mm_bundle.model, f=counted_f)
+    cal = calibrate_window_diameter(model, mm_bundle.parameter_space, grid, thetas, epsilon=0.1)
+    # f is stacked once per sampled parameter, for gamma, kappa and the pair distances alike
+    assert len(calls) == len(thetas)
     p = 2
     assert (1 - cal.eta) ** (-2) / p == pytest.approx(1 / p + 0.05)
     assert cal.d > 0
@@ -723,8 +728,6 @@ KNOWN_SIGMA_STATS = {"t_known", "ks_known", "ks_mstar", "ks_chi2", "coverage95"}
     ],
 )
 def test_study_missing_statistics_table(mm_bundle, sigma_known, replicates, missing):
-    from dataclasses import replace
-
     scenario = _mm_scenario(mm_bundle, n_max=30)
     if not sigma_known:
         scenario = replace(scenario, noise=NonAH(sigma_odd=0.05, sigma_even=0.1))
@@ -766,35 +769,12 @@ def test_window_mass_limit_on_adaptive_polynomial_path(poly1_bundle):
         WynnConfig(n_max=400),
     )
     traj = simulate_trajectory(scenario, seed=77)
-    mass = window_mass(traj, 400, d=1.0)
+    mass = window_mass_curve(traj, 1.0, n_from=400)[400]
     # direct count oracle
     pts = traj.points[:400, 0]
     brute = max(np.sum((pts >= a) & (pts <= a + 1.0)) for a in pts) / 400.0
     assert mass == pytest.approx(brute)
     assert abs(mass - 0.5) <= 0.05
-
-
-def test_normality_study_validates_hypotheses(mm_bundle):
-    bad_noise = Scenario(
-        mm_bundle.model,
-        mm_bundle.design_space,
-        mm_bundle.parameter_space,
-        np.array([1.0, 1.0]),
-        NonAH(sigma_odd=0.05, sigma_even=0.1),
-        WynnConfig(n_max=30),
-    )
-    with pytest.raises(DomainError):
-        normality_study(bad_noise, 2, 30, seed=1)
-    boundary = Scenario(
-        mm_bundle.model,
-        mm_bundle.design_space,
-        mm_bundle.parameter_space,
-        np.array([3.0, 1.0]),
-        IIDGaussian(0.1),
-        WynnConfig(n_max=30),
-    )
-    with pytest.raises(DomainError):
-        normality_study(boundary, 2, 30, seed=1)
 
 
 def test_study_failure_fraction_enforced(mm_bundle, monkeypatch):

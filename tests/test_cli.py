@@ -320,6 +320,33 @@ def test_read_replay_file_validates(tmp_path):
             read_replay_file(str(bad))
 
 
+_NOISE_PARAMS = {
+    "iid_gaussian": {"sigma": 0.1},
+    "iid_scaled_t": {"df": 6.0, "scale": 0.1},
+    "heteroscedastic": {"sigma": 0.1, "decay": 1.0},
+    "non_ah": {"sigma_odd": 0.05, "sigma_even": 0.1},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "section,variant,key",
+    [("noise", variant, key) for variant, params in _NOISE_PARAMS.items() for key in params]
+    + [("wynn", None, "pd_floor")],
+)
+def test_nonfinite_config_value_exits_2(tmp_path, capsys, section, variant, key, value):
+    """json reads NaN and Infinity; they fail at the config boundary, naming the key."""
+    if section == "noise":
+        override = {"noise": {"variant": variant, **_NOISE_PARAMS[variant], key: value}}
+    else:
+        override = {"wynn": {"n_max": 12, key: value}}
+    path, _ = _write_config(tmp_path, **override)
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: $.{section}: {key} must be finite")
+    assert not (tmp_path / "t_trajectory.json").exists()
+
+
 def test_simulate_n_max_below_start_exits_2(tmp_path, capsys):
     path, _ = _write_config(tmp_path)
     assert main(["simulate", "--config", str(path), "--n-max", "1"]) == 2
@@ -588,6 +615,17 @@ def test_diagnose_nonpositive_diameter_exits_2(tmp_path, capsys, flag, value):
     rc = main(["diagnose", traj, *[a for kv in args.items() for a in kv]])
     assert rc == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_diagnose_epsilon_must_be_positive(tmp_path, capsys, value):
+    # a NaN epsilon made every stage pass the mass bound
+    traj = _twenty_point_trajectory(tmp_path)
+    capsys.readouterr()
+    flags = ["--d", "0.1", "--cell-diameter", "0.1", "--epsilon", value]
+    assert main(["diagnose", traj, *flags]) == 2
+    assert "--epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "adwynn_diagnostics.json").exists()
 
 
 def test_write_json_is_strict_json(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from adwynn.design import (
     pd_inverse_logdet,
     quadratic_form,
     rank_one_update,
-    sensitivity,
     sensitivity_profile,
     solve_locally_d_optimal,
 )
@@ -49,7 +49,8 @@ def test_design_validation():
 
 def test_design_json_roundtrip():
     d = Design(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
-    d2 = Design.from_jsonable(d.to_jsonable())
+    obj = json.loads(json.dumps(d.to_jsonable()))
+    d2 = Design(np.asarray(obj["support"]), np.asarray(obj["weights"]))
     assert np.array_equal(d.support, d2.support)
     assert np.array_equal(d.weights, d2.weights)
 
@@ -138,21 +139,21 @@ def test_rank_one_matches_recompute(mm_bundle, rng):
 
 
 def test_sensitivity_identity(poly1_bundle):
-    d = sensitivity([1.0], np.eye(2), np.zeros(2), poly1_bundle.model)
+    (d,) = sensitivity_profile([1.0], np.eye(2), np.zeros(2), poly1_bundle.model)
     assert d == pytest.approx(2.0)
 
 
 def test_sensitivity_at_optimal_design(poly1_bundle):
     des = Design(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
     M = info_matrix(des, np.zeros(2), poly1_bundle.model)
-    assert sensitivity([1.0], M, np.zeros(2), poly1_bundle.model) == pytest.approx(2.0)
+    assert sensitivity_profile([1.0], M, np.zeros(2), poly1_bundle.model) == pytest.approx([2.0])
 
 
 def test_sensitivity_three_point_design(poly1_bundle):
     # M = diag(1, 2/3) so d(x) = 1 + 1.5 x^2 from the explicit 2x2 inverse
     des = Design(np.array([[-1.0], [0.0], [1.0]]), np.full(3, 1.0 / 3.0))
     M = info_matrix(des, np.zeros(2), poly1_bundle.model)
-    assert sensitivity([1.0], M, np.zeros(2), poly1_bundle.model) == pytest.approx(2.5)
+    assert sensitivity_profile([1.0], M, np.zeros(2), poly1_bundle.model) == pytest.approx([2.5])
     xs = np.linspace(-1, 1, 9)[:, None]
     prof = sensitivity_profile(xs, M, np.zeros(2), poly1_bundle.model)
     assert np.allclose(prof, 1.0 + 1.5 * xs.ravel() ** 2, atol=1e-12)
@@ -160,7 +161,7 @@ def test_sensitivity_three_point_design(poly1_bundle):
 
 def test_sensitivity_singular_matrix_error(poly1_bundle):
     with pytest.raises(SingularMatrixError) as exc:
-        sensitivity([1.0], np.zeros((2, 2)), np.zeros(2), poly1_bundle.model)
+        sensitivity_profile([1.0], np.zeros((2, 2)), np.zeros(2), poly1_bundle.model)
     assert exc.value.min_eigenvalue <= 0.0
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adwynn.estimator as estimator
-from adwynn.errors import BoundaryWarning, DomainError
+from adwynn.errors import DomainError
 from adwynn.estimator import (
     DataBatch,
     FitConfig,
@@ -92,21 +92,6 @@ def test_gradient_matches_central_differences(mm_bundle, rng):
             fd[j] = (sse(batch, tp, model) - sse(batch, tm, model)) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(g))))
         assert np.max(np.abs(g - fd)) / scale <= 1e-5
-
-
-def test_gradient_boundary_warning(mm_bundle):
-    batch = _noiseless_batch(mm_bundle, [1.0, 1.0])
-    with pytest.warns(BoundaryWarning):
-        sse_gradient(batch, [0.2, 1.0], mm_bundle.model, space=mm_bundle.parameter_space)
-
-
-def test_gradient_requires_gradient_flag(mm_bundle):
-    from dataclasses import replace
-
-    model = replace(mm_bundle.model, gradient_is_mu_gradient=False)
-    batch = _noiseless_batch(mm_bundle, [1.0, 1.0])
-    with pytest.raises(DomainError):
-        sse_gradient(batch, [1.0, 1.0], model)
 
 
 # ---------------------------------------------------------------- fit_ls

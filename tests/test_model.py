@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,7 @@ from adwynn.model import (
     builtin_bundle,
     check_si_numeric,
     check_span,
-    eval_f,
-    eval_mu,
-    gradient_matches_mu,
+    design_space_from_jsonable,
     sample_parameter_pairs,
     sample_point_tuples,
 )
@@ -50,11 +50,15 @@ def test_finite_set_rejects_duplicates():
         FiniteSet(np.array([[0.0], [0.0]]))
 
 
-def test_finite_set_contains_and_diameter():
-    fs = FiniteSet(np.array([[0.0], [3.0]]))
-    assert fs.contains([0.0])
-    assert not fs.contains([1.5])
-    assert fs.diameter() == 3.0
+def test_design_space_json_roundtrip():
+    box = Box([0.0, -1.0], [1.0, 2.0], (3, 4))
+    finite = FiniteSet(np.array([[0.0], [0.5], [3.0]]))
+    for space in (box, finite):
+        back = design_space_from_jsonable(json.loads(json.dumps(space.to_jsonable())))
+        assert type(back) is type(space)
+        assert np.array_equal(back.grid(), space.grid())
+    assert design_space_from_jsonable({}) is None
+    assert design_space_from_jsonable({"kind": "sphere"}) is None
 
 
 def test_parameter_space_validation():
@@ -80,33 +84,17 @@ def test_parameter_grid_is_full_factorial():
 
 
 def test_eval_mu_trivial_examples(mm_bundle, expdecay_bundle, poly1_bundle):
-    assert eval_mu(mm_bundle.model, [1.0], [1.0, 1.0]) == pytest.approx(0.5)
-    assert eval_mu(expdecay_bundle.model, [0.0], [2.0, 3.0]) == pytest.approx(2.0)
-    assert eval_mu(poly1_bundle.model, [0.5], [1.0, 2.0]) == pytest.approx(2.0)
+    assert float(mm_bundle.model.mu(np.array([1.0]), np.array([1.0, 1.0]))) == pytest.approx(0.5)
+    assert float(expdecay_bundle.model.mu(np.array([0.0]), np.array([2.0, 3.0]))) == pytest.approx(2.0)
+    assert float(poly1_bundle.model.mu(np.array([0.5]), np.array([1.0, 2.0]))) == pytest.approx(2.0)
 
 
 def test_eval_f_trivial_examples(mm_bundle, poly1_bundle):
-    f = eval_f(mm_bundle.model, [1.0], [1.0, 1.0])
+    f = mm_bundle.model.f(np.array([1.0]), np.array([1.0, 1.0]))
+    assert f.shape == (2,)
     assert np.allclose(f, [0.5, -0.25])
-    f = eval_f(poly1_bundle.model, [0.7], [0.0, 0.0])
+    f = poly1_bundle.model.f(np.array([0.7]), np.array([0.0, 0.0]))
     assert np.allclose(f, [1.0, 0.7])
-
-
-def test_eval_rejects_out_of_domain(mm_bundle):
-    with pytest.raises(DomainError):
-        eval_mu(
-            mm_bundle.model,
-            [99.0],
-            [1.0, 1.0],
-            design_space=mm_bundle.design_space,
-        )
-    with pytest.raises(DomainError):
-        eval_f(
-            mm_bundle.model,
-            [1.0],
-            [99.0, 1.0],
-            parameter_space=mm_bundle.parameter_space,
-        )
 
 
 def test_evaluators_are_pure(mm_bundle):
@@ -203,29 +191,36 @@ def test_builtin_regressors_broadcast(name, kwargs):
         ("one_param_exponential", {}),
     ],
 )
-def test_builtin_gradients_match_mu(name, kwargs):
+def test_builtin_gradients_match_mu(name, kwargs, rng):
+    """f is the parameter gradient of mu on the default spaces: random points
+    of the region and parameters of the box shrunk by 20% per side."""
     bundle = builtin_bundle(name, **kwargs)
-    worst = gradient_matches_mu(
-        bundle.model, bundle.design_space, bundle.parameter_space, rel_tol=1e-5
-    )
-    assert worst <= 1e-5
+    region, space = bundle.design_space, bundle.parameter_space
+    margin = 0.2 * (space.upper - space.lower)
+    for _ in range(25):
+        x = rng.uniform(region.lower, region.upper)
+        theta = rng.uniform(space.lower + margin, space.upper - margin)
+        _assert_f_is_mu_gradient(bundle.model, x, theta)
+
+
+def _assert_f_is_mu_gradient(model, x, theta):
+    # central differences with step 1e-6 scaled by the component size
+    g = np.asarray(model.f(x, theta))
+    fd = np.empty(model.p)
+    for j in range(model.p):
+        h = 1e-6 * max(1.0, abs(theta[j]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        fd[j] = (float(model.mu(x, tp)) - float(model.mu(x, tm))) / (2 * h)
+    assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(g)))
 
 
 def test_gradient_fd_agreement_explicit(mm_bundle, rng):
-    # central differences with step 1e-6 scaled by the component size
-    model = mm_bundle.model
     for _ in range(25):
         x = rng.uniform(0.1, 3.0, size=1)
         theta = rng.uniform(0.4, 2.5, size=2)
-        g = np.asarray(model.f(x, theta))
-        fd = np.empty(2)
-        for j in range(2):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd[j] = (float(model.mu(x, tp)) - float(model.mu(x, tm))) / (2 * h)
-        assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(g)))
+        _assert_f_is_mu_gradient(mm_bundle.model, x, theta)
 
 
 def test_builtin_unknown_name():
@@ -308,12 +303,12 @@ def test_si_michaelis_menten_sampled(mm_bundle, rng):
     ],
 )
 def test_builtins_pass_span_and_si_on_default_spaces(name, kwargs, rng):
-    from adwynn.model import check_finiteness
-
     bundle = builtin_bundle(name, **kwargs)
     grid = bundle.design_space.grid()
     thetas = bundle.parameter_space.sample_grid(5)
-    assert check_finiteness(bundle.model, bundle.design_space, bundle.parameter_space)
+    for theta in thetas:
+        assert np.all(np.isfinite(bundle.model.mu(grid, theta)))
+        assert np.all(np.isfinite(bundle.model.f(grid, theta)))
     assert check_span(bundle.model, thetas, grid).passed
     pairs = sample_parameter_pairs(bundle.parameter_space, 200, 0.05, rng)
     tuples = sample_point_tuples(grid, bundle.model.p, 200, rng)

@@ -9,7 +9,6 @@ from adwynn.noise import (
     IIDGaussian,
     IIDScaledT,
     NonAH,
-    conditional_variance,
     make_error_spec,
     make_rng,
     mix_seed,
@@ -22,34 +21,29 @@ from adwynn.noise import (
 def test_conditional_variance_iid_gaussian():
     spec = IIDGaussian(0.1)
     for step in (1, 5, 1000):
-        assert conditional_variance(spec, step) == pytest.approx(0.01)
+        assert spec.conditional_sd(step) ** 2 == pytest.approx(0.01)
 
 
 def test_conditional_variance_heteroscedastic():
     spec = Heteroscedastic(sigma=1.0, decay=2.0)
-    assert conditional_variance(spec, 2) == pytest.approx(2.0)
-    assert conditional_variance(spec, 1) == pytest.approx(3.0)
-    assert conditional_variance(spec, 10**9) == pytest.approx(1.0, rel=1e-6)
+    assert spec.conditional_sd(2) ** 2 == pytest.approx(2.0)
+    assert spec.conditional_sd(1) ** 2 == pytest.approx(3.0)
+    assert spec.conditional_sd(10**9) ** 2 == pytest.approx(1.0, rel=1e-6)
 
 
 def test_conditional_variance_non_ah_oscillates():
     spec = NonAH(sigma_odd=1.0, sigma_even=2.0)
-    assert conditional_variance(spec, 1) == pytest.approx(1.0)
-    assert conditional_variance(spec, 2) == pytest.approx(4.0)
-    assert conditional_variance(spec, 3) == pytest.approx(1.0)
+    assert spec.conditional_sd(1) ** 2 == pytest.approx(1.0)
+    assert spec.conditional_sd(2) ** 2 == pytest.approx(4.0)
+    assert spec.conditional_sd(3) ** 2 == pytest.approx(1.0)
     assert spec.limit_variance() is None
-
-
-def test_conditional_variance_rejects_bad_step():
-    with pytest.raises(DomainError):
-        conditional_variance(IIDGaussian(1.0), 0)
 
 
 def test_ah_convergence_bound():
     # |cv(n) - sigma^2| <= sigma^2 * c / n, with equality for this variant
     spec = Heteroscedastic(sigma=0.7, decay=3.0)
     for n in (1, 2, 10, 100, 10000):
-        assert abs(conditional_variance(spec, n) - 0.49) <= 0.49 * 3.0 / n + 1e-15
+        assert abs(spec.conditional_sd(n) ** 2 - 0.49) <= 0.49 * 3.0 / n + 1e-15
 
 
 # ------------------------------------------------------------ draws
