@@ -10,7 +10,10 @@ rank-one term.
 
 The loop's own objects are the run's record: the estimator's grouped
 data is the one empirical design, and its fits are the trajectory's
-``final_fit`` and requested stages.  ``run`` takes an
+``final_fit`` and requested stages.  The trajectory's columns are the
+step record: each observation, estimate and step statistic (``logdet``,
+``max_d``) is stored once, and ``Trajectory.records`` reads the per-step
+view off them.  ``run`` takes an
 ``LSAdaptiveEstimator`` or a subclass; ``adwynn session`` passes one
 that announces each refit.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -27,7 +30,13 @@ import numpy as np
 from .design import pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import FitConfig, LSAdaptiveEstimator, LSFit
-from .model import DesignSpace, ModelSpec, ParameterSpace
+from .model import (
+    DesignSpace,
+    ModelSpec,
+    ParameterSpace,
+    design_space_from_jsonable,
+    finite_real_array,
+)
 from .noise import ErrorSpec, make_rng
 
 Array = np.ndarray
@@ -61,17 +70,7 @@ class WynnConfig:
             raise DomainError("theta_check_points_per_axis must be >= 1")
 
     def to_jsonable(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "pd_floor": self.pd_floor,
-            "theta_check_points_per_axis": self.theta_check_points_per_axis,
-            "fit": {
-                "grid_points_per_axis": self.fit.grid_points_per_axis,
-                "max_iterations": self.fit.max_iterations,
-                "step_tol": self.fit.step_tol,
-                "max_halvings": self.fit.max_halvings,
-            },
-        }
+        return asdict(self)
 
 
 class EndRun(Exception):
@@ -239,46 +238,48 @@ class StepRecord:
     y_next: float
 
 
+_RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
+
+
 class WynnState:
     """Mutable single-run state; one writer per run.  ``design`` is the
-    estimator's grouped data, read by the refit and ``compute_info`` alike."""
+    estimator's grouped data, read by the refit and ``compute_info`` alike.
+    ``points``, ``responses``, ``estimates``, ``logdet`` and ``max_d`` are
+    the trajectory's columns, one entry per observation, refit or step."""
 
     def __init__(
         self,
         model: ModelSpec,
         design_space: DesignSpace,
-        parameter_space: ParameterSpace,
         config: WynnConfig,
         estimator: LSAdaptiveEstimator,
         keep_stages: Sequence[int] = (),
     ):
         self.model = model
-        self.parameter_space = parameter_space
         self.config = config
         self.estimator = estimator
         self.design = estimator.data
         self.grid = design_space.grid()
-        k = self.grid.shape[1]
-        self.xs = np.empty((64, k), dtype=float)
-        self.ys = np.empty(64, dtype=float)
-        self.n = 0
         self.fit: Optional[LSFit] = None
         self.M: Optional[Array] = None
-        self.records: list[StepRecord] = []
+        self.points: list[Array] = []
+        self.responses: list[float] = []
         self.estimates: list[Array] = []
+        self.logdet: list[float] = []
+        self.max_d: list[float] = []
         self.n_start = 0
         self.keep_stages = frozenset(keep_stages)
         self.stages: dict[int, tuple[LSFit, Array, Array]] = {}
 
+    @property
+    def n(self) -> int:
+        return len(self.responses)
+
     # -- bookkeeping ---------------------------------------------------
 
     def _append(self, x: Array, y: float) -> None:
-        if self.n == self.xs.shape[0]:
-            self.xs = np.vstack([self.xs, np.empty_like(self.xs)])
-            self.ys = np.concatenate([self.ys, np.empty_like(self.ys)])
-        self.xs[self.n] = x
-        self.ys[self.n] = y
-        self.n += 1
+        self.points.append(x)
+        self.responses.append(y)
         self.estimator.update(x, y)
 
     def compute_info(self, theta: Array) -> Array:
@@ -298,37 +299,60 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     """One iteration: argmax the sensitivity, observe, refit, update."""
     if state.M is None:
         raise DomainError("state is not initialized")
-    theta = state.fit.theta_hat
     Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
-    F_grid = np.asarray(state.model.f(state.grid, theta), dtype=float)
+    F_grid = np.asarray(state.model.f(state.grid, state.fit.theta_hat), dtype=float)
     d = quadratic_form(F_grid, Minv)
     idx = int(d.argmax())
     x_next = state.grid[idx].copy()
-    max_d = float(d[idx])
-
-    n_before = state.n
-    theta_before = tuple(theta.tolist())
-    y_next = response_source.observe(x_next, n_before + 1)
-
+    y_next = response_source.observe(x_next, state.n + 1)
     state._append(x_next, float(y_next))
     state._refresh()
-    state.records.append(
-        StepRecord(
-            n=n_before,
-            x_next=tuple(x_next.tolist()),
-            theta=theta_before,
-            logdet=logdet,
-            max_d=max_d,
-            y_next=float(y_next),
-        )
-    )
+    state.logdet.append(logdet)
+    state.max_d.append(float(d[idx]))
     return state
+
+
+def _read(obj, path: str, kind=None):
+    """The value at ``path`` (keys joined by '.') of a trajectory file's
+    object, checked by ``_check``."""
+    for key in path.split("."):
+        if not isinstance(obj, dict) or key not in obj:
+            raise DomainError(f"{path} is missing")
+        obj = obj[key]
+    return _check(obj, path, kind)
+
+
+def _check(value, path: str, kind):
+    """``value``, of exactly the type ``kind`` unless that is None; for a
+    shape tuple (a string stands for any length), a finite float array of
+    that shape, or a float for ().  Else DomainError names the path."""
+    if kind is None or isinstance(kind, type):
+        if kind is not None and type(value) is not kind:  # a boolean is no integer
+            raise DomainError(f"{path} has type {type(value).__name__}, not {kind.__name__}")
+        return value
+    arr = finite_real_array(value, path)
+    if arr.shape == (0,) and len(kind) == 2:  # an empty list of rows
+        arr = arr.reshape(0, kind[1] if isinstance(kind[1], int) else 1)
+    if arr.ndim != len(kind) or any(isinstance(w, int) and w != g for w, g in zip(kind, arr.shape)):
+        shapes = ["(" + ", ".join(map(str, shape)) + ")" for shape in (kind, arr.shape)]
+        raise DomainError(f"{path} must have shape {shapes[0]}, got {shapes[1]}")
+    return float(arr) if kind == () else arr
+
+
+def _region(obj, key: str, parse):
+    """The region echo at ``key`` and what ``parse`` reads from it."""
+    echo = _read(obj, key, dict)
+    try:
+        return echo, parse(echo)
+    except (DomainError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complete record of one adaptive run; ``estimates`` is (stages, p).
-    ``stages`` (see ``run``) is not part of the JSON form."""
+    """Complete record of one adaptive run.  ``estimates`` is (stages, p):
+    the refit at each stage from ``n_start``; ``logdet`` and ``max_d`` hold
+    one entry per step.  ``stages`` (see ``run``) is not in the JSON form."""
 
     model_name: str
     seed: int
@@ -337,7 +361,8 @@ class Trajectory:
     points: Array
     responses: Array
     estimates: Array
-    records: tuple[StepRecord, ...]
+    logdet: Array
+    max_d: Array
     final_fit: Optional[LSFit]
     design_space_echo: dict
     parameter_space_echo: dict
@@ -351,6 +376,23 @@ class Trajectory:
     def p(self) -> int:
         return self.estimates.shape[1]
 
+    def _steps(self):
+        """Each step's (n, x_next, theta, logdet, max_d, y_next) in plain
+        floats, read off the columns: the one place that knows the layout
+        of a v1 step record."""
+        points, responses = self.points.tolist(), self.responses.tolist()
+        columns = zip(self.estimates.tolist(), self.logdet.tolist(), self.max_d.tolist())
+        for n, (theta, logdet, max_d) in enumerate(columns, self.n_start):
+            yield n, points[n], theta, logdet, max_d, responses[n]
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The step records, rebuilt from the columns on each access."""
+        return tuple(
+            StepRecord(n, tuple(x), tuple(theta), logdet, max_d, y)
+            for n, x, theta, logdet, max_d, y in self._steps()
+        )
+
     def to_jsonable(self) -> dict:
         return {
             "schema": "adwynn.trajectory.v1",
@@ -360,96 +402,63 @@ class Trajectory:
             "design_space": self.design_space_echo,
             "parameter_space": self.parameter_space_echo,
             "n_start": self.n_start,
-            "points": [list(map(float, row)) for row in self.points],
-            "responses": [float(v) for v in self.responses],
-            "estimates": [list(map(float, row)) for row in self.estimates],
-            "records": [
-                {
-                    "n": r.n,
-                    "x_next": list(r.x_next),
-                    "theta": list(r.theta),
-                    "logdet": r.logdet,
-                    "max_d": r.max_d,
-                    "y_next": r.y_next,
-                }
-                for r in self.records
-            ],
-            "final_fit": None
-            if self.final_fit is None
-            else {
-                "theta_hat": [float(v) for v in self.final_fit.theta_hat],
-                "sse_value": self.final_fit.sse_value,
-                "sigma2_hat": self.final_fit.sigma2_hat,
-                "converged": self.final_fit.converged,
-                "grid_minimum": [float(v) for v in self.final_fit.grid_minimum],
-                "grid_tie": self.final_fit.grid_tie,
+            "points": self.points.tolist(),
+            "responses": self.responses.tolist(),
+            "estimates": self.estimates.tolist(),
+            "records": [dict(zip(_RECORD_KEYS, step)) for step in self._steps()],
+            "final_fit": None if self.final_fit is None else {
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self.final_fit).items()
             },
         }
 
     @staticmethod
-    def from_jsonable(obj: dict) -> "Trajectory":
-        fit = obj.get("final_fit")
-        final_fit = (
-            None
-            if fit is None
-            else LSFit(
-                theta_hat=np.asarray(fit["theta_hat"], dtype=float),
-                sse_value=float(fit["sse_value"]),
-                sigma2_hat=float(fit["sigma2_hat"]),
-                converged=bool(fit["converged"]),
-                grid_minimum=np.asarray(fit["grid_minimum"], dtype=float),
-                grid_tie=bool(fit["grid_tie"]),
-            )
+    def from_jsonable(obj) -> "Trajectory":
+        """The trajectory a v1 file holds.  A key that is missing, of the
+        wrong type or shape, or not finite raises DomainError naming it, as
+        do records that disagree with ``points``, ``responses`` or
+        ``estimates``: the file's records must be the columns' records."""
+        ps_echo, space = _region(obj, "parameter_space",
+                                 lambda e: ParameterSpace(_read(e, "lower"), _read(e, "upper")))
+        ds_echo, region = _region(obj, "design_space", design_space_from_jsonable)
+        points = _read(obj, "points", ("n", "k"))
+        (n, k), p = points.shape, space.p
+        if region is not None and n and region.dimension != k:
+            raise DomainError(f"design_space has dimension {region.dimension}, points {k}")
+        n_start = _read(obj, "n_start", int)
+        if not 0 <= n_start <= n:
+            raise DomainError(f"n_start must lie between 0 and {n}, got {n_start}")
+        stages = n - n_start + 1 if n_start else 0
+        records = _read(obj, "records", list)
+        logdet, max_d = (
+            _check([r.get(key) if isinstance(r, dict) else None for r in records],
+                   f"records.{key}", (max(stages - 1, 0),))
+            for key in ("logdet", "max_d")
         )
-        points = np.asarray(obj["points"], dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
-        estimates = np.asarray(obj["estimates"], dtype=float)
-        if estimates.size == 0:  # keep p columns, as run does
-            estimates = np.zeros((0, len(obj.get("parameter_space", {}).get("lower", [0]))))
-        return Trajectory(
-            model_name=obj["model"],
-            seed=int(obj["seed"]),
-            config_echo=obj["config"],
-            n_start=int(obj["n_start"]),
-            points=points,
-            responses=np.asarray(obj["responses"], dtype=float),
-            estimates=estimates,
-            records=tuple(
-                StepRecord(
-                    n=int(r["n"]),
-                    x_next=tuple(float(v) for v in r["x_next"]),
-                    theta=tuple(float(v) for v in r["theta"]),
-                    logdet=float(r["logdet"]),
-                    max_d=float(r["max_d"]),
-                    y_next=float(r["y_next"]),
-                )
-                for r in obj["records"]
-            ),
-            final_fit=final_fit,
-            design_space_echo=obj.get("design_space", {}),
-            parameter_space_echo=obj.get("parameter_space", {}),
+        final_fit = _read(obj, "final_fit")
+        if final_fit is not None:
+            _read(obj, "final_fit", dict)
+            final_fit = LSFit(**{key: _read(obj, f"final_fit.{key}", kind) for key, kind in (
+                ("theta_hat", (p,)), ("sse_value", ()), ("sigma2_hat", ()),
+                ("converged", bool), ("grid_minimum", (p,)), ("grid_tie", bool))})
+        trajectory = Trajectory(
+            model_name=_read(obj, "model", str), seed=_read(obj, "seed", int),
+            config_echo=_read(obj, "config", dict), n_start=n_start, points=points,
+            responses=_read(obj, "responses", (n,)), estimates=_read(obj, "estimates", (stages, p)),
+            logdet=logdet, max_d=max_d, final_fit=final_fit,
+            design_space_echo=ds_echo, parameter_space_echo=ps_echo,
         )
+        if [dict(zip(_RECORD_KEYS, step)) for step in trajectory._steps()] != records:
+            raise DomainError("records disagree with points, responses or estimates")
+        return trajectory
 
     def csv_rows(self) -> tuple[list[str], list[list[str]]]:
-        k = self.points.shape[1] if self.points.ndim == 2 and self.points.shape[1] else 1
-        p = self.p
-        header = (
-            ["n"]
-            + [f"x{j}" for j in range(k)]
-            + ["y"]
-            + [f"theta{j}" for j in range(p)]
-            + ["logdet", "max_d"]
-        )
-        rows = []
-        for r in self.records:
-            rows.append(
-                [repr(r.n)]
-                + [repr(v) for v in r.x_next]
-                + [repr(r.y_next)]
-                + [repr(v) for v in r.theta]
-                + [repr(r.logdet), repr(r.max_d)]
-            )
+        header = ["n", *(f"x{j}" for j in range(self.points.shape[1])), "y"]
+        header += [*(f"theta{j}" for j in range(self.p)), "logdet", "max_d"]
+        rows = [
+            [repr(n), *map(repr, x), repr(y), *map(repr, theta), repr(logdet), repr(max_d)]
+            for n, x, theta, logdet, max_d, y in self._steps()
+        ]
         return header, rows
 
 
@@ -473,7 +482,7 @@ def run(
     """
     if estimator is None:
         estimator = LSAdaptiveEstimator(model, parameter_space, config.fit)
-    state = WynnState(model, design_space, parameter_space, config, estimator, keep_stages)
+    state = WynnState(model, design_space, config, estimator, keep_stages)
     initial = starting_design(model, design_space, parameter_space, config)
     if config.n_max < initial.shape[0]:
         raise ConfigError(
@@ -489,21 +498,14 @@ def run(
     except EndRun:
         pass
     return Trajectory(
-        model_name=model.name,
-        seed=int(seed),
-        config_echo=config.to_jsonable(),
+        model_name=model.name, seed=int(seed), config_echo=config.to_jsonable(),
         n_start=state.n_start,
-        points=state.xs[: state.n].copy(),
-        responses=state.ys[: state.n].copy(),
-        estimates=np.asarray(state.estimates, dtype=float).reshape(-1, model.p),
-        records=tuple(state.records),
-        final_fit=state.fit,
-        design_space_echo=design_space.to_jsonable(),
-        parameter_space_echo={
-            "lower": [float(v) for v in parameter_space.lower],
-            "upper": [float(v) for v in parameter_space.upper],
-        },
-        stages=state.stages,
+        points=np.array(state.points, dtype=float).reshape(-1, state.grid.shape[1]),
+        responses=np.array(state.responses, dtype=float),
+        estimates=np.array(state.estimates, dtype=float).reshape(-1, model.p),
+        logdet=np.array(state.logdet, dtype=float), max_d=np.array(state.max_d, dtype=float),
+        final_fit=state.fit, design_space_echo=design_space.to_jsonable(),
+        parameter_space_echo=parameter_space.to_jsonable(), stages=state.stages,
     )
 
 

@@ -52,6 +52,8 @@ from .noise import make_rng, mix_seed
 Array = np.ndarray
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+CHI2_QUANTILE_TOL = 1e-12  # relative, of chi2_quantile's bisection
+REFERENCE_TOL = 1e-5  # vertex-exchange tolerance of run_study's reference design
 
 # MCReport's per-checkpoint statistics, in report order
 CHECKPOINT_STATS = (
@@ -140,14 +142,14 @@ def chi2_cdf(dim: int, x: float) -> float:
     return _gamma_p(dim / 2.0, x / 2.0)
 
 
-def chi2_quantile(dim: int, level: float, tol: float = 1e-12) -> float:
-    """Quantile by bisection on the implemented CDF."""
+def chi2_quantile(dim: int, level: float) -> float:
+    """Quantile by bisection on the implemented CDF, to CHI2_QUANTILE_TOL relative."""
     if not 0.0 < level < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     lo, hi = 0.0, float(dim)
     while chi2_cdf(dim, hi) < level:
         hi *= 2.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > CHI2_QUANTILE_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if chi2_cdf(dim, mid) < level:
             lo = mid
@@ -262,7 +264,6 @@ def calibrate_window_diameter(
     grid: Array,
     theta_sample: Array,
     epsilon: float,
-    direction_sample: Optional[Array] = None,
 ) -> WindowCalibration:
     """Largest window diameter certified by the sampled regressor modulus.
 
@@ -279,11 +280,9 @@ def calibrate_window_diameter(
     if p < 2:
         raise DomainError("the window mass bound applies only for p >= 2")
     _require_positive("epsilon", epsilon)
-    if direction_sample is None:
-        direction_sample = sample_unit_directions(p, 2 * p + 32, seed=1)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     F = _regressor_stack(model, grid, theta_sample)
-    gamma, kappa = _gamma_kappa(F, direction_sample)
+    gamma, kappa = _gamma_kappa(F, sample_unit_directions(p, 2 * p + 32, seed=1))
     eta = 1.0 - 1.0 / math.sqrt(1.0 + p * epsilon / 2.0)
     threshold = eta * kappa / gamma
 
@@ -636,7 +635,6 @@ def run_study(
     seed: int,
     workers: int = 1,
     keep_paths: int = 0,
-    reference_tol: float = 1e-5,
     max_failure_fraction: float = 0.01,
 ) -> MCReport:
     """Simulate independent replicates and reduce them into an MCReport.
@@ -666,7 +664,7 @@ def run_study(
     sigma_known = None if not sigma2 else math.sqrt(sigma2)
     grid = scenario.design_space.grid()
     reference = solve_locally_d_optimal(
-        scenario.model, scenario.theta_bar, grid, tol=reference_tol
+        scenario.model, scenario.theta_bar, grid, tol=REFERENCE_TOL
     )
     mstar_root = matrix_sqrt(info_matrix(reference, scenario.theta_bar, scenario.model))
     run_scenario = replace(scenario, config=replace(scenario.config, n_max=checkpoints[-1]))

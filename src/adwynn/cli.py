@@ -411,13 +411,11 @@ def cmd_diagnose(args) -> int:
     for flag, value in (
         ("--d", args.d), ("--cell-diameter", args.cell_diameter), ("--epsilon", args.epsilon)
     ):
-        if not value > 0:
-            raise ConfigError(f"{flag} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
     try:
-        text = Path(args.trajectory).read_text()
-        obj = json.loads(text)
-        trajectory = Trajectory.from_jsonable(obj)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        trajectory = Trajectory.from_jsonable(json.loads(Path(args.trajectory).read_text()))
+    except (OSError, ValueError, DomainError) as exc:
         raise ConfigError(f"cannot parse trajectory file {args.trajectory}: {exc}") from None
     if args.n is not None and not trajectory.p <= args.n <= trajectory.n:
         raise ConfigError(

@@ -186,7 +186,6 @@ def solve_locally_d_optimal(
     grid: Array,
     tol: float = 1e-5,
     max_iterations: int = 100000,
-    prune_tol: float = PRUNE_TOL,
 ) -> Design:
     """Locally D-optimal design on the scan grid at a fixed parameter.
 
@@ -197,7 +196,7 @@ def solve_locally_d_optimal(
     determinant never decreases.  Convergence is certified by the
     equivalence gap max d - p <= tol * p; ``max_iterations`` bounds the
     number of exchanges.  Support points whose final weight falls below
-    ``prune_tol`` are removed and the gap is re-certified.
+    ``PRUNE_TOL`` are removed and the gap is re-certified.
 
     For p = 1 the optimum is the pointwise maximizer of f^2 and is
     returned directly with an exactly zero gap.
@@ -253,7 +252,7 @@ def solve_locally_d_optimal(
             w[k] -= step
         exchanges += 1
 
-    keep = w >= prune_tol
+    keep = w >= PRUNE_TOL
     w = w[keep] / w[keep].sum()
     design = Design(grid[keep], w)
     final_gap = equivalence_gap(design, theta, model, grid)

@@ -71,6 +71,12 @@ def finite_real_array(value, name: str) -> Array:
 # --------------------------------------------------------------------------
 
 
+def _full_factorial(lower: Array, upper: Array, counts) -> Array:
+    """counts[j] evenly spaced values per axis j, lexicographic in the axes."""
+    axes = [np.linspace(lo, hi, m) for lo, hi, m in zip(lower, upper, counts)]
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Finite experimental region: a list of distinct points in R^k."""
@@ -136,12 +142,7 @@ class Box:
 
     def grid(self) -> Array:
         """Full-factorial scan grid, lexicographic in the axis coordinates."""
-        axes = [
-            np.linspace(self.lower[j], self.upper[j], self.grid_resolution[j])
-            for j in range(self.dimension)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return _full_factorial(self.lower, self.upper, self.grid_resolution)
 
     def to_jsonable(self) -> dict:
         return {
@@ -208,12 +209,10 @@ class ParameterSpace:
 
     def sample_grid(self, points_per_axis: int = 5) -> Array:
         """Deterministic full-factorial sample, (points_per_axis**p, p)."""
-        axes = [
-            np.linspace(self.lower[j], self.upper[j], points_per_axis)
-            for j in range(self.p)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return _full_factorial(self.lower, self.upper, [points_per_axis] * self.p)
+
+    def to_jsonable(self) -> dict:
+        return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 # --------------------------------------------------------------------------

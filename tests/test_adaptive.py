@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwynn.adaptive import (
+    EndRun,
     ReplaySource,
     Scenario,
     SimulatedSource,
@@ -116,7 +118,6 @@ def _manual_state(bundle, points, responses, theta):
     state = WynnState(
         bundle.model,
         bundle.design_space,
-        bundle.parameter_space,
         config,
         FixedEstimator(bundle, theta),
     )
@@ -131,24 +132,22 @@ def test_step_argmax_breaks_tie_to_lowest_grid_index(poly1_bundle):
     # equal design on {-1, 0, 1}: d(x) = 1 + 1.5 x^2 ties at the two endpoints
     state = _manual_state(poly1_bundle, [[-1.0], [0.0], [1.0]], [0.0, 0.0, 0.0], [0.0, 0.0])
     wynn_step(state, ReplaySource([0.25]))
-    rec = state.records[-1]
-    assert rec.x_next == (-1.0,)
-    assert rec.max_d == pytest.approx(2.5)
-    assert rec.y_next == 0.25
-    assert rec.n == 3
+    assert state.n == 4
+    assert np.array_equal(state.points[-1], [-1.0])
+    assert state.max_d == [pytest.approx(2.5)]
+    assert state.responses[-1] == 0.25
 
 
 def test_step_argmax_certificate_on_grid(exp1_bundle):
     state = _manual_state(exp1_bundle, [[0.5], [2.0]], [0.6, 0.1], [1.0])
     wynn_step(state, ReplaySource([0.3]))
-    rec = state.records[-1]
     # grid scan oracle at the pre-step design and estimate
-    design = empirical_design(state.xs[:2])
+    design = empirical_design(np.array(state.points[:2]))
     M = info_matrix(design, np.array([1.0]), exp1_bundle.model)
     grid = exp1_bundle.design_space.grid()
     prof = sensitivity_profile(grid, M, np.array([1.0]), exp1_bundle.model)
-    assert rec.max_d == pytest.approx(float(prof.max()), rel=1e-12)
-    assert rec.x_next[0] == grid[int(np.argmax(prof)), 0]
+    assert state.max_d[-1] == pytest.approx(float(prof.max()), rel=1e-12)
+    assert state.points[-1][0] == grid[int(np.argmax(prof)), 0]
 
 
 def test_step_requires_positive_definite_matrix(poly1_bundle):
@@ -165,7 +164,7 @@ def test_step_rejects_non_finite_information_matrix(poly1_bundle):
     state.M = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(SingularMatrixError):
         wynn_step(state, ReplaySource([0.0]))
-    assert state.records == [] and state.n == 2
+    assert state.logdet == state.max_d == [] and state.n == 2
 
 
 def test_zero_noise_estimates_freeze(mm_bundle):
@@ -225,15 +224,40 @@ def test_run_is_deterministic_per_seed(mm_bundle):
     assert json.dumps(t3.to_jsonable(), sort_keys=True) != s1
 
 
+class _EndAfter:
+    """Replays the first responses of a simulated source, then ends the run."""
+
+    def __init__(self, source, count):
+        self._source, self._left = source, count
+
+    def observe(self, x, step):
+        if self._left == 0:
+            raise EndRun
+        self._left -= 1
+        return self._source.observe(x, step)
+
+
 def test_trajectory_json_roundtrip(mm_bundle):
+    """A complete run, and runs ended before and after the starting design
+    completes: the records are the columns, and the file reads back to the
+    same trajectory."""
     scenario = _zero_noise_scenario(mm_bundle, [1.2, 0.7], 10)
-    traj = simulate_trajectory(scenario, seed=9)
-    back = Trajectory.from_jsonable(json.loads(json.dumps(traj.to_jsonable())))
-    assert back.n == traj.n
-    assert np.array_equal(back.points, traj.points)
-    assert np.array_equal(back.estimates, traj.estimates)
-    assert back.records == traj.records
-    assert back.final_fit.sse_value == traj.final_fit.sse_value
+    for observed, steps in ((10, 8), (1, 0), (7, 5)):  # the starting design has 2 points
+        source = SimulatedSource(mm_bundle.model, scenario.theta_bar, scenario.noise, make_rng(9))
+        traj = run(mm_bundle.model, mm_bundle.design_space, mm_bundle.parameter_space,
+                   scenario.config, _EndAfter(source, observed), seed=9)
+        assert traj.n == observed and len(traj.logdet) == len(traj.max_d) == steps
+        assert len(traj.estimates) == (steps + 1 if traj.n_start else 0)
+        assert [astuple(r) for r in traj.records] == [
+            (n, tuple(traj.points[n]), tuple(traj.estimates[i]),
+             traj.logdet[i], traj.max_d[i], traj.responses[n])
+            for i, n in enumerate(range(traj.n_start, traj.n_start + steps))
+        ]
+        obj = json.loads(json.dumps(traj.to_jsonable()))
+        back = Trajectory.from_jsonable(obj)
+        assert back.to_jsonable() == obj
+        assert back.records == traj.records
+        assert back.estimates.shape == traj.estimates.shape == (len(traj.estimates), 2)
 
 
 def test_csv_rows_match_records(mm_bundle):

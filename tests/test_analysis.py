@@ -44,7 +44,8 @@ def _make_trajectory(points, p=2, space_echo=None):
         points=points,
         responses=np.zeros(points.shape[0]),
         estimates=np.zeros((1, p)),
-        records=(),
+        logdet=np.zeros(0),
+        max_d=np.zeros(0),
         final_fit=None,
         design_space_echo=space_echo or {},
         parameter_space_echo={"lower": [0.0] * p, "upper": [1.0] * p},
@@ -300,7 +301,8 @@ def test_window_mass_multidimensional_balls():
         points=pts,
         responses=np.zeros(4),
         estimates=np.zeros((1, 2)),
-        records=(),
+        logdet=np.zeros(0),
+        max_d=np.zeros(0),
         final_fit=None,
         design_space_echo=echo,
         parameter_space_echo={"lower": [0, 0], "upper": [1, 1]},

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,14 +618,57 @@ def test_diagnose_nonpositive_diameter_exits_2(tmp_path, capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0"])
-def test_diagnose_epsilon_must_be_positive(tmp_path, capsys, value):
-    # a NaN epsilon made every stage pass the mass bound
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epsilon", "nan"), ("--epsilon", "-1"), ("--epsilon", "0"), ("--epsilon", "inf"),
+     ("--d", "inf"), ("--cell-diameter", "inf")],
+    ids=["nan", "-1", "0", "inf", "d-inf", "cell-diameter-inf"],
+)
+def test_diagnose_epsilon_must_be_positive(tmp_path, capsys, flag, value):
+    # a NaN epsilon made every stage pass the mass bound; an infinite epsilon
+    # gave n0 = 1, and infinite diameters one cluster
     traj = _twenty_point_trajectory(tmp_path)
     capsys.readouterr()
-    flags = ["--d", "0.1", "--cell-diameter", "0.1", "--epsilon", value]
-    assert main(["diagnose", traj, *flags]) == 2
-    assert "--epsilon" in capsys.readouterr().err
+    args = {"--d": "0.1", "--cell-diameter": "0.1", "--epsilon": "0.05", flag: value}
+    assert main(["diagnose", traj, *[a for kv in args.items() for a in kv]]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "adwynn_diagnostics.json").exists()
+
+
+def _swap_bounds(box):
+    return {**box, "lower": box["upper"], "upper": box["lower"]}
+
+
+def _shift_one_record(records):
+    records[3] = {**records[3], "y_next": records[3]["y_next"] + 1.0}
+    return records
+
+
+@pytest.mark.parametrize(
+    "key, corrupt",
+    [
+        ("seed", lambda v: None),
+        ("points", lambda v: 5),
+        ("records", lambda v: 5),
+        ("final_fit", lambda v: 5),
+        ("design_space", _swap_bounds),
+        ("points", lambda v: [[math.nan]] * len(v)),
+        ("records", _shift_one_record),
+    ],
+    ids=["seed-null", "points-5", "records-5", "final_fit-5", "box-lower-above-upper",
+         "points-nan", "record-off-its-column"],
+)
+def test_diagnose_malformed_trajectory_exits_2(tmp_path, capsys, key, corrupt):
+    """A trajectory file with one bad key exits 2 naming the file and the key,
+    where it once ended in a traceback, exit 1, or meaningless clusters."""
+    traj = _twenty_point_trajectory(tmp_path)
+    obj = json.loads(Path(traj).read_text())
+    obj[key] = corrupt(obj[key])
+    Path(traj).write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["diagnose", traj, "--d", "0.1", "--cell-diameter", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse trajectory file {traj}: {key}"), err
     assert not (tmp_path / "adwynn_diagnostics.json").exists()
 
 
