@@ -21,7 +21,7 @@ from .design import (
     Design,
     d_efficiency,
     info_matrix,
-    log_det,
+    pd_inverse_logdet,
     rank_one_update,
     solve_locally_d_optimal,
 )

@@ -27,7 +27,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .design import pd_inverse_logdet, quadratic_form
+from .design import information, pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import FitConfig, LSAdaptiveEstimator, LSFit
 from .model import (
@@ -269,7 +269,7 @@ class WynnState:
         self.max_d: list[float] = []
         self.n_start = 0
         self.keep_stages = frozenset(keep_stages)
-        self.stages: dict[int, tuple[LSFit, Array, Array]] = {}
+        self.stages: dict[int, tuple[LSFit, Array, Array, Array]] = {}
 
     @property
     def n(self) -> int:
@@ -284,15 +284,16 @@ class WynnState:
 
     def compute_info(self, theta: Array) -> Array:
         F = np.asarray(self.model.f(self.design.points, theta), dtype=float)
-        M = (F.T * (self.design.counts / float(self.n))) @ F
-        return 0.5 * (M + M.T)
+        return information(F, self.design.counts / float(self.n))
 
     def _refresh(self) -> None:
         self.fit = self.estimator.estimate()
         self.estimates.append(self.fit.theta_hat.copy())
         self.M = self.compute_info(self.fit.theta_hat)
         if self.n in self.keep_stages:
-            self.stages[self.n] = (self.fit, self.design.points.copy(), self.design.counts.copy())
+            self.stages[self.n] = (
+                self.fit, self.design.points.copy(), self.design.counts.copy(), self.M
+            )
 
 
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
@@ -366,7 +367,7 @@ class Trajectory:
     final_fit: Optional[LSFit]
     design_space_echo: dict
     parameter_space_echo: dict
-    stages: dict[int, tuple[LSFit, Array, Array]] = field(default_factory=dict)
+    stages: dict[int, tuple[LSFit, Array, Array, Array]] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -475,10 +476,11 @@ def run(
     """Build and observe the starting design, fit once, then step to n_max.
 
     ``final_fit`` is the loop's last fit.  At each stage n of ``keep_stages``
-    reached, ``stages[n]`` keeps the loop's fit and design: (fit, support in
-    order of first appearance, counts).  A source that raises EndRun ends
-    the run early: the trajectory holds the points observed so far, and
-    ``final_fit`` is None while the starting design is incomplete.
+    reached, ``stages[n]`` keeps the loop's fit, design and information
+    matrix: (fit, support in order of first appearance, counts, M).  A
+    source that raises EndRun ends the run early: the trajectory holds the
+    points observed so far, and ``final_fit`` is None while the starting
+    design is incomplete.
     """
     if estimator is None:
         estimator = LSAdaptiveEstimator(model, parameter_space, config.fit)

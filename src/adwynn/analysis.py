@@ -35,10 +35,11 @@ from .design import (
     Design,
     d_efficiency,
     info_matrix,
+    information,
+    pd_inverse_logdet,
     solve_locally_d_optimal,
 )
 from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
-from .estimator import LSFit
 from .model import (
     Box,
     DesignSpace,
@@ -180,20 +181,11 @@ def matrix_sqrt(M: Array) -> Array:
     return (eigvecs * root) @ eigvecs.T
 
 
-def normality_stat(
-    fit: LSFit,
-    design: Design,
-    theta_bar: Array,
-    sigma: float,
-    n: int,
-    model: ModelSpec,
-) -> Array:
-    """Standardized estimation error sqrt(n)/sigma * M^{1/2} (theta_hat - theta_bar)."""
+def normality_stat(root: Array, delta: Array, sigma: float, n: int) -> Array:
+    """Standardized estimation error sqrt(n)/sigma * root delta, with root
+    = M^{1/2} (``matrix_sqrt``) and delta = theta_hat - theta_bar."""
     if sigma <= 0:
         raise DomainError("sigma must be positive")
-    M = info_matrix(design, fit.theta_hat, model)
-    root = matrix_sqrt(M)
-    delta = np.asarray(fit.theta_hat, dtype=float) - np.asarray(theta_bar, dtype=float)
     return (math.sqrt(n) / sigma) * (root @ delta)
 
 
@@ -590,25 +582,26 @@ class MCReport:
 
 
 def _replicate_worker(args) -> dict:
-    scenario, master_seed, index, checkpoints, sigma_known, reference, mstar_root, keep_path = args
+    scenario, master_seed, index, checkpoints, sigma_known, logdet_ref, mstar_root, keep_path = args
     model, theta_bar = scenario.model, scenario.theta_bar
     seed = mix_seed(master_seed, index)
     try:
         traj = simulate_trajectory(scenario, seed, keep_stages=checkpoints)
         out: dict = {"index": index, "failed": None, "checkpoints": {}}
         for n in checkpoints:
-            fit, support, counts = traj.stages[n]  # the loop's own fit and design
-            design_n = Design(support, counts / n)
+            fit, support, counts, M = traj.stages[n]  # the loop's own fit, design and M
+            root = matrix_sqrt(M)
             delta = fit.theta_hat - theta_bar
             sigma_hat = math.sqrt(max(fit.sigma2_hat, 1e-300))
+            M_bar = information(np.asarray(model.f(support, theta_bar), dtype=float), counts / n)
             row = {
                 "error": float(np.linalg.norm(delta)),
-                "t_plugin": normality_stat(fit, design_n, theta_bar, sigma_hat, n, model),
-                "defficiency": d_efficiency(design_n, reference, theta_bar, model),
+                "t_plugin": normality_stat(root, delta, sigma_hat, n),
+                "defficiency": d_efficiency(M_bar, logdet_ref),
             }
             if sigma_known is not None:
-                row["t_known"] = normality_stat(fit, design_n, theta_bar, sigma_known, n, model)
-                row["u_mstar"] = (math.sqrt(n) / sigma_known) * (mstar_root @ delta)
+                row["t_known"] = normality_stat(root, delta, sigma_known, n)
+                row["u_mstar"] = normality_stat(mstar_root, delta, sigma_known, n)
             out["checkpoints"][n] = row
         if keep_path:
             out["trajectory"] = traj
@@ -639,11 +632,11 @@ def run_study(
 ) -> MCReport:
     """Simulate independent replicates and reduce them into an MCReport.
 
-    Checkpoint statistics are read off the loop's own fit and design at
-    each stage; a checkpoint below the starting design raises ConfigError
-    before any replicate runs.  Replicates are seeded from the master seed
-    by index, so the report does not depend on the worker count.
-    Reduction is ordered by replicate index.  If more than
+    Checkpoint statistics are read off the loop's own fit, design and
+    information matrix at each stage; a checkpoint below the starting
+    design raises ConfigError before any replicate runs.  Replicates are
+    seeded from the master seed by index, so the report does not depend on
+    the worker count.  Reduction is ordered by replicate index.  If more than
     ``max_failure_fraction`` of the replicates fail the study raises
     StudyError.
     """
@@ -666,10 +659,11 @@ def run_study(
     reference = solve_locally_d_optimal(
         scenario.model, scenario.theta_bar, grid, tol=REFERENCE_TOL
     )
-    mstar_root = matrix_sqrt(info_matrix(reference, scenario.theta_bar, scenario.model))
+    M_ref = info_matrix(reference, scenario.theta_bar, scenario.model)
+    logdet_ref, mstar_root = pd_inverse_logdet(M_ref)[1], matrix_sqrt(M_ref)
     run_scenario = replace(scenario, config=replace(scenario.config, n_max=checkpoints[-1]))
     args = [
-        (run_scenario, int(seed), r, checkpoints, sigma_known, reference, mstar_root,
+        (run_scenario, int(seed), r, checkpoints, sigma_known, logdet_ref, mstar_root,
          r < keep_paths)
         for r in range(replicates)
     ]

@@ -42,7 +42,7 @@ from .adaptive import (
     run,
     simulate_trajectory,
 )
-from .design import equivalence_gap, info_matrix, log_det, solve_locally_d_optimal
+from .design import equivalence_gap, info_matrix, pd_inverse_logdet, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError, DomainError
 from .estimator import FitConfig, LSAdaptiveEstimator
 from .model import ModelBundle, builtin_bundle, finite_real_array
@@ -364,7 +364,7 @@ def cmd_oracle(args) -> int:
             "model": cfg.bundle.model.name,
             "theta": [float(v) for v in theta],
             "equivalence_gap": gap,
-            "logdet": log_det(info_matrix(design, theta, cfg.bundle.model)),
+            "logdet": pd_inverse_logdet(info_matrix(design, theta, cfg.bundle.model))[1],
             "tol": tol,
         }
     )

@@ -85,11 +85,17 @@ class Design:
 # --------------------------------------------------------------------------
 
 
-def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
-    """M = sum over support of weight * f f'."""
-    F = np.asarray(model.f(design.support, np.asarray(theta, dtype=float)), dtype=float)
-    M = (F * design.weights[:, None]).T @ F
+def information(F: Array, w: Array) -> Array:
+    """M = sum over the rows f of F of weight * f f', symmetrised: the one
+    formula for an information matrix from regressors and weights."""
+    M = (F.T * w) @ F
     return 0.5 * (M + M.T)
+
+
+def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
+    """The information matrix of ``design`` at ``theta``."""
+    F = np.asarray(model.f(design.support, np.asarray(theta, dtype=float)), dtype=float)
+    return information(F, design.weights)
 
 
 def rank_one_update(M: Array, f: Array, n: int) -> Array:
@@ -136,16 +142,11 @@ def pd_inverse_logdet(M: Array, floor: float = PD_FLOOR) -> tuple[Array, float]:
     return np.array([[c / det, -b / det], [-b / det, a / det]]), math.log(det)
 
 
-def pd_inverse(M: Array, floor: float = PD_FLOOR) -> Array:
-    """The inverse from ``pd_inverse_logdet``; fails fast below the floor."""
-    return pd_inverse_logdet(M, floor)[0]
-
-
 def sensitivity_profile(
     points: Array, M: Array, theta: Array, model: ModelSpec, floor: float = PD_FLOOR
 ) -> Array:
     """d(x) = f(x, theta)' M^{-1} f(x, theta) at each row of a point array, shape (m,)."""
-    Minv = pd_inverse(M, floor)
+    Minv = pd_inverse_logdet(M, floor)[0]
     F = np.asarray(model.f(np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(theta, dtype=float)), dtype=float)
     return quadratic_form(F, Minv)
 
@@ -161,11 +162,6 @@ def quadratic_form(F: Array, Minv: Array) -> Array:
         F0, F1 = F.T
         return (a * F0 + 2.0 * b * F1) * F0 + c * (F1 * F1)
     return np.einsum("ij,jk,ik->i", F, Minv, F)
-
-
-def log_det(M: Array, floor: float = PD_FLOOR) -> float:
-    """Log determinant; fails fast below the floor (``pd_inverse_logdet``)."""
-    return pd_inverse_logdet(M, floor)[1]
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +217,10 @@ def solve_locally_d_optimal(
     w = np.full(m, 1.0 / m)
     exchanges = 0
     while True:
+        # not ``information``: symmetrised, M moves the weights (~1e-8) and can change the support
         M = (F * w[:, None]).T @ F
         try:
-            Minv = pd_inverse(M)
+            Minv = pd_inverse_logdet(M)[0]
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "grid does not support a positive definite information matrix", exc.min_eigenvalue
@@ -261,8 +258,7 @@ def solve_locally_d_optimal(
     return design
 
 
-def d_efficiency(design: Design, reference: Design, theta: Array, model: ModelSpec) -> float:
-    """(det M(design) / det M(reference))^(1/p)."""
-    ld = log_det(info_matrix(design, theta, model))
-    ld_ref = log_det(info_matrix(reference, theta, model))
-    return float(np.exp((ld - ld_ref) / model.p))
+def d_efficiency(M: Array, logdet_reference: float) -> float:
+    """(det M / det M_ref)^(1/p), the reference given by its log determinant."""
+    ld = pd_inverse_logdet(M)[1]
+    return float(np.exp((ld - logdet_reference) / M.shape[0]))

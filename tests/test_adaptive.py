@@ -25,6 +25,7 @@ from adwynn.adaptive import (
 )
 from adwynn.analysis import empirical_design
 from adwynn.design import (
+    Design,
     info_matrix,
     rank_one_update,
     sensitivity_profile,
@@ -471,7 +472,8 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
     """The run makes one GroupedData, which takes one add per observation; at
     each kept stage its counts are the multiplicities of the first n points
     (so they sum to n and the weights to 1), and the stage's M is positive
-    definite and equals the information matrix of the empirical design."""
+    definite and equals the information matrix of the empirical design: byte
+    for byte when that design lists the support in the loop's order."""
     bundle = builtin_bundle(name)
     space = bundle.parameter_space
     scenario = Scenario(
@@ -500,9 +502,10 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
     assert len(created) == 1 and len(adds) == traj.n
     assert all(data is created[0] for data in adds)
     assert set(traj.stages) == {n for n in keep if n >= traj.n_start}
-    for n, (fit, support, counts) in traj.stages.items():
+    for n, (fit, support, counts, M_kept) in traj.stages.items():
         n_adds, M, shared = at_refresh[n]
         assert n_adds == n and shared
+        assert np.array_equal(M_kept, M)
         assert counts.sum() == n
         assert abs((counts / n).sum() - 1.0) <= 1e-12
         distinct, multiplicity = np.unique(traj.points[:n], axis=0, return_counts=True)
@@ -514,3 +517,4 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
         assert np.array_equal(theta, traj.estimates[n - traj.n_start])
         expected = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)
         assert np.max(np.abs(M - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+        assert np.array_equal(M, info_matrix(Design(support, counts / n), theta, bundle.model))

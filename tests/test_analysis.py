@@ -25,9 +25,8 @@ from adwynn.analysis import (
     sample_unit_directions,
     window_mass_curve,
 )
-from adwynn.design import Design
+from adwynn.design import Design, info_matrix
 from adwynn.errors import ConfigError, DomainError, StudyError
-from adwynn.estimator import LSFit
 from adwynn.model import Box, FiniteSet, ModelSpec, ParameterSpace, design_space_from_jsonable
 from adwynn.noise import IIDGaussian, NonAH
 
@@ -127,8 +126,8 @@ def test_matrix_sqrt_squares_back(rng):
 
 def test_normality_stat_zero_at_truth(mm_bundle):
     design = Design(np.array([[0.5], [3.0]]), np.array([0.5, 0.5]))
-    fit = LSFit(np.array([1.0, 1.0]), 0.0, 0.0, True, np.array([1.0, 1.0]))
-    t = normality_stat(fit, design, np.array([1.0, 1.0]), 0.1, 100, mm_bundle.model)
+    root = matrix_sqrt(info_matrix(design, np.array([1.0, 1.0]), mm_bundle.model))
+    t = normality_stat(root, np.zeros(2), 0.1, 100)
     assert np.allclose(t, 0.0)
 
 
@@ -146,8 +145,8 @@ def test_normality_stat_scalar_example():
 
     model = ModelSpec("const2", 1, mu, f)
     design = Design(np.array([[0.0]]), np.array([1.0]))
-    fit = LSFit(np.array([0.6]), 0.0, 0.0, True, np.array([0.6]))
-    t = normality_stat(fit, design, np.array([0.5]), 2.0, 100, model)
+    root = matrix_sqrt(info_matrix(design, np.array([0.6]), model))
+    t = normality_stat(root, np.array([0.6]) - np.array([0.5]), 2.0, 100)
     assert t[0] == pytest.approx(1.0)
 
 
@@ -827,7 +826,7 @@ def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
     The study itself calls neither."""
     import adwynn
     from adwynn import adaptive, cli, design, estimator
-    from adwynn.design import d_efficiency, solve_locally_d_optimal
+    from adwynn.design import d_efficiency, pd_inverse_logdet, solve_locally_d_optimal
     from adwynn.estimator import DataBatch, fit_ls
     from adwynn.model import builtin_bundle
 
@@ -850,6 +849,7 @@ def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
     reference = solve_locally_d_optimal(
         bundle.model, theta_bar, bundle.design_space.grid(), tol=1e-5
     )
+    logdet_ref = pd_inverse_logdet(info_matrix(reference, theta_bar, bundle.model))[1]
     sigma = report.sigma_known
     assert len(report.kept_paths) == 4
     for r, traj in enumerate(report.kept_paths):
@@ -865,14 +865,53 @@ def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
             assert kept.sigma2_hat == pytest.approx(refit.sigma2_hat, rel=1e-13)
             assert report.error_samples[n][r] == np.linalg.norm(refit.theta_hat - theta_bar)
             sigma_hat = math.sqrt(max(refit.sigma2_hat, 1e-300))
-            t_plugin = normality_stat(refit, design_n, theta_bar, sigma_hat, n, bundle.model)
-            t_known = normality_stat(refit, design_n, theta_bar, sigma, n, bundle.model)
+            root = matrix_sqrt(info_matrix(design_n, refit.theta_hat, bundle.model))
+            delta = refit.theta_hat - theta_bar
+            t_plugin = normality_stat(root, delta, sigma_hat, n)
+            t_known = normality_stat(root, delta, sigma, n)
             assert _relative(report.t_plugin[n][r], t_plugin) <= 1e-13
             assert _relative(report.t_known[n][r], t_known) <= 1e-13
+            M_bar = info_matrix(design_n, theta_bar, bundle.model)
             assert report.defficiency_samples[n][r] == pytest.approx(
-                d_efficiency(design_n, reference, theta_bar, bundle.model), rel=1e-13
+                d_efficiency(M_bar, logdet_ref), rel=1e-13
             )
         assert traj.final_fit is traj.stages[traj.n][0]
+
+
+def test_study_forms_one_square_root_and_one_f_call_per_checkpoint(mm_bundle, monkeypatch):
+    """Each replicate-checkpoint takes one M^{1/2} of the loop's own M and
+    evaluates f once, at theta_bar on the support, for its D-efficiency; it
+    builds no Design.  The reference's M is formed once per study."""
+    f_calls, in_worker, in_run = [], [], []
+    scenario = _mm_scenario(mm_bundle, n_max=30)
+
+    def f(x, theta):
+        if in_worker and not in_run:
+            f_calls.append(np.array_equal(theta, scenario.theta_bar))
+        return mm_bundle.model.f(x, theta)
+
+    def flagged(flag, fn):
+        def wrapper(*args, **kwargs):
+            flag.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                flag.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_replicate_worker", flagged(in_worker, analysis._replicate_worker))
+    monkeypatch.setattr(analysis, "simulate_trajectory", flagged(in_run, analysis.simulate_trajectory))
+    infos = _count_calls(monkeypatch, "info_matrix", [analysis])
+    roots = _count_calls(monkeypatch, "matrix_sqrt", [analysis])
+    designs = _count_calls(monkeypatch, "Design", [analysis])
+    scenario = replace(scenario, model=replace(mm_bundle.model, f=f))
+    replicates, checkpoints = 3, (20, 25, 30)
+    run_study(scenario, replicates, checkpoints, seed=4)
+    stages = replicates * len(checkpoints)
+    assert len(infos) == 1 and designs == []
+    assert len(roots) == stages + 1
+    assert f_calls == [True] * stages
 
 
 def test_study_checkpoint_before_start_fails(mm_bundle, monkeypatch):
