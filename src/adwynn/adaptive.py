@@ -42,6 +42,7 @@ from .noise import ErrorSpec, make_rng
 Array = np.ndarray
 
 _COMBO_CAP = 200000
+TIE_RTOL = 1e-13  # sensitivities this close to the maximum, relative, tie for the argmax
 
 
 # --------------------------------------------------------------------------
@@ -297,13 +298,17 @@ class WynnState:
 
 
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
-    """One iteration: argmax the sensitivity, observe, refit, update."""
+    """One iteration: argmax the sensitivity, observe, refit, update.
+
+    The argmax is the lowest grid index among the points whose sensitivity
+    lies within ``TIE_RTOL`` of the maximum, so rounding does not pick
+    between points that tie exactly in exact arithmetic."""
     if state.M is None:
         raise DomainError("state is not initialized")
     Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
     F_grid = np.asarray(state.model.f(state.grid, state.fit.theta_hat), dtype=float)
     d = quadratic_form(F_grid, Minv)
-    idx = int(d.argmax())
+    idx = int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
     x_next = state.grid[idx].copy()
     y_next = response_source.observe(x_next, state.n + 1)
     state._append(x_next, float(y_next))

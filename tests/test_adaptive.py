@@ -33,7 +33,7 @@ from adwynn.design import (
 from adwynn.errors import AcquisitionError, ConfigError, DomainError, SingularMatrixError
 from adwynn.estimator import DataBatch, GroupedData, LSAdaptiveEstimator, LSFit, fit_ls
 from adwynn.model import builtin_bundle
-from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng
+from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng, mix_seed
 
 
 class FixedEstimator(LSAdaptiveEstimator):
@@ -137,6 +137,23 @@ def test_step_argmax_breaks_tie_to_lowest_grid_index(poly1_bundle):
     assert np.array_equal(state.points[-1], [-1.0])
     assert state.max_d == [pytest.approx(2.5)]
     assert state.responses[-1] == 0.25
+
+
+def test_step_breaks_a_rounding_tie_to_lowest_grid_index(mm_bundle):
+    # from the saturated start {0.767, 3} (grid indices 46 and 200) d = p at
+    # both points in exact arithmetic; at this seed rounding puts d(3) above
+    # d(0.767) by about 9e-16 relative, and the step still takes index 46
+    grid = mm_bundle.design_space.grid()
+    scenario = Scenario(
+        mm_bundle.model, mm_bundle.design_space, mm_bundle.parameter_space,
+        np.array([1.0, 1.0]), IIDGaussian(0.1), WynnConfig(n_max=3),
+    )
+    traj = simulate_trajectory(scenario, mix_seed(2024, 98), keep_stages=(2,))
+    fit, support, _, M = traj.stages[2]
+    d = sensitivity_profile(grid, M, fit.theta_hat, mm_bundle.model)
+    assert np.array_equal(support[:, 0], grid[[46, 200], 0])
+    assert d[46] < d[200] == d.max() and d[200] - d[46] <= 1e-15 * d[200]
+    assert traj.points[2, 0] == grid[46, 0] and traj.max_d[0] == d[46]
 
 
 def test_step_argmax_certificate_on_grid(exp1_bundle):
