@@ -900,8 +900,8 @@ def test_study_forms_one_square_root_and_one_f_call_per_checkpoint(mm_bundle, mo
 
         return wrapper
 
-    monkeypatch.setattr(analysis, "_replicate_worker", flagged(in_worker, analysis._replicate_worker))
-    monkeypatch.setattr(analysis, "simulate_trajectory", flagged(in_run, analysis.simulate_trajectory))
+    for name, flag in (("_replicate_worker", in_worker), ("simulate_trajectory", in_run)):
+        monkeypatch.setattr(analysis, name, flagged(flag, getattr(analysis, name)))
     infos = _count_calls(monkeypatch, "info_matrix", [analysis])
     roots = _count_calls(monkeypatch, "matrix_sqrt", [analysis])
     designs = _count_calls(monkeypatch, "Design", [analysis])
