@@ -25,7 +25,7 @@ from .design import (
     rank_one_update,
     solve_locally_d_optimal,
 )
-from .estimator import DataBatch, FitConfig, LSFit, fit_ls, sse, sse_gradient
+from .estimator import DataBatch, LSFit, fit_ls, sse, sse_gradient
 from .model import (
     Box,
     FiniteSet,

@@ -22,14 +22,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from .design import information, pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
-from .estimator import FitConfig, LSAdaptiveEstimator, LSFit
+from .estimator import (
+    GRID_POINTS_PER_AXIS,
+    MAX_HALVINGS,
+    MAX_ITERATIONS,
+    STEP_TOL,
+    LSAdaptiveEstimator,
+    LSFit,
+)
 from .model import (
     DesignSpace,
     ModelSpec,
@@ -43,6 +50,8 @@ Array = np.ndarray
 
 _COMBO_CAP = 200000
 TIE_RTOL = 1e-13  # sensitivities this close to the maximum, relative, tie for the argmax
+PD_FLOOR = 1e-8  # the least eigenvalue a positive definite information matrix must exceed
+THETA_CHECK_POINTS_PER_AXIS = 5  # per-axis points of the sample certifying the start
 
 
 # --------------------------------------------------------------------------
@@ -55,23 +64,27 @@ class WynnConfig:
     """Settings for one adaptive run.
 
     ``n_max`` counts total observations including the starting design.
+    The echo also records the fixed numerical settings the run used.
     """
 
     n_max: int
-    pd_floor: float = 1e-8
-    theta_check_points_per_axis: int = 5
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if not 0 < self.pd_floor < math.inf:  # NaN fails too
-            raise DomainError(f"pd_floor must be finite and positive, got {self.pd_floor!r}")
-        if self.theta_check_points_per_axis < 1:
-            raise DomainError("theta_check_points_per_axis must be >= 1")
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        return {
+            "n_max": self.n_max,
+            "pd_floor": PD_FLOOR,
+            "theta_check_points_per_axis": THETA_CHECK_POINTS_PER_AXIS,
+            "fit": {
+                "grid_points_per_axis": GRID_POINTS_PER_AXIS,
+                "max_iterations": MAX_ITERATIONS,
+                "step_tol": STEP_TOL,
+                "max_halvings": MAX_HALVINGS,
+            },
+        }
 
 
 class EndRun(Exception):
@@ -160,12 +173,11 @@ def build_initial_design(
     space: ParameterSpace,
     grid: Array,
     theta_check_sample: Array,
-    pd_floor: float = 1e-8,
 ) -> Array:
     """Starting points whose uniform design is positive definite.
 
     Certification is numeric: the smallest eigenvalue of the averaged
-    information matrix must clear ``pd_floor`` for every parameter in
+    information matrix must clear ``PD_FLOOR`` for every parameter in
     ``theta_check_sample``.  Construction is greedy; for p = 1 the
     start point maximizes the worst-case squared regressor directly.
     Points are added until the floor is cleared or the addition budget
@@ -197,10 +209,10 @@ def build_initial_design(
         return float(eigs[:, 0].min())
 
     budget = 10 * p * theta_check_sample.shape[0]
-    while certified(B, len(chosen)) <= pd_floor:
+    while certified(B, len(chosen)) <= PD_FLOOR:
         if len(chosen) - p >= budget:
             raise InitializationError(
-                f"could not clear pd_floor {pd_floor:.1e} after {len(chosen)} points; "
+                f"could not clear pd_floor {PD_FLOOR:.1e} after {len(chosen)} points; "
                 f"worst-case min eigenvalue {certified(B, len(chosen)):.3e}; "
                 "the scan grid or the parameter sample is probably too coarse"
             )
@@ -213,13 +225,11 @@ def build_initial_design(
 
 
 def starting_design(
-    model: ModelSpec, design_space: DesignSpace, parameter_space: ParameterSpace, config: WynnConfig
+    model: ModelSpec, design_space: DesignSpace, parameter_space: ParameterSpace
 ) -> Array:
-    """The starting points ``run`` observes under ``config``."""
-    sample = parameter_space.sample_grid(config.theta_check_points_per_axis)
-    return build_initial_design(
-        model, parameter_space, design_space.grid(), sample, config.pd_floor
-    )
+    """The starting points ``run`` observes."""
+    sample = parameter_space.sample_grid(THETA_CHECK_POINTS_PER_AXIS)
+    return build_initial_design(model, parameter_space, design_space.grid(), sample)
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +315,7 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     between points that tie exactly in exact arithmetic."""
     if state.M is None:
         raise DomainError("state is not initialized")
-    Minv, logdet = pd_inverse_logdet(state.M, state.config.pd_floor)
+    Minv, logdet = pd_inverse_logdet(state.M, PD_FLOOR)
     F_grid = np.asarray(state.model.f(state.grid, state.fit.theta_hat), dtype=float)
     d = quadratic_form(F_grid, Minv)
     idx = int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
@@ -488,9 +498,9 @@ def run(
     design is incomplete.
     """
     if estimator is None:
-        estimator = LSAdaptiveEstimator(model, parameter_space, config.fit)
+        estimator = LSAdaptiveEstimator(model, parameter_space)
     state = WynnState(model, design_space, config, estimator, keep_stages)
-    initial = starting_design(model, design_space, parameter_space, config)
+    initial = starting_design(model, design_space, parameter_space)
     if config.n_max < initial.shape[0]:
         raise ConfigError(
             f"n_max = {config.n_max} is below the starting design size {initial.shape[0]}"

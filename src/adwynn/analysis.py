@@ -206,11 +206,7 @@ def sample_unit_directions(p: int, count: int, seed: int = 0) -> Array:
 
 
 def compute_gamma_kappa(
-    model: ModelSpec,
-    space: ParameterSpace,
-    grid: Array,
-    theta_sample: Array,
-    direction_sample: Array,
+    model: ModelSpec, grid: Array, theta_sample: Array, direction_sample: Array
 ) -> tuple[float, float]:
     """Sampled regressor range constants.
 
@@ -646,7 +642,7 @@ def run_study(
     if replicates < 1:
         raise DomainError("need at least one replicate")
     n_start = starting_design(
-        scenario.model, scenario.design_space, scenario.parameter_space, scenario.config
+        scenario.model, scenario.design_space, scenario.parameter_space
     ).shape[0]
     if checkpoints[0] < n_start:
         raise ConfigError(

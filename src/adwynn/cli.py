@@ -44,7 +44,7 @@ from .adaptive import (
 )
 from .design import equivalence_gap, info_matrix, pd_inverse_logdet, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError, DomainError
-from .estimator import FitConfig, LSAdaptiveEstimator
+from .estimator import LSAdaptiveEstimator
 from .model import ModelBundle, builtin_bundle, finite_real_array
 from .noise import ErrorSpec, make_error_spec
 
@@ -118,19 +118,7 @@ def _section(raw: dict, name: str, keys, required: bool = False) -> dict:
     return cfg
 
 
-# readers of the $.fit and $.wynn keys, which map one to one onto FitConfig and WynnConfig,
-# and of the $.mc keys, which map onto run_study's arguments
-_FIT_KEYS = {
-    "grid_points_per_axis": _as_int,
-    "max_iterations": _as_int,
-    "step_tol": _as_number,
-    "max_halvings": _as_int,
-}
-_WYNN_KEYS = {
-    "n_max": _as_int,
-    "pd_floor": _as_number,
-    "theta_check_points_per_axis": _as_int,
-}
+# readers of the $.mc keys, which map onto run_study's arguments
 _MC_KEYS = {
     "replicates": functools.partial(_as_int, lower=1),
     "checkpoints": _as_checkpoints,
@@ -164,14 +152,8 @@ class RunConfig:
 
         self.seed = _as_int(raw.get("seed", 0), "$.seed")
 
-        fit_cfg = _section(raw, "fit", _FIT_KEYS)
-        try:
-            self.fit = FitConfig(**{k: _FIT_KEYS[k](v, f"$.fit.{k}") for k, v in fit_cfg.items()})
-        except DomainError as exc:
-            raise ConfigError(f"$.fit: {exc}") from None
-
-        self.wynn_raw = _section(raw, "wynn", _WYNN_KEYS)
-        self.n_max = self.wynn_raw.get("n_max")
+        _section(raw, "fit", ())  # every key of $.fit is retired: the fit's settings are fixed
+        self.n_max = _section(raw, "wynn", ("n_max",)).get("n_max")
 
         self.theta_bar = None
         if "theta_bar" in raw:
@@ -204,7 +186,7 @@ class RunConfig:
             source_cfg, "replay_file", str, "$.source", required=False
         )
 
-        oracle_cfg = _section(raw, "oracle", ("theta", "tol", "max_iterations"))
+        oracle_cfg = _section(raw, "oracle", ("theta", "tol"))
         self.oracle_theta = None
         if "theta" in oracle_cfg:
             th = _as_vector(oracle_cfg["theta"], "$.oracle.theta")
@@ -213,9 +195,6 @@ class RunConfig:
             self.oracle_theta = th
         self.oracle_tol = _oracle_tol(
             _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol"), "$.oracle.tol"
-        )
-        self.oracle_max_iterations = _as_int(
-            oracle_cfg.get("max_iterations", 100000), "$.oracle.max_iterations", lower=1
         )
 
         mc_cfg = {
@@ -231,18 +210,12 @@ class RunConfig:
         self.prefix = _expect(out_cfg, "prefix", str, "$.output", required=False, default="adwynn")
 
     def wynn_config(self, n_max_override: Optional[int] = None) -> WynnConfig:
-        w = dict(self.wynn_raw)
-        if n_max_override is not None:
-            w["n_max"] = n_max_override
-        if "n_max" not in w:
+        n_max = n_max_override if n_max_override is not None else self.n_max
+        if n_max is None:
             raise ConfigError("missing required key $.wynn.n_max")
         try:
-            return WynnConfig(
-                fit=self.fit, **{k: _WYNN_KEYS[k](v, f"$.wynn.{k}") for k, v in w.items()}
-            )
-        except AdwynnError as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            return WynnConfig(n_max=_as_int(n_max, "$.wynn.n_max"))
+        except DomainError as exc:
             raise ConfigError(f"$.wynn: {exc}") from None
 
     def scenario(self, n_max_override: Optional[int] = None) -> Scenario:
@@ -303,9 +276,9 @@ def _nonfinite_to_null(obj):
 
 
 def write_json(path: Path, obj: dict) -> None:
-    text = json.dumps(_nonfinite_to_null(obj), allow_nan=False, **JSON_KW)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        json.dump(_nonfinite_to_null(obj), fh, allow_nan=False, **JSON_KW)
+        fh.write("\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -353,9 +326,7 @@ def cmd_oracle(args) -> int:
         raise ConfigError("oracle needs $.oracle.theta or $.theta_bar")
     tol = _oracle_tol(args.tol, "--tol") if args.tol is not None else cfg.oracle_tol
     grid = cfg.bundle.design_space.grid()
-    design = solve_locally_d_optimal(
-        cfg.bundle.model, theta, grid, tol=tol, max_iterations=cfg.oracle_max_iterations
-    )
+    design = solve_locally_d_optimal(cfg.bundle.model, theta, grid, tol=tol)
     gap = equivalence_gap(design, theta, cfg.bundle.model, grid)
     obj = design.to_jsonable()
     obj.update(
@@ -486,8 +457,8 @@ class SessionSource:
 class _AnnouncingEstimator(LSAdaptiveEstimator):
     """Least squares that writes an ESTIMATE line after each refit."""
 
-    def __init__(self, model, space, config: FitConfig, source: SessionSource):
-        super().__init__(model, space, config)
+    def __init__(self, model, space, source: SessionSource):
+        super().__init__(model, space)
         self._source = source
 
     def estimate(self):
@@ -502,7 +473,7 @@ def cmd_session(args) -> int:
     config = cfg.wynn_config(args.n_max)
     b = cfg.bundle
     source = SessionSource(sys.stdin, sys.stdout)
-    estimator = _AnnouncingEstimator(b.model, b.parameter_space, config.fit, source)
+    estimator = _AnnouncingEstimator(b.model, b.parameter_space, source)
     trajectory = run(b.model, b.design_space, b.parameter_space, config, source, seed, estimator)
     jpath, cpath = write_trajectory_files(trajectory, cfg, args)
     print(f"wrote {jpath} and {cpath}", file=sys.stderr)

@@ -153,19 +153,12 @@ class LSFit:
     grid_tie: bool = False
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    grid_points_per_axis: int = 15
-    max_iterations: int = 200
-    step_tol: float = 1e-10
-    max_halvings: int = 40
-
-    def __post_init__(self):
-        for name in ("grid_points_per_axis", "max_iterations", "max_halvings"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
-        if not 0.0 <= self.step_tol < math.inf:
-            raise DomainError("step_tol must be finite and >= 0")
+# Fixed settings of every fit: the scan's points per parameter axis, and the descent's
+# iteration budget, move tolerance and step halvings per line search.
+GRID_POINTS_PER_AXIS = 15
+MAX_ITERATIONS = 200
+STEP_TOL = 1e-10
+MAX_HALVINGS = 40
 
 
 def sse(data: DataBatch, theta, model: ModelSpec) -> float:
@@ -261,7 +254,6 @@ def _gauss_newton(
     model: ModelSpec,
     space: ParameterSpace,
     theta0: Array,
-    config: FitConfig,
     trace: list | None = None,
     start: tuple[Array, float] | None = None,
 ) -> tuple[Array, float, bool]:
@@ -276,15 +268,15 @@ def _gauss_newton(
     Accepts only strictly decreasing steps (step-halving line search),
     so the objective along the accepted iterates is monotone.  Stops
     before the line search once the Gauss-Newton step shows
-    stationarity (its norm below ``step_tol``, or its decrement g.step
+    stationarity (its norm below ``STEP_TOL``, or its decrement g.step
     negligible against the SSE), or after an accepted move shorter than
-    ``step_tol`` (stopping rules after Dennis & Schnabel 1983, ch. 7).
+    ``STEP_TOL`` (stopping rules after Dennis & Schnabel 1983, ch. 7).
     A coordinate at a bound whose gradient points out of the box is held
     there, and the step is solved on the free coordinates (a projected
     Newton step, Bertsekas 1982), so a minimum on the boundary of the
     box is reached and passes the stationarity tests too.
     Only these stops report convergence; a non-finite step, an exhausted
-    line search or ``max_iterations`` report ``converged=False``.
+    line search or ``MAX_ITERATIONS`` report ``converged=False``.
 
     Only f, mu and the products g and G use numpy.  The rest of an
     iteration is small-p algebra in plain floats, where numpy's per-call
@@ -302,7 +294,7 @@ def _gauss_newton(
     r, value = start if start is not None else _residual(data, model, theta)
     if trace is not None:
         trace.append((theta.copy(), value))
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         F = np.asarray(model.f(points, theta), dtype=float) * root[:, None]
         g = F.T @ (root * r)
         G = F.T @ F
@@ -311,13 +303,13 @@ def _gauss_newton(
         if not all(map(math.isfinite, step)):
             return theta, value, False
         if (
-            math.hypot(*step) < config.step_tol
+            math.hypot(*step) < STEP_TOL
             or sum(map(operator.mul, g.tolist(), step)) <= STATIONARY_DECREMENT * value
         ):
             return theta, value, True
         alpha = 1.0
         accepted = None
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand = [
                 min(max(tj + alpha * sj, lo), hi)
                 for tj, sj, lo, hi in zip(t, step, lower, upper)
@@ -334,7 +326,7 @@ def _gauss_newton(
         theta, t, r, value = cand_theta, accepted, cand_r, cand_value
         if trace is not None:
             trace.append((theta.copy(), value))
-        if moved < config.step_tol:
+        if moved < STEP_TOL:
             return theta, value, True
     return theta, value, False
 
@@ -343,7 +335,6 @@ def _fit(
     data: GroupedData,
     model: ModelSpec,
     space: ParameterSpace,
-    config: FitConfig,
     values: Array,
     theta_grid: Array,
     warm_start: Array | None = None,
@@ -361,7 +352,7 @@ def _fit(
         at_warm = _residual(data, model, warm_start)
         if at_warm[1] < g_min:
             seed, start = warm_start, at_warm
-    theta, value, converged = _gauss_newton(data, model, space, seed, config, trace, start)
+    theta, value, converged = _gauss_newton(data, model, space, seed, trace, start)
     return LSFit(
         theta_hat=theta,
         sse_value=value,
@@ -376,7 +367,6 @@ def fit_ls(
     data: DataBatch,
     model: ModelSpec,
     space: ParameterSpace,
-    config: FitConfig = FitConfig(),
     warm_start: Array | None = None,
     trace: list | None = None,
 ) -> LSFit:
@@ -397,9 +387,9 @@ def fit_ls(
             raise DomainError("warm_start must be finite")
         warm_start = space.project(warm_start)
     grouped = GroupedData.from_arrays(data.xs, data.ys)
-    theta_grid = space.sample_grid(config.grid_points_per_axis)
+    theta_grid = space.sample_grid(GRID_POINTS_PER_AXIS)
     values = _grid_sse(grouped, model, theta_grid)
-    return _fit(grouped, model, space, config, values, theta_grid, warm_start, trace)
+    return _fit(grouped, model, space, values, theta_grid, warm_start, trace)
 
 
 class LSAdaptiveEstimator:
@@ -412,11 +402,10 @@ class LSAdaptiveEstimator:
     start.
     """
 
-    def __init__(self, model: ModelSpec, space: ParameterSpace, config: FitConfig = FitConfig()):
+    def __init__(self, model: ModelSpec, space: ParameterSpace):
         self.model = model
         self.space = space
-        self.config = config
-        self.theta_grid = space.sample_grid(config.grid_points_per_axis)
+        self.theta_grid = space.sample_grid(GRID_POINTS_PER_AXIS)
         self.grid_sse = np.zeros(self.theta_grid.shape[0])
         self.data = GroupedData()
         self.previous: Array | None = None
@@ -433,8 +422,7 @@ class LSAdaptiveEstimator:
         if self.data.n == 0:
             raise FitFailureError("no data to fit")
         fit = _fit(
-            self.data, self.model, self.space, self.config,
-            self.grid_sse, self.theta_grid, self.previous,
+            self.data, self.model, self.space, self.grid_sse, self.theta_grid, self.previous
         )
         self.previous = fit.theta_hat
         return fit

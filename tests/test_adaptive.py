@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwynn.adaptive import (
+    PD_FLOOR,
+    THETA_CHECK_POINTS_PER_AXIS,
     EndRun,
     ReplaySource,
     Scenario,
@@ -30,9 +32,15 @@ from adwynn.design import (
     rank_one_update,
     sensitivity_profile,
 )
-from adwynn.errors import AcquisitionError, ConfigError, DomainError, SingularMatrixError
+from adwynn.errors import (
+    AcquisitionError,
+    ConfigError,
+    DomainError,
+    InitializationError,
+    SingularMatrixError,
+)
 from adwynn.estimator import DataBatch, GroupedData, LSAdaptiveEstimator, LSFit, fit_ls
-from adwynn.model import builtin_bundle
+from adwynn.model import ModelSpec, ParameterSpace, builtin_bundle
 from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng, mix_seed
 
 
@@ -100,8 +108,6 @@ def test_initial_design_p1_maximizes_worst_case(exp1_bundle):
 
 
 def test_initial_design_needs_enough_grid_points(poly1_bundle):
-    from adwynn.errors import InitializationError
-
     with pytest.raises(InitializationError):
         build_initial_design(
             poly1_bundle.model,
@@ -109,6 +115,71 @@ def test_initial_design_needs_enough_grid_points(poly1_bundle):
             np.array([[0.5]]),
             np.zeros((1, 2)),
         )
+
+
+def _shifted_parabola() -> ModelSpec:
+    """mu = t1 (x - t2)^2, whose regressor vanishes at x = t2."""
+
+    def mu(x, theta):
+        th = np.asarray(theta, dtype=float)
+        return th[..., 0] * (np.asarray(x, dtype=float)[..., 0] - th[..., 1]) ** 2
+
+    def f(x, theta):
+        th = np.asarray(theta, dtype=float)
+        u = np.asarray(x, dtype=float)[..., 0] - th[..., 1]
+        return np.stack(np.broadcast_arrays(u**2, -2.0 * th[..., 0] * u), axis=-1)
+
+    return ModelSpec("shifted_parabola", 2, mu, f)
+
+
+def test_initial_design_extends_until_certified():
+    """The best pair at the centre (t2 = 0), x = -1 and 1, is singular at
+    t2 = -1 and t2 = 1, so points are added until every sampled parameter
+    clears the floor, and the last one added is the one that clears it."""
+    model = _shifted_parabola()
+    space = ParameterSpace([1.0, -1.0], [2.0, 1.0])
+    sample = space.sample_grid(3)
+    pts = build_initial_design(model, space, np.linspace(-1.0, 1.0, 21)[:, None], sample)
+
+    def worst(points):
+        design = empirical_design(points)
+        return min(np.linalg.eigvalsh(info_matrix(design, th, model))[0] for th in sample)
+
+    assert pts[:2].ravel().tolist() == [-1.0, 1.0] and pts.shape[0] > 2
+    assert worst(pts[:-1]) <= PD_FLOOR < worst(pts)
+
+
+def test_initial_design_budget_exhausted_names_pd_floor():
+    """At t1 = 0 the Michaelis-Menten regressor is (x/(t2 + x), 0), so no design
+    clears the floor: the search stops after the 2 start points and its budget
+    of 10 * p * 4 added points."""
+    bundle = builtin_bundle("michaelis_menten", theta_bounds=[[0.0, 3.0], [0.2, 3.0]])
+    space = bundle.parameter_space
+    with pytest.raises(InitializationError, match=r"pd_floor 1\.0e-08 after 82 points"):
+        build_initial_design(bundle.model, space, bundle.design_space.grid(), space.sample_grid(2))
+
+
+@pytest.mark.parametrize(
+    "grid_resolution,start",
+    [(201, [-1.0, 1.0, 0.0]), (11, [-1.0, 0.0, 1.0])],
+    ids=["greedy-start", "exhaustive-start"],
+)
+def test_quadratic_run_from_a_certified_start(grid_resolution, start):
+    """The loop at p = 3.  C(201, 3) start triples exceed the exhaustive search's
+    cap, so the start is built greedily; C(11, 3) are searched exhaustively.
+    Zero noise ends the run at theta_bar."""
+    bundle = builtin_bundle("polynomial", degree=2, grid_resolution=grid_resolution)
+    theta_bar = [0.5, -1.0, 0.8]
+    scenario = _zero_noise_scenario(bundle, theta_bar, 40)
+    traj = simulate_trajectory(scenario, seed=3, keep_stages=range(1, 41))
+    assert traj.points[: traj.n_start].ravel().tolist() == start
+    design = empirical_design(traj.points[: traj.n_start])
+    for theta in bundle.parameter_space.sample_grid(THETA_CHECK_POINTS_PER_AXIS):
+        assert np.linalg.eigvalsh(info_matrix(design, theta, bundle.model))[0] > PD_FLOOR
+    assert sorted(traj.stages) == list(range(traj.n_start, 41))
+    for _, _, _, M in traj.stages.values():
+        assert np.linalg.eigvalsh(M)[0] > PD_FLOOR
+    assert np.allclose(traj.final_fit.theta_hat, theta_bar, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- wynn_step
@@ -382,7 +453,7 @@ def test_trajectory_invariants_along_run(mm_bundle):
         assert np.array_equal(design.weights, counts / n)
         M = info_matrix(design, theta_n, model)
         # positive definite above the floor, logdet recorded faithfully
-        assert np.linalg.eigvalsh(M)[0] > scenario.config.pd_floor
+        assert np.linalg.eigvalsh(M)[0] > PD_FLOOR
         assert rec.logdet == pytest.approx(
             float(np.linalg.slogdet(M)[1]), abs=1e-9
         )
@@ -472,9 +543,9 @@ def test_information_matrix_stays_positive_definite(name, seed, sigma, corner):
     assert len(stages) == len(traj.estimates)
     for n, theta in zip(stages, traj.estimates):
         M = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)
-        assert np.linalg.eigvalsh(M)[0] > scenario.config.pd_floor
+        assert np.linalg.eigvalsh(M)[0] > PD_FLOOR
     final = info_matrix(empirical_design(traj.points), traj.final_fit.theta_hat, bundle.model)
-    assert np.linalg.eigvalsh(final)[0] > scenario.config.pd_floor
+    assert np.linalg.eigvalsh(final)[0] > PD_FLOOR
 
 
 @settings(max_examples=10, deadline=None)
@@ -529,7 +600,7 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
         assert sorted(zip(map(tuple, support), counts)) == sorted(
             zip(map(tuple, distinct), multiplicity)
         )
-        assert np.linalg.eigvalsh(M)[0] > scenario.config.pd_floor
+        assert np.linalg.eigvalsh(M)[0] > PD_FLOOR
         theta = fit.theta_hat
         assert np.array_equal(theta, traj.estimates[n - traj.n_start])
         expected = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)

@@ -502,9 +502,7 @@ def test_gamma_kappa_polynomial(poly1_bundle):
     grid = poly1_bundle.design_space.grid()
     thetas = np.zeros((1, 2))
     dirs = sample_unit_directions(2, 36, seed=3)
-    gamma, kappa = compute_gamma_kappa(
-        poly1_bundle.model, poly1_bundle.parameter_space, grid, thetas, dirs
-    )
+    gamma, kappa = compute_gamma_kappa(poly1_bundle.model, grid, thetas, dirs)
     # grid max oracle: the largest regressor norm sits at the endpoints
     F = np.asarray(poly1_bundle.model.f(grid, np.zeros(2)))
     assert gamma == pytest.approx(float(np.sqrt((F**2).sum(axis=1)).max()))
@@ -526,10 +524,7 @@ def test_kappa_zero_flags_span_failure():
 
     model = ModelSpec("flat", 2, mu, f)
     grid = np.linspace(-1, 1, 9)[:, None]
-    gamma, kappa = compute_gamma_kappa(
-        model, ParameterSpace([0, 0], [1, 1]), grid, np.zeros((1, 2)),
-        np.array([[0.0, 1.0]]),
-    )
+    gamma, kappa = compute_gamma_kappa(model, grid, np.zeros((1, 2)), np.array([[0.0, 1.0]]))
     assert kappa == 0.0
 
 
@@ -537,9 +532,7 @@ def test_gamma_kappa_michaelis_menten(mm_bundle):
     grid = mm_bundle.design_space.grid()
     thetas = mm_bundle.parameter_space.sample_grid(4)
     dirs = sample_unit_directions(2, 36, seed=9)
-    gamma, kappa = compute_gamma_kappa(
-        mm_bundle.model, mm_bundle.parameter_space, grid, thetas, dirs
-    )
+    gamma, kappa = compute_gamma_kappa(mm_bundle.model, grid, thetas, dirs)
     assert np.isfinite(gamma) and gamma > 0
     assert np.isfinite(kappa) and kappa > 0
 
@@ -838,9 +831,7 @@ def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
     modules = [estimator, adwynn, adaptive, analysis, cli, design]
     fits = _count_calls(monkeypatch, "fit_ls", modules)
     designs = _count_calls(monkeypatch, "empirical_design", [analysis, adwynn, cli])
-    n_start = adaptive.starting_design(
-        bundle.model, bundle.design_space, space, scenario.config
-    ).shape[0]
+    n_start = adaptive.starting_design(bundle.model, bundle.design_space, space).shape[0]
     checkpoints = (n_start, 30, 60)
     report = run_study(scenario, 4, checkpoints, seed=17, keep_paths=4)
     assert fits == [] and designs == []
@@ -857,7 +848,7 @@ def test_checkpoint_statistics_match_a_refit_from_scratch(name, monkeypatch):
             kept = traj.stages[n][0]
             refit = fit_ls(
                 DataBatch(traj.points[:n], traj.responses[:n]), bundle.model, space,
-                scenario.config.fit, warm_start=traj.estimates[n - traj.n_start],
+                warm_start=traj.estimates[n - traj.n_start],
             )
             design_n = empirical_design(traj.points[:n])
             assert np.array_equal(kept.theta_hat, refit.theta_hat)

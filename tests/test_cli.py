@@ -95,14 +95,14 @@ _BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
 @pytest.mark.parametrize(
     "section,entries,key",
     [
-        ("wynn", {"theta_check_points_per_axis": 0}, "theta_check_points_per_axis"),
+        ("wynn", {"theta_check_points_per_axis": 5}, "theta_check_points_per_axis"),
         ("wynn", {"polish": "no"}, "$.wynn.polish"),
         ("wynn", {"estimator": 5}, "$.wynn.estimator"),
         ("wynn", {"refresh_evry": 3}, "$.wynn.refresh_evry"),
-        ("fit", {"grid_points_per_axis": 0}, "grid_points_per_axis"),
-        ("fit", {"max_halvings": 0}, "max_halvings"),
-        ("fit", {"max_iterations": True}, "$.fit.max_iterations"),
-        ("fit", {"step_tol": -1.0}, "step_tol"),
+        ("fit", {"grid_points_per_axis": 15}, "grid_points_per_axis"),
+        ("fit", {"max_halvings": 40}, "max_halvings"),
+        ("fit", {"max_iterations": 200}, "$.fit.max_iterations"),
+        ("fit", {"step_tol": 1e-10}, "step_tol"),
         ("fit", {"max_iter": 5}, "$.fit.max_iter"),
         ("mc", {"replicate": 2}, "$.mc.replicate"),
         ("oracle", {"tolerance": 1e-4}, "$.oracle.tolerance"),
@@ -116,7 +116,7 @@ _BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
         ("$", {"sed": 5}, "$.sed"),
         ("oracle", {"tol": -1e-4}, "$.oracle.tol"),
         ("oracle", {"tol": math.nan}, "$.oracle.tol"),
-        ("oracle", {"max_iterations": 0}, "$.oracle.max_iterations"),
+        ("oracle", {"max_iterations": 100000}, "$.oracle.max_iterations"),
         ("model", {"params": {"x_bounds": [0, _BEYOND_FLOAT]}}, "x_bounds"),
         ("model", {"name": "polynomial", "params": {"coef_bound": _BEYOND_FLOAT}}, "coef_bound"),
         ("model", {"params": {"grid_resolution": 21.5}}, "grid_resolution"),
@@ -128,10 +128,13 @@ _BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
         ("$", {"theta_bar": [_BEYOND_FLOAT, 1.0]}, "$.theta_bar"),
         ("oracle", {"tol": _BEYOND_FLOAT}, "$.oracle.tol"),
         ("wynn", {"refresh_every": 3}, "$.wynn.refresh_every"),
+        ("wynn", {"pd_floor": 1e-8}, "$.wynn.pd_floor"),
     ],
 )
 def test_config_bad_section_value_exits_2_naming_key(tmp_path, capsys, section, entries, key):
-    """``section`` "$" puts the entries at the top level of the document."""
+    """``section`` "$" puts the entries at the top level of the document.  The
+    keys of the fixed numerical settings are retired: set even to the fixed
+    value, each exits 2 as an unknown key."""
     _, cfg = _write_config(tmp_path)
     overrides = entries if section == "$" else {section: {**cfg.get(section, {}), **entries}}
     path, _ = _write_config(tmp_path, **overrides)
@@ -199,15 +202,8 @@ _DOCUMENTED_KEYS = {
     ("source", "kind"): st.sampled_from(["simulated", "replay"]),
     ("source", "replay_file"): st.text(max_size=4),
     ("wynn", "n_max"): _INT,
-    ("wynn", "pd_floor"): _NUMBER,
-    ("wynn", "theta_check_points_per_axis"): st.integers(-2, 9),
-    ("fit", "grid_points_per_axis"): st.integers(-2, 9),
-    ("fit", "max_iterations"): _INT,
-    ("fit", "step_tol"): _NUMBER,
-    ("fit", "max_halvings"): _INT,
     ("oracle", "theta"): _VECTOR,
     ("oracle", "tol"): _NUMBER,
-    ("oracle", "max_iterations"): _INT,
     ("mc", "replicates"): _INT,
     ("mc", "checkpoints"): _VECTOR,
     ("mc", "workers"): _INT,
@@ -233,7 +229,7 @@ def test_any_config_exits_0_1_or_2(command, mutations):
             "theta_bar": [1.0, 1.0],
             "noise": {"variant": "iid_gaussian", "sigma": 0.1},
             "wynn": {"n_max": 20},
-            "oracle": {"theta": [1.0, 1.0], "max_iterations": 2000},
+            "oracle": {"theta": [1.0, 1.0]},
             "seed": 7,
             "output": {"dir": out, "prefix": "t"},
         }
@@ -269,6 +265,12 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     obj = json.loads((tmp_path / "t_trajectory.json").read_text())
     assert obj["schema"] == "adwynn.trajectory.v1"
     assert len(obj["points"]) == 4
+    # the fixed settings, in the layout of the files written while they were keys
+    assert json.dumps(obj["config"]) == json.dumps({
+        "n_max": 4, "pd_floor": 1e-8, "theta_check_points_per_axis": 5,
+        "fit": {"grid_points_per_axis": 15, "max_iterations": 200, "step_tol": 1e-10,
+                "max_halvings": 40},
+    })
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -332,15 +334,11 @@ _NOISE_PARAMS = {
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "section,variant,key",
-    [("noise", variant, key) for variant, params in _NOISE_PARAMS.items() for key in params]
-    + [("wynn", None, "pd_floor")],
+    [("noise", variant, key) for variant, params in _NOISE_PARAMS.items() for key in params],
 )
 def test_nonfinite_config_value_exits_2(tmp_path, capsys, section, variant, key, value):
     """json reads NaN and Infinity; they fail at the config boundary, naming the key."""
-    if section == "noise":
-        override = {"noise": {"variant": variant, **_NOISE_PARAMS[variant], key: value}}
-    else:
-        override = {"wynn": {"n_max": 12, key: value}}
+    override = {"noise": {"variant": variant, **_NOISE_PARAMS[variant], key: value}}
     path, _ = _write_config(tmp_path, **override)
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err

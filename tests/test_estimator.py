@@ -13,7 +13,6 @@ import adwynn.estimator as estimator
 from adwynn.errors import DomainError
 from adwynn.estimator import (
     DataBatch,
-    FitConfig,
     GroupedData,
     LSAdaptiveEstimator,
     _gauss_newton,
@@ -239,7 +238,7 @@ def test_sequential_matches_batch_fit(mm_bundle, rng):
 
 
 def test_sequential_incremental_grid_sums(mm_bundle, rng):
-    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space, FitConfig())
+    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space)
     xs = rng.uniform(0.1, 3.0, size=(40, 1))
     ys = rng.normal(0.5, 0.2, size=40)
     for x, y in zip(xs, ys):
@@ -304,7 +303,7 @@ def test_descent_from_optimum_stops_at_once(mm_bundle, rng):
     counting = _CountingModel(mm_bundle.model)
     theta, value, converged = _gauss_newton(
         GroupedData.from_arrays(xs, ys), counting.spec, mm_bundle.parameter_space,
-        fit.theta_hat, FitConfig(),
+        fit.theta_hat,
     )
     # one SSE at the seed and one residual for the step; no line search
     assert counting.mu_calls <= 2
@@ -378,27 +377,28 @@ def _uphill_gradient(model):
 
 
 @pytest.mark.parametrize(
-    "broken,config",
+    "broken,max_iterations",
     [
-        (_nan_gradient, FitConfig()),
-        (_uphill_gradient, FitConfig()),
-        (lambda model: model, FitConfig(max_iterations=1)),
-        (_bad_gradient(math.inf, 0), FitConfig()),
-        (_bad_gradient(-math.inf, 1), FitConfig()),
-        (_bad_gradient(math.nan, 1), FitConfig()),
+        (_nan_gradient, estimator.MAX_ITERATIONS),
+        (_uphill_gradient, estimator.MAX_ITERATIONS),
+        (lambda model: model, 1),
+        (_bad_gradient(math.inf, 0), estimator.MAX_ITERATIONS),
+        (_bad_gradient(-math.inf, 1), estimator.MAX_ITERATIONS),
+        (_bad_gradient(math.nan, 1), estimator.MAX_ITERATIONS),
     ],
     ids=["nonfinite-step", "line-search-exhausted", "max-iterations",
          "inf-in-G", "minus-inf-in-G", "nan-in-G"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failed_stop_is_not_converged(poly1_bundle, rng, broken, config):
+def test_failed_stop_is_not_converged(poly1_bundle, rng, monkeypatch, broken, max_iterations):
+    monkeypatch.setattr(estimator, "MAX_ITERATIONS", max_iterations)
     xs = rng.uniform(-1.0, 1.0, size=(20, 1))
     ys = 0.5 - 1.0 * xs[:, 0] + rng.normal(0, 0.1, 20)
     # a start near the optimum keeps every uphill candidate inside the box
     theta0 = np.array([0.45, -0.95])
     model = broken(poly1_bundle.model)
     theta, value, converged = _gauss_newton(
-        GroupedData.from_arrays(xs, ys), model, poly1_bundle.parameter_space, theta0, config
+        GroupedData.from_arrays(xs, ys), model, poly1_bundle.parameter_space, theta0
     )
     assert not converged
     assert value <= sse(DataBatch(xs, ys), theta0, poly1_bundle.model)
@@ -569,7 +569,7 @@ def test_fit_on_grouped_data_matches_raw_descent(name, kwargs, rng):
             xs, ys = _repeated_batch(bundle, rng, n=n, support=support)
         fit = fit_ls(DataBatch(xs, ys), bundle.model, space)
         theta, value, converged = _gauss_newton(_ungrouped(xs, ys), bundle.model, space,
-                                                fit.grid_minimum, FitConfig())
+                                                fit.grid_minimum)
         assert converged == fit.converged
         if support is None:
             assert np.array_equal(fit.theta_hat, theta) and fit.sse_value == value
@@ -582,7 +582,7 @@ def test_descent_from_a_known_start_skips_its_evaluation(mm_bundle, rng):
     xs, ys = _repeated_batch(mm_bundle, rng)
     data = GroupedData.from_arrays(xs, ys)
     counting = _CountingModel(mm_bundle.model)
-    args = (data, counting.spec, mm_bundle.parameter_space, np.array([1.5, 1.5]), FitConfig())
+    args = (data, counting.spec, mm_bundle.parameter_space, np.array([1.5, 1.5]))
     plain = _gauss_newton(*args)
     plain_calls = counting.mu_calls
     counting.reset()
@@ -664,8 +664,7 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
         space = bundle.parameter_space
         trace = []
         _, _, converged = _gauss_newton(
-            GroupedData.from_arrays(xs, ys), bundle.model, space, space.center(),
-            FitConfig(), trace,
+            GroupedData.from_arrays(xs, ys), bundle.model, space, space.center(), trace
         )
         assert converged
         path = np.array([theta for theta, _ in trace])
@@ -694,9 +693,9 @@ def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
     calls = []
     descend = estimator._gauss_newton
 
-    def recording(data, model, space, theta0, config, trace=None, start=None):
+    def recording(data, model, space, theta0, trace=None, start=None):
         calls.append((np.array(theta0), start))
-        calls.append(descend(data, model, space, theta0, config, trace, start))
+        calls.append(descend(data, model, space, theta0, trace, start))
         return calls[-1]
 
     monkeypatch.setattr(estimator, "_gauss_newton", recording)

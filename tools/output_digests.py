@@ -15,6 +15,10 @@ checkpoints 30 and 40, seed 31415):
   and at the last;
 - ``mc`` under ``non_ah`` noise (no limiting sigma), with 3 replicates
   and with 1;
+- ``oracle`` for Michaelis-Menten at theta = (1, 1), and for exponential
+  decay at theta = (1.2, 0.9);
+- ``simulate`` for the quadratic ``polynomial`` (p = 3) at
+  theta_bar = (0.5, -1, 0.8), sigma = 0.1, n_max = 60;
 - three scripted ``session`` runs answered with zero-noise responses at
   theta_bar: one complete, one that sends QUIT after 5 adaptive
   observations, and one that sends QUIT after one starting observation.
@@ -50,6 +54,9 @@ CONFIG = {
     "seed": 31415,
 }
 NON_AH_NOISE = {"variant": "non_ah", "sigma_odd": 0.05, "sigma_even": 0.1}
+EXPDECAY = {"model": {"name": "exponential_decay"}, "theta_bar": [1.2, 0.9]}
+QUADRATIC = {"model": {"name": "polynomial", "params": {"degree": 2}},
+             "theta_bar": [0.5, -1.0, 0.8]}
 QUIT_AFTER_ADAPTIVE = 5
 
 
@@ -100,8 +107,15 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(tmp)
         cfg = out / "cfg.json"
         cfg.write_text(json.dumps({**CONFIG, "output": {"dir": str(out), "prefix": "x"}}))
-        cfg_non_ah = out / "cfg_non_ah.json"
-        cfg_non_ah.write_text(json.dumps({**json.loads(cfg.read_text()), "noise": NON_AH_NOISE}))
+        configs = [cfg]
+
+        def variant(name: str, **overrides) -> Path:
+            path = out / f"cfg_{name}.json"
+            path.write_text(json.dumps({**json.loads(cfg.read_text()), **overrides}))
+            configs.append(path)
+            return path
+
+        cfg_non_ah = variant("non_ah", noise=NON_AH_NOISE)
 
         def run(name: str, args: list[str]) -> None:
             rc = _adwynn(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).wait()
@@ -115,15 +129,18 @@ def main(argv: list[str] | None = None) -> int:
                                    "--workers", str(workers)])
         run("mc_r1", ["mc", "--config", str(cfg), "--prefix", "mc_r1", "--replicates", "1"])
         n_start = json.loads((out / "simulate_trajectory.json").read_text())["n_start"]
-        cfg_stages = out / "cfg_stages.json"
-        cfg_stages.write_text(json.dumps({
-            **json.loads(cfg.read_text()),
-            "mc": {**CONFIG["mc"], "checkpoints": [n_start, *CONFIG["mc"]["checkpoints"]]},
-        }))
+        cfg_stages = variant(
+            "stages", mc={**CONFIG["mc"], "checkpoints": [n_start, *CONFIG["mc"]["checkpoints"]]}
+        )
         run("mc_stages", ["mc", "--config", str(cfg_stages), "--prefix", "mc_stages"])
         run("mc_non_ah", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah"])
         run("mc_non_ah_r1", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah_r1",
                              "--replicates", "1"])
+        run("oracle", ["oracle", "--config", str(cfg), "--prefix", "oracle"])
+        run("oracle_expdecay", ["oracle", "--config", str(variant("expdecay", **EXPDECAY)),
+                                "--prefix", "oracle_expdecay"])
+        run("simulate_quadratic", ["simulate", "--config", str(variant("quadratic", **QUADRATIC)),
+                                   "--prefix", "simulate_quadratic"])
         sessions = {
             "session_complete": lambda obs, est: False,
             # one ESTIMATE after the starting design, then one per adaptive step
@@ -135,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
             transcripts[name] = stdout
             lines.append(f"exit {rc}  {name}")
             lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
-        configs = (cfg, cfg_non_ah, cfg_stages)
         for path in sorted(out.iterdir()):
             if path not in configs:
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
