@@ -20,14 +20,12 @@ that announces each refit.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .design import information, pd_inverse_logdet, quadratic_form
+from .design import _best_start_tuple, information, pd_inverse_logdet, quadratic_form
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import (
     GRID_POINTS_PER_AXIS,
@@ -48,7 +46,6 @@ from .noise import ErrorSpec, make_rng
 
 Array = np.ndarray
 
-_COMBO_CAP = 200000
 TIE_RTOL = 1e-13  # sensitivities this close to the maximum, relative, tie for the argmax
 PD_FLOOR = 1e-8  # the least eigenvalue a positive definite information matrix must exceed
 THETA_CHECK_POINTS_PER_AXIS = 5  # per-axis points of the sample certifying the start
@@ -133,39 +130,6 @@ class ReplaySource:
 # --------------------------------------------------------------------------
 # Initial design
 # --------------------------------------------------------------------------
-
-
-def _best_start_tuple(F_center: Array, p: int) -> list[int]:
-    """Indices of the p-tuple (p >= 2) maximizing |det| of stacked regressors.
-
-    Exhaustive when the number of combinations is small enough,
-    otherwise greedy volume maximization (largest row first, then the
-    row with the largest component orthogonal to the current span).
-    """
-    m = F_center.shape[0]
-    if p == 2:
-        dets = np.abs(
-            F_center[:, None, 0] * F_center[None, :, 1]
-            - F_center[:, None, 1] * F_center[None, :, 0]
-        )
-        i, j = np.unravel_index(int(np.argmax(dets)), dets.shape)
-        return [int(i), int(j)]
-    if math.comb(m, p) <= _COMBO_CAP:
-        best, best_val = None, -1.0
-        for combo in itertools.combinations(range(m), p):
-            val = abs(np.linalg.det(F_center[list(combo)]))
-            if val > best_val:
-                best, best_val = list(combo), val
-        return best
-    chosen = [int(np.argmax((F_center**2).sum(axis=1)))]
-    basis = F_center[chosen[0]][None, :] / np.linalg.norm(F_center[chosen[0]])
-    for _ in range(p - 1):
-        resid = F_center - (F_center @ basis.T) @ basis
-        idx = int(np.argmax((resid**2).sum(axis=1)))
-        chosen.append(idx)
-        v = resid[idx]
-        basis = np.vstack([basis, v / np.linalg.norm(v)])
-    return chosen
 
 
 def build_initial_design(

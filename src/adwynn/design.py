@@ -22,6 +22,7 @@ positive-definiteness floor, on either path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ Array = np.ndarray
 WEIGHT_SUM_TOL = 1e-12
 PD_FLOOR = 1e-12
 PRUNE_TOL = 1e-8
+_COMBO_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,37 @@ def equivalence_gap(design: Design, theta: Array, model: ModelSpec, grid: Array)
     return float(d.max() - model.p)
 
 
+def _best_start_tuple(F: Array, p: int) -> list[int]:
+    """Indices of the p-tuple maximizing |det| of stacked regressors.
+
+    For p = 1 this is the argmax of |f|.  Exhaustive when the number of
+    combinations is small enough, otherwise greedy volume maximization
+    (largest row first, then the row with the largest component
+    orthogonal to the current span).
+    """
+    m = F.shape[0]
+    if p == 2:
+        dets = np.abs(F[:, None, 0] * F[None, :, 1] - F[:, None, 1] * F[None, :, 0])
+        i, j = np.unravel_index(int(np.argmax(dets)), dets.shape)
+        return [int(i), int(j)]
+    if math.comb(m, p) <= _COMBO_CAP:
+        best, best_val = [], -1.0
+        for combo in itertools.combinations(range(m), p):
+            val = abs(np.linalg.det(F[list(combo)]))
+            if val > best_val:
+                best, best_val = list(combo), val
+        return best
+    chosen = [int(np.argmax((F**2).sum(axis=1)))]
+    basis = F[chosen[0]][None, :] / np.linalg.norm(F[chosen[0]])
+    for _ in range(p - 1):
+        resid = F - (F @ basis.T) @ basis
+        idx = int(np.argmax((resid**2).sum(axis=1)))
+        chosen.append(idx)
+        v = resid[idx]
+        basis = np.vstack([basis, v / np.linalg.norm(v)])
+    return chosen
+
+
 def solve_locally_d_optimal(
     model: ModelSpec,
     theta: Array,
@@ -185,17 +218,18 @@ def solve_locally_d_optimal(
 ) -> Design:
     """Locally D-optimal design on the scan grid at a fixed parameter.
 
-    Vertex exchange (Böhning, Metrika 1986) from the uniform design:
-    each exchange moves weight from the support point of least
-    sensitivity to the grid point of greatest, by the step that
-    maximizes the log determinant along that direction, so the log
-    determinant never decreases.  Convergence is certified by the
-    equivalence gap max d - p <= tol * p; ``max_iterations`` bounds the
-    number of exchanges.  Support points whose final weight falls below
-    ``PRUNE_TOL`` are removed and the gap is re-certified.
-
-    For p = 1 the optimum is the pointwise maximizer of f^2 and is
-    returned directly with an exactly zero gap.
+    Vertex exchange (Böhning, Metrika 1986) from weight 1/p on the
+    saturated p-tuple of ``_best_start_tuple`` at ``theta``: each
+    exchange moves weight from the support point of least sensitivity
+    to the grid point of greatest, by the step that maximizes the log
+    determinant along that direction, so the log determinant never
+    decreases.  Convergence is certified by the equivalence gap
+    max d - p <= tol * p; ``max_iterations`` bounds the number of
+    exchanges, and an exchange that cannot move weight (the two points
+    coincide, or the step leaves both weights unchanged in floating
+    point) ends the search with ``ConvergenceError``.  Support points
+    whose final weight falls below ``PRUNE_TOL`` are removed and the gap
+    is re-certified.
     """
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
@@ -203,24 +237,15 @@ def solve_locally_d_optimal(
         raise DomainError(f"max_iterations must be >= 1, got {max_iterations!r}")
     theta = np.asarray(theta, dtype=float)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    m, _ = grid.shape
     F = np.asarray(model.f(grid, theta), dtype=float)
     p = model.p
 
-    if p == 1:
-        vals = F[:, 0] ** 2
-        best = int(np.argmax(vals))
-        if vals[best] <= 0.0:
-            raise SingularMatrixError("all regressors vanish on the grid", 0.0)
-        return Design(grid[best : best + 1], np.array([1.0]))
-
-    w = np.full(m, 1.0 / m)
+    w = np.zeros(grid.shape[0])
+    w[_best_start_tuple(F, p)] = 1.0 / p
     exchanges = 0
     while True:
-        # not ``information``: symmetrised, M moves the weights (~1e-8) and can change the support
-        M = (F * w[:, None]).T @ F
         try:
-            Minv = pd_inverse_logdet(M)[0]
+            Minv = pd_inverse_logdet(information(F, w))[0]
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "grid does not support a positive definite information matrix", exc.min_eigenvalue
@@ -241,12 +266,14 @@ def solve_locally_d_optimal(
         d_jk = float(F[j] @ Minv @ F[k])
         denom = 2.0 * (d[j] * d[k] - d_jk * d_jk)
         step = (d[j] - d[k]) / denom if denom > 0.0 else w[k]
-        if step >= w[k]:
-            w[j] += w[k]
-            w[k] = 0.0
-        else:
-            w[j] += step
-            w[k] -= step
+        w_j, w_k = (w[j] + w[k], 0.0) if step >= w[k] else (w[j] + step, w[k] - step)
+        if k == j or (w_j == w[j] and w_k == w[k]):
+            raise ConvergenceError(
+                f"vertex exchange can no longer move weight after {exchanges} exchanges "
+                f"short of tol*p = {tol * p:.3e}",
+                gap,
+            )
+        w[j], w[k] = w_j, w_k
         exchanges += 1
 
     keep = w >= PRUNE_TOL

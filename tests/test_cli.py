@@ -397,7 +397,7 @@ def test_oracle_bad_tol_flag_exits_2(tmp_path, capsys, tol):
 
 
 def test_oracle_unattainable_tol_exits_1(tmp_path, capsys):
-    path, _ = _write_config(tmp_path)
+    path, _ = _write_config(tmp_path, oracle={"theta": [0.2, 0.2], "tol": 1e-4})
     rc = main(["oracle", "--config", str(path), "--tol", "0"])
     assert rc == 1
     assert "gap" in capsys.readouterr().err

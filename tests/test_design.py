@@ -325,9 +325,36 @@ def test_oracle_unattainable_tolerance(mm_bundle):
     grid = mm_bundle.design_space.grid()
     with pytest.raises(ConvergenceError) as exc:
         solve_locally_d_optimal(
-            mm_bundle.model, np.array([1.0, 1.0]), grid, tol=0.0, max_iterations=200
+            mm_bundle.model, np.array([0.2, 0.2]), grid, tol=0.0, max_iterations=200
         )
     assert exc.value.gap > 0
+
+
+def test_oracle_exchange_that_cannot_move_weight_stops(mm_bundle):
+    # at tol = 0 the exchange here picks one point as both source and
+    # target, which would zero the design; the search stops with the gap
+    grid = mm_bundle.design_space.grid()
+    theta = (0.2 + 2.8 / 3) * np.ones(2)
+    with pytest.raises(ConvergenceError, match="can no longer move weight") as exc:
+        solve_locally_d_optimal(mm_bundle.model, theta, grid, tol=0.0)
+    assert exc.value.gap > 0
+
+
+@pytest.mark.parametrize(
+    "bundle,theta,support,weights",
+    [
+        (exponential_decay(), (1.2, 0.9), [0.0, 1.11], [0.5, 0.5]),
+        (polynomial(degree=2), (0.5, -1.0, 0.8), [-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]),
+        (michaelis_menten(), (1.0, 1.0), [0.593, 0.6075, 3.0], None),
+    ],
+)
+def test_oracle_lists_only_optimal_points(bundle, theta, support, weights):
+    # no grid neighbour of an optimal point keeps a sliver of weight
+    grid = bundle.design_space.grid()
+    des = solve_locally_d_optimal(bundle.model, np.array(theta), grid)
+    assert des.support[:, 0] == pytest.approx(support, abs=1e-12)
+    if weights is not None:
+        assert des.weights == pytest.approx(weights, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ checkpoints 30 and 40, seed 31415):
   and at the last;
 - ``mc`` under ``non_ah`` noise (no limiting sigma), with 3 replicates
   and with 1;
-- ``oracle`` for Michaelis-Menten at theta = (1, 1), and for exponential
-  decay at theta = (1.2, 0.9);
+- ``oracle`` for Michaelis-Menten at theta = (1, 1), for exponential
+  decay at theta = (1.2, 0.9), and for the single-parameter exponential
+  at theta = 1;
 - ``simulate`` for the quadratic ``polynomial`` (p = 3) at
   theta_bar = (0.5, -1, 0.8), sigma = 0.1, n_max = 60;
 - three scripted ``session`` runs answered with zero-noise responses at
@@ -55,6 +56,7 @@ CONFIG = {
 }
 NON_AH_NOISE = {"variant": "non_ah", "sigma_odd": 0.05, "sigma_even": 0.1}
 EXPDECAY = {"model": {"name": "exponential_decay"}, "theta_bar": [1.2, 0.9]}
+EXP1 = {"model": {"name": "one_param_exponential"}, "theta_bar": [1.0]}
 QUADRATIC = {"model": {"name": "polynomial", "params": {"degree": 2}},
              "theta_bar": [0.5, -1.0, 0.8]}
 QUIT_AFTER_ADAPTIVE = 5
@@ -139,6 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         run("oracle", ["oracle", "--config", str(cfg), "--prefix", "oracle"])
         run("oracle_expdecay", ["oracle", "--config", str(variant("expdecay", **EXPDECAY)),
                                 "--prefix", "oracle_expdecay"])
+        run("oracle_exp1", ["oracle", "--config", str(variant("exp1", **EXP1)),
+                            "--prefix", "oracle_exp1"])
         run("simulate_quadratic", ["simulate", "--config", str(variant("quadratic", **QUADRATIC)),
                                    "--prefix", "simulate_quadratic"])
         sessions = {
