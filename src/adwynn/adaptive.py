@@ -25,7 +25,13 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .design import _best_start_tuple, information, pd_inverse_logdet, quadratic_form
+from .design import (
+    _best_start_tuple,
+    information,
+    pd_inverse_logdet,
+    quadratic_form,
+    regressor_stack,
+)
 from .errors import AcquisitionError, ConfigError, DomainError, InitializationError
 from .estimator import (
     GRID_POINTS_PER_AXIS,
@@ -148,15 +154,12 @@ def build_initial_design(
     10 * p * len(sample) runs out.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    theta_check_sample = np.atleast_2d(np.asarray(theta_check_sample, dtype=float))
     m = grid.shape[0]
     p = model.p
     if m < p:
         raise InitializationError(f"grid has {m} points, fewer than p = {p}")
 
-    F_sample = np.stack(
-        [np.asarray(model.f(grid, th), dtype=float) for th in theta_check_sample]
-    )  # (S, m, p)
+    F_sample = regressor_stack(model, grid, theta_check_sample)  # (S, m, p)
 
     if p == 1:
         worst_sq = (F_sample[:, :, 0] ** 2).min(axis=0)
@@ -169,10 +172,9 @@ def build_initial_design(
     B = outer[:, chosen, :, :].sum(axis=1)  # (S, p, p)
 
     def certified(B_now: Array, count: int) -> float:
-        eigs = np.linalg.eigvalsh(B_now / count)
-        return float(eigs[:, 0].min())
+        return float(np.linalg.eigvalsh(B_now / count)[:, 0].min())
 
-    budget = 10 * p * theta_check_sample.shape[0]
+    budget = 10 * p * F_sample.shape[0]
     while certified(B, len(chosen)) <= PD_FLOOR:
         if len(chosen) - p >= budget:
             raise InitializationError(

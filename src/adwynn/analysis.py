@@ -37,6 +37,7 @@ from .design import (
     info_matrix,
     information,
     pd_inverse_logdet,
+    regressor_stack,
     solve_locally_d_optimal,
 )
 from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
@@ -215,14 +216,7 @@ def compute_gamma_kappa(
     parameters) of the best squared projection achievable by some grid
     point.  A kappa at zero flags a spanning failure.
     """
-    return _gamma_kappa(_regressor_stack(model, grid, theta_sample), direction_sample)
-
-
-def _regressor_stack(model: ModelSpec, grid: Array, theta_sample: Array) -> Array:
-    """f over the grid at each sampled parameter, shape (thetas, m, p)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
-    return np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
+    return _gamma_kappa(regressor_stack(model, grid, theta_sample), direction_sample)
 
 
 def _gamma_kappa(F_all: Array, direction_sample: Array) -> tuple[float, float]:
@@ -269,7 +263,7 @@ def calibrate_window_diameter(
         raise DomainError("the window mass bound applies only for p >= 2")
     _require_positive("epsilon", epsilon)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    F = _regressor_stack(model, grid, theta_sample)
+    F = regressor_stack(model, grid, theta_sample)
     gamma, kappa = _gamma_kappa(F, sample_unit_directions(p, 2 * p + 32, seed=1))
     eta = 1.0 - 1.0 / math.sqrt(1.0 + p * epsilon / 2.0)
     threshold = eta * kappa / gamma

@@ -25,11 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularMatrixError
-from .model import ModelSpec
+
+if TYPE_CHECKING:
+    from .model import ModelSpec
 
 Array = np.ndarray
 
@@ -37,6 +40,8 @@ WEIGHT_SUM_TOL = 1e-12
 PD_FLOOR = 1e-12
 PRUNE_TOL = 1e-8
 _COMBO_CAP = 200000
+_DET_BLOCK_CELLS = 1 << 16  # entries of the stacked tuples one batched det scores
+MAX_EXCHANGES = 100000
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,15 @@ def information(F: Array, w: Array) -> Array:
     formula for an information matrix from regressors and weights."""
     M = (F.T * w) @ F
     return 0.5 * (M + M.T)
+
+
+def regressor_stack(model: ModelSpec, grid: Array, theta_sample: Array) -> Array:
+    """f over the grid at each sampled parameter, shape (thetas, m, p)."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
+    if thetas.shape[0] == 0:
+        raise DomainError("the parameter sample is empty")
+    return np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
 
 
 def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
@@ -181,10 +195,12 @@ def equivalence_gap(design: Design, theta: Array, model: ModelSpec, grid: Array)
 def _best_start_tuple(F: Array, p: int) -> list[int]:
     """Indices of the p-tuple maximizing |det| of stacked regressors.
 
-    For p = 1 this is the argmax of |f|.  Exhaustive when the number of
-    combinations is small enough, otherwise greedy volume maximization
-    (largest row first, then the row with the largest component
-    orthogonal to the current span).
+    For p = 2 a closed form over all row pairs.  Otherwise, up to
+    ``_COMBO_CAP`` combinations, batched determinants over blocks of
+    ``_DET_BLOCK_CELLS`` entries, in lexicographic order (the first
+    maximum wins, a NaN never does); beyond that greedy volume
+    maximization (largest row first, then the row with the largest
+    component orthogonal to the current span).
     """
     m = F.shape[0]
     if p == 2:
@@ -192,11 +208,17 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
         i, j = np.unravel_index(int(np.argmax(dets)), dets.shape)
         return [int(i), int(j)]
     if math.comb(m, p) <= _COMBO_CAP:
+        combos = itertools.combinations(range(m), p)
+        block = max(1, _DET_BLOCK_CELLS // (p * p))
         best, best_val = [], -1.0
-        for combo in itertools.combinations(range(m), p):
-            val = abs(np.linalg.det(F[list(combo)]))
-            if val > best_val:
-                best, best_val = list(combo), val
+        for _ in range(0, math.comb(m, p), block):
+            flat = itertools.chain.from_iterable(itertools.islice(combos, block))
+            idx = np.fromiter(flat, dtype=np.intp).reshape(-1, p)
+            dets = np.abs(np.linalg.det(F[idx]))
+            vals = np.where(np.isnan(dets), -1.0, dets)
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best, best_val = idx[i].tolist(), vals[i]
         return best
     chosen = [int(np.argmax((F**2).sum(axis=1)))]
     basis = F[chosen[0]][None, :] / np.linalg.norm(F[chosen[0]])
@@ -210,11 +232,7 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
 
 
 def solve_locally_d_optimal(
-    model: ModelSpec,
-    theta: Array,
-    grid: Array,
-    tol: float = 1e-5,
-    max_iterations: int = 100000,
+    model: ModelSpec, theta: Array, grid: Array, tol: float = 1e-5
 ) -> Design:
     """Locally D-optimal design on the scan grid at a fixed parameter.
 
@@ -222,19 +240,16 @@ def solve_locally_d_optimal(
     saturated p-tuple of ``_best_start_tuple`` at ``theta``: each
     exchange moves weight from the support point of least sensitivity
     to the grid point of greatest, by the step that maximizes the log
-    determinant along that direction, so the log determinant never
-    decreases.  Convergence is certified by the equivalence gap
-    max d - p <= tol * p; ``max_iterations`` bounds the number of
-    exchanges, and an exchange that cannot move weight (the two points
-    coincide, or the step leaves both weights unchanged in floating
-    point) ends the search with ``ConvergenceError``.  Support points
-    whose final weight falls below ``PRUNE_TOL`` are removed and the gap
-    is re-certified.
+    determinant along that direction.  It stops once the equivalence gap
+    max d - p is at most tol * p, and with ``ConvergenceError`` when an
+    exchange fails to raise log det M (near gaps of 1e-9 the gain is
+    lost to rounding), when its two points coincide (it would zero the
+    design) or after ``MAX_EXCHANGES`` exchanges.  Support points whose
+    final weight falls below ``PRUNE_TOL`` are removed and the gap is
+    re-certified.
     """
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_iterations < 1:
-        raise DomainError(f"max_iterations must be >= 1, got {max_iterations!r}")
     theta = np.asarray(theta, dtype=float)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     F = np.asarray(model.f(grid, theta), dtype=float)
@@ -242,10 +257,10 @@ def solve_locally_d_optimal(
 
     w = np.zeros(grid.shape[0])
     w[_best_start_tuple(F, p)] = 1.0 / p
-    exchanges = 0
+    exchanges, logdet = 0, -math.inf
     while True:
         try:
-            Minv = pd_inverse_logdet(information(F, w))[0]
+            Minv, logdet_now = pd_inverse_logdet(information(F, w))
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "grid does not support a positive definite information matrix", exc.min_eigenvalue
@@ -255,25 +270,19 @@ def solve_locally_d_optimal(
         gap = float(d[j] - p)
         if gap <= tol * p:
             break
-        if exchanges == max_iterations:
-            raise ConvergenceError(
-                f"vertex exchange did not reach tol*p = {tol * p:.3e} "
-                f"in {max_iterations} exchanges",
-                gap,
-            )
         support = np.flatnonzero(w > 0.0)
         k = int(support[np.argmin(d[support])])
+        stop = ("can no longer move weight" if k == j
+                else "failed to raise log det M" if logdet_now <= logdet
+                else "hit the exchange budget" if exchanges == MAX_EXCHANGES else "")
+        if stop:
+            raise ConvergenceError(f"vertex exchange {stop} after {exchanges} exchanges "
+                                   f"short of tol*p = {tol * p:.3e}", gap)
+        logdet = logdet_now
         d_jk = float(F[j] @ Minv @ F[k])
         denom = 2.0 * (d[j] * d[k] - d_jk * d_jk)
         step = (d[j] - d[k]) / denom if denom > 0.0 else w[k]
-        w_j, w_k = (w[j] + w[k], 0.0) if step >= w[k] else (w[j] + step, w[k] - step)
-        if k == j or (w_j == w[j] and w_k == w[k]):
-            raise ConvergenceError(
-                f"vertex exchange can no longer move weight after {exchanges} exchanges "
-                f"short of tol*p = {tol * p:.3e}",
-                gap,
-            )
-        w[j], w[k] = w_j, w_k
+        w[j], w[k] = (w[j] + w[k], 0.0) if step >= w[k] else (w[j] + step, w[k] - step)
         exchanges += 1
 
     keep = w >= PRUNE_TOL

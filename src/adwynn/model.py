@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .design import regressor_stack
 from .errors import DomainError
 
 Array = np.ndarray
@@ -265,17 +266,11 @@ def check_span(
     Report-only: the smallest singular value of the (m, p) regressor
     matrix is compared against ``floor`` for every sampled parameter.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    theta_sample = np.atleast_2d(np.asarray(theta_sample, dtype=float))
-    if grid.shape[0] < model.p:
+    F = regressor_stack(model, grid, theta_sample)
+    if F.shape[1] < model.p:
         raise DomainError("span check needs at least p grid points")
-    smallest = []
-    for theta in theta_sample:
-        F = np.asarray(model.f(grid, theta), dtype=float)
-        svals = np.linalg.svd(F, compute_uv=False)
-        smallest.append(float(svals[-1]))
-    passed = all(s > floor for s in smallest)
-    return SpanReport(tuple(smallest), floor, passed)
+    smallest = tuple(np.linalg.svd(F, compute_uv=False)[:, -1].tolist())
+    return SpanReport(smallest, floor, all(s > floor for s in smallest))
 
 
 @dataclass(frozen=True)

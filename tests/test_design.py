@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from adwynn.design import (
     WEIGHT_SUM_TOL,
     Design,
+    _best_start_tuple,
     d_efficiency,
     equivalence_gap,
     info_matrix,
@@ -22,7 +25,13 @@ from adwynn.design import (
 )
 from adwynn.analysis import empirical_design
 from adwynn.errors import ConvergenceError, DomainError, SingularMatrixError
-from adwynn.model import exponential_decay, michaelis_menten, polynomial
+from adwynn.model import (
+    BUILTIN_MODELS,
+    builtin_bundle,
+    exponential_decay,
+    michaelis_menten,
+    polynomial,
+)
 
 EPS = np.finfo(float).eps
 
@@ -324,9 +333,7 @@ def test_oracle_michaelis_menten_certificate(mm_bundle):
 def test_oracle_unattainable_tolerance(mm_bundle):
     grid = mm_bundle.design_space.grid()
     with pytest.raises(ConvergenceError) as exc:
-        solve_locally_d_optimal(
-            mm_bundle.model, np.array([0.2, 0.2]), grid, tol=0.0, max_iterations=200
-        )
+        solve_locally_d_optimal(mm_bundle.model, np.array([0.2, 0.2]), grid, tol=0.0)
     assert exc.value.gap > 0
 
 
@@ -338,6 +345,70 @@ def test_oracle_exchange_that_cannot_move_weight_stops(mm_bundle):
     with pytest.raises(ConvergenceError, match="can no longer move weight") as exc:
         solve_locally_d_optimal(mm_bundle.model, theta, grid, tol=0.0)
     assert exc.value.gap > 0
+
+
+@pytest.mark.parametrize(
+    "theta", [(1.983492724500072, 0.9554027985388369), (1.722149976103184, 2.818202786605751)]
+)
+def test_oracle_exchange_that_does_not_raise_logdet_stops(mm_bundle, theta):
+    # at tol = 0 two support points here trade rounding-level weight in a
+    # cycle; the first exchange that leaves log det M where it was ends it
+    grid = mm_bundle.design_space.grid()
+    with pytest.raises(ConvergenceError, match="failed to raise log det M") as exc:
+        solve_locally_d_optimal(mm_bundle.model, np.array(theta), grid, tol=0.0)
+    assert int(re.search(r"after (\d+) exchanges", str(exc.value)).group(1)) <= 10
+    assert exc.value.gap > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_MODELS)),
+    corner=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_oracle_log_det_stop_is_never_early(name, corner):
+    # the log det rule must not end a search that can still reach tol
+    bundle = builtin_bundle(name)
+    space, model, tol = bundle.parameter_space, bundle.model, 1e-6
+    theta = space.lower + np.array(corner[: model.p]) * (space.upper - space.lower)
+    grid = bundle.design_space.grid()
+    des = solve_locally_d_optimal(model, theta, grid, tol=tol)
+    assert equivalence_gap(des, theta, model, grid) <= tol * model.p
+    assert abs(des.weights.sum() - 1.0) <= WEIGHT_SUM_TOL
+
+
+def _best_tuple_by_loop(F, p):
+    best, best_val = [], -1.0
+    for combo in itertools.combinations(range(F.shape[0]), p):
+        val = abs(np.linalg.det(F[list(combo)]))
+        if val > best_val:
+            best, best_val = list(combo), val
+    return best
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1, 3, 4]),
+    extra=st.integers(0, 5),
+    duplicates=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
+    nan_row=st.one_of(st.none(), st.integers(0, 8)),
+    tuples_per_block=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_start_tuple_matches_loop(p, extra, duplicates, nan_row, tuples_per_block, seed):
+    # blocks of 1-3 tuples put exact ties (from duplicated rows) in different blocks
+    m = p + extra
+    F = np.random.default_rng(seed).standard_normal((m, p))
+    for src, dst in duplicates:
+        F[dst % m] = F[src % m]
+    if nan_row is not None:
+        F[nan_row % m] = np.nan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("adwynn.design._DET_BLOCK_CELLS", tuples_per_block * p * p)
+        best = _best_start_tuple(F, p)
+    assert best == _best_tuple_by_loop(F, p)
+    if nan_row is not None and m > p:
+        assert nan_row % m not in best
 
 
 @pytest.mark.parametrize(
@@ -380,8 +451,6 @@ def test_oracle_certifies_after_pruning(bundle, theta, tol):
         ({"tol": math.nan}, "tol"),
         ({"tol": -1e-6}, "tol"),
         ({"tol": math.inf}, "tol"),
-        ({"max_iterations": 0}, "max_iterations"),
-        ({"max_iterations": -3}, "max_iterations"),
     ],
 )
 def test_oracle_rejects_bad_settings(mm_bundle, kwargs, name):

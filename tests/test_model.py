@@ -254,6 +254,13 @@ def test_span_fails_for_degenerate_regressor():
     assert not report.passed
 
 
+def test_span_rejects_empty_parameter_sample(mm_bundle):
+    # a span check over no parameter would pass without evidence
+    grid = mm_bundle.design_space.grid()
+    with pytest.raises(DomainError, match="parameter sample"):
+        check_span(mm_bundle.model, np.zeros((0, 2)), grid)
+
+
 def test_span_michaelis_menten_default_spaces(mm_bundle):
     grid = np.linspace(0.1, 3.0, 30)[:, None]
     thetas = mm_bundle.parameter_space.sample_grid(5)

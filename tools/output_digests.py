@@ -19,7 +19,11 @@ checkpoints 30 and 40, seed 31415):
   decay at theta = (1.2, 0.9), and for the single-parameter exponential
   at theta = 1;
 - ``simulate`` for the quadratic ``polynomial`` (p = 3) at
-  theta_bar = (0.5, -1, 0.8), sigma = 0.1, n_max = 60;
+  theta_bar = (0.5, -1, 0.8), sigma = 0.1, n_max = 60, on the default
+  grid and on a 100-point grid, where the starting design's first p
+  points come from scoring all C(100, 3) point triples;
+- ``oracle`` for Michaelis-Menten at theta = (1.983492724500072,
+  0.9554027985388369) with ``--tol 0``, where the exchange stops short (exit 1);
 - three scripted ``session`` runs answered with zero-noise responses at
   theta_bar: one complete, one that sends QUIT after 5 adaptive
   observations, and one that sends QUIT after one starting observation.
@@ -59,6 +63,9 @@ EXPDECAY = {"model": {"name": "exponential_decay"}, "theta_bar": [1.2, 0.9]}
 EXP1 = {"model": {"name": "one_param_exponential"}, "theta_bar": [1.0]}
 QUADRATIC = {"model": {"name": "polynomial", "params": {"degree": 2}},
              "theta_bar": [0.5, -1.0, 0.8]}
+QUADRATIC_100 = {**QUADRATIC, "model": {"name": "polynomial",
+                                        "params": {"degree": 2, "grid_resolution": 100}}}
+MM_CYCLE = {"oracle": {"theta": [1.983492724500072, 0.9554027985388369]}}
 QUIT_AFTER_ADAPTIVE = 5
 
 
@@ -145,6 +152,11 @@ def main(argv: list[str] | None = None) -> int:
                             "--prefix", "oracle_exp1"])
         run("simulate_quadratic", ["simulate", "--config", str(variant("quadratic", **QUADRATIC)),
                                    "--prefix", "simulate_quadratic"])
+        run("simulate_quadratic_100", ["simulate", "--config",
+                                       str(variant("quadratic_100", **QUADRATIC_100)),
+                                       "--prefix", "simulate_quadratic_100"])
+        run("oracle_mm_tol0", ["oracle", "--config", str(variant("mm_cycle", **MM_CYCLE)),
+                               "--prefix", "oracle_mm_tol0", "--tol", "0"])
         sessions = {
             "session_complete": lambda obs, est: False,
             # one ESTIMATE after the starting design, then one per adaptive step
