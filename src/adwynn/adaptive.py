@@ -322,10 +322,10 @@ def _check(value, path: str, kind):
 
 
 def _region(obj, key: str, parse):
-    """The region echo at ``key`` and what ``parse`` reads from it."""
-    echo = _read(obj, key, dict)
+    """The region ``parse`` reads from the object at ``key``; any failure
+    raises DomainError naming the key."""
     try:
-        return echo, parse(echo)
+        return parse(_read(obj, key, dict))
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{key}: {exc}") from None
 
@@ -334,7 +334,8 @@ def _region(obj, key: str, parse):
 class Trajectory:
     """Complete record of one adaptive run.  ``estimates`` is (stages, p):
     the refit at each stage from ``n_start``; ``logdet`` and ``max_d`` hold
-    one entry per step.  ``stages`` (see ``run``) is not in the JSON form."""
+    one entry per step.  ``design_space`` and ``parameter_space`` are the
+    run's regions.  ``stages`` (see ``run``) is not in the JSON form."""
 
     model_name: str
     seed: int
@@ -346,8 +347,8 @@ class Trajectory:
     logdet: Array
     max_d: Array
     final_fit: Optional[LSFit]
-    design_space_echo: dict
-    parameter_space_echo: dict
+    design_space: DesignSpace
+    parameter_space: ParameterSpace
     stages: dict[int, tuple[LSFit, Array, Array, Array]] = field(default_factory=dict)
 
     @property
@@ -381,8 +382,8 @@ class Trajectory:
             "model": self.model_name,
             "seed": self.seed,
             "config": self.config_echo,
-            "design_space": self.design_space_echo,
-            "parameter_space": self.parameter_space_echo,
+            "design_space": self.design_space.to_jsonable(),
+            "parameter_space": self.parameter_space.to_jsonable(),
             "n_start": self.n_start,
             "points": self.points.tolist(),
             "responses": self.responses.tolist(),
@@ -398,14 +399,15 @@ class Trajectory:
     def from_jsonable(obj) -> "Trajectory":
         """The trajectory a v1 file holds.  A key that is missing, of the
         wrong type or shape, or not finite raises DomainError naming it, as
-        do records that disagree with ``points``, ``responses`` or
+        do a ``design_space`` that is neither a box nor a finite set, and
+        records that disagree with ``points``, ``responses`` or
         ``estimates``: the file's records must be the columns' records."""
-        ps_echo, space = _region(obj, "parameter_space",
-                                 lambda e: ParameterSpace(_read(e, "lower"), _read(e, "upper")))
-        ds_echo, region = _region(obj, "design_space", design_space_from_jsonable)
+        space = _region(obj, "parameter_space",
+                        lambda e: ParameterSpace(_read(e, "lower"), _read(e, "upper")))
+        region = _region(obj, "design_space", design_space_from_jsonable)
         points = _read(obj, "points", ("n", "k"))
         (n, k), p = points.shape, space.p
-        if region is not None and n and region.dimension != k:
+        if n and region.dimension != k:
             raise DomainError(f"design_space has dimension {region.dimension}, points {k}")
         n_start = _read(obj, "n_start", int)
         if not 0 <= n_start <= n:
@@ -428,7 +430,7 @@ class Trajectory:
             config_echo=_read(obj, "config", dict), n_start=n_start, points=points,
             responses=_read(obj, "responses", (n,)), estimates=_read(obj, "estimates", (stages, p)),
             logdet=logdet, max_d=max_d, final_fit=final_fit,
-            design_space_echo=ds_echo, parameter_space_echo=ps_echo,
+            design_space=region, parameter_space=space,
         )
         if [dict(zip(_RECORD_KEYS, step)) for step in trajectory._steps()] != records:
             raise DomainError("records disagree with points, responses or estimates")
@@ -487,8 +489,8 @@ def run(
         responses=np.array(state.responses, dtype=float),
         estimates=np.array(state.estimates, dtype=float).reshape(-1, model.p),
         logdet=np.array(state.logdet, dtype=float), max_d=np.array(state.max_d, dtype=float),
-        final_fit=state.fit, design_space_echo=design_space.to_jsonable(),
-        parameter_space_echo=parameter_space.to_jsonable(), stages=state.stages,
+        final_fit=state.fit, design_space=design_space,
+        parameter_space=parameter_space, stages=state.stages,
     )
 
 

@@ -41,14 +41,7 @@ from .design import (
     solve_locally_d_optimal,
 )
 from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
-from .model import (
-    Box,
-    DesignSpace,
-    FiniteSet,
-    ModelSpec,
-    ParameterSpace,
-    design_space_from_jsonable,
-)
+from .model import DesignSpace, FiniteSet, ModelSpec, ParameterSpace
 from .noise import make_rng, mix_seed
 
 Array = np.ndarray
@@ -293,19 +286,16 @@ def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
     """Largest window mass at each of the stages 1, ..., n, in one pass.
 
     One-dimensional regions use the intervals [v, v + d] anchored at the
-    observed values v; higher dimensions use balls of radius d/2 around
-    the region's grid points, or around the observed points when the
-    trajectory echoes no region.  A window anchored at an observed point
-    opens at that point's first observation.  Every window's count is a
-    cumulative sum over the stages, taken in blocks that carry the
-    running counts.
+    observed values v, each opening at that value's first observation;
+    higher dimensions use balls of radius d/2 around the region's grid
+    points.  Every window's count is a cumulative sum over the stages,
+    taken in blocks that carry the running counts.
     """
     pts = trajectory.points[:n]
-    space = design_space_from_jsonable(trajectory.design_space_echo) if pts.shape[1] > 1 else None
-    if space is None:
+    if pts.shape[1] == 1:
         centers, opens = np.unique(pts, axis=0, return_index=True)
     else:
-        centers, opens = space.grid(), None
+        centers, opens = trajectory.design_space.grid(), None
     block = max(1, _BLOCK_CELLS // centers.size)
     running = np.zeros(centers.shape[0], dtype=np.int64)
     masses = np.empty(n)
@@ -330,9 +320,8 @@ def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict
 
     One-dimensional regions use exact sliding intervals anchored at the
     observed points; higher dimensions scan balls of radius d/2 around
-    the region's grid points (the observed points when the trajectory
-    echoes no region).  The counts of every window are accumulated over
-    the stages, so the curve costs O(n * windows) in all.  A d that is
+    the region's grid points.  The counts of every window are accumulated
+    over the stages, so the curve costs O(n * windows) in all.  A d that is
     not positive (NaN included) raises DomainError; an n_from past the
     trajectory gives {}.
     """
@@ -439,9 +428,7 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
         raise DomainError(f"stage n = {n} exceeds the trajectory length {trajectory.n}")
     _require_positive("cell_diameter", cell_diameter)
     pts = trajectory.points[:n]
-    space = design_space_from_jsonable(trajectory.design_space_echo)
-    if space is None:
-        space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
+    space = trajectory.design_space
     # points repeat a few grid points: work on each distinct point once
     uniq, inverse, mult = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)

@@ -100,12 +100,14 @@ def information(F: Array, w: Array) -> Array:
 
 
 def regressor_stack(model: ModelSpec, grid: Array, theta_sample: Array) -> Array:
-    """f over the grid at each sampled parameter, shape (thetas, m, p)."""
+    """f over the grid at each sampled parameter, shape (thetas, m, p), in
+    one call broadcast over both (see ``ModelSpec``)."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
     if thetas.shape[0] == 0:
         raise DomainError("the parameter sample is empty")
-    return np.stack([np.asarray(model.f(grid, th), dtype=float) for th in thetas])
+    F = np.asarray(model.f(grid[None], thetas[:, None, :]), dtype=float)
+    return np.broadcast_to(F, (thetas.shape[0], grid.shape[0], model.p))
 
 
 def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:

@@ -10,11 +10,6 @@ module also provides numeric falsification checks for the structural
 conditions the asymptotic theory relies on: the regressor image
 spanning R^p, and identifiability of the parameter from responses at p
 distinct points.
-
-Evaluator convention: ``mu`` and ``f`` broadcast over leading axes of
-both arguments, i.e. ``mu(x[(m, k)], theta[(p,)]) -> (m,)`` and
-``mu(x[(k,)], theta[(G, p)]) -> (G,)``.  ``f`` appends the parameter
-axis last: ``f(x[(m, k)], theta[(p,)]) -> (m, p)``.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from __future__ import annotations
 import inspect
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -157,15 +152,13 @@ class Box:
 DesignSpace = Union[FiniteSet, Box]
 
 
-def design_space_from_jsonable(obj: dict) -> Optional[DesignSpace]:
-    """The region written by ``to_jsonable``; None for an empty or unknown form."""
-    if not obj:
-        return None
+def design_space_from_jsonable(obj: dict) -> DesignSpace:
+    """The region written by ``to_jsonable``; DomainError for any other form."""
     if obj.get("kind") == "box":
         return Box(obj["lower"], obj["upper"], tuple(obj["grid_resolution"]))
     if obj.get("kind") == "finite":
         return FiniteSet(np.asarray(obj["points"], dtype=float))
-    return None
+    raise DomainError(f"kind must be 'box' or 'finite', got {obj.get('kind')!r}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +222,13 @@ class ModelSpec:
     Gauss-Newton fit, ``sse_gradient`` and the normality statistics all
     rely on it.  The built-in models satisfy it, and their tests check it
     against central differences of ``mu``.
+
+    Both broadcast over the leading axes of x (last axis k) and theta
+    (last axis p), as numpy does: ``mu(x[(m, k)], theta[(p,)]) -> (m,)``,
+    ``mu(x[(k,)], theta[(G, p)]) -> (G,)``, and ``f`` appends the
+    parameter axis, so ``f(x[(1, m, k)], theta[(S, 1, p)]) -> (S, m, p)``.
+    The least-squares grid scan relies on this for ``mu``, and
+    ``regressor_stack`` for ``f``.
     """
 
     name: str

@@ -32,9 +32,15 @@ from adwynn.noise import IIDGaussian, NonAH
 
 
 def _make_trajectory(points, p=2, space_echo=None):
+    """A trajectory of the given points on the echoed region; without an
+    echo, on a box around the points (which the 1-D window mass never reads)."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    if space_echo is None:
+        space = Box(points.min(axis=0), points.max(axis=0) + 1.0, 2)
+    else:
+        space = design_space_from_jsonable(space_echo)
     return Trajectory(
         model_name="synthetic",
         seed=0,
@@ -46,8 +52,8 @@ def _make_trajectory(points, p=2, space_echo=None):
         logdet=np.zeros(0),
         max_d=np.zeros(0),
         final_fit=None,
-        design_space_echo=space_echo or {},
-        parameter_space_echo={"lower": [0.0] * p, "upper": [1.0] * p},
+        design_space=space,
+        parameter_space=ParameterSpace([0.0] * p, [1.0] * p),
     )
 
 
@@ -192,13 +198,12 @@ def test_window_mass_curve_matches_pointwise(rng):
 
 def _window_mass_oracle(points: np.ndarray, n: int, d: float, centers=None) -> float:
     """The per-stage window count: a sort in 1-D, balls of diameter d around
-    ``centers`` (default: the first n points) otherwise."""
+    ``centers`` otherwise."""
     pts = points[:n]
     if pts.shape[1] == 1:
         xs = np.sort(pts[:, 0])
         counts = np.searchsorted(xs, xs + d, side="right") - np.arange(n)
         return float(counts.max() / n)
-    centers = pts if centers is None else centers
     d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=-1)
     return float((d2 <= (d / 2.0) ** 2).sum(axis=1).max() / n)
 
@@ -239,19 +244,16 @@ _BOX_2D = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid_resolu
 @given(
     cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=80),
     d=st.sampled_from([0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 3.0]),
-    echo=st.booleans(),
     n_from=st.integers(1, 81),
     block=st.sampled_from(_BLOCKS),
 )
-# a ball around a later point holds two earlier ones that no earlier ball holds together
-@example(cells=[(0, 0), (2, 0), (1, 0)], d=0.5, echo=False, n_from=1, block=1 << 16)
-def test_window_mass_curve_2d_matches_ball_counts_at_every_stage(cells, d, echo, n_from, block):
+def test_window_mass_curve_2d_matches_ball_counts_at_every_stage(cells, d, n_from, block):
     """In 2-D the cumulative ball counts equal a per-stage recount around
-    the echoed box's grid, or around the points seen so far without an
-    echo; the points sit on that grid, so many lie exactly d/2 apart."""
+    the region's grid; the points sit on that grid, so many lie exactly
+    d/2 apart."""
     points = np.array(cells, dtype=float) / [4.0, 3.0]
-    traj = _make_trajectory(points, space_echo=_BOX_2D if echo else None)
-    centers = Box([0.0, 0.0], [1.0, 1.0], (5, 4)).grid() if echo else None
+    traj = _make_trajectory(points, space_echo=_BOX_2D)
+    centers = Box([0.0, 0.0], [1.0, 1.0], (5, 4)).grid()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_BLOCK_CELLS", block)
         curve = window_mass_curve(traj, d, n_from=n_from)
@@ -291,7 +293,6 @@ def test_window_mass_curve_rejects_negative_diameter_past_the_end():
 def test_window_mass_multidimensional_balls():
     # 2-D: balls of diameter d around the scan-grid points
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-    echo = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid_resolution": [3, 3]}
     traj = Trajectory(
         model_name="synthetic2d",
         seed=0,
@@ -303,8 +304,8 @@ def test_window_mass_multidimensional_balls():
         logdet=np.zeros(0),
         max_d=np.zeros(0),
         final_fit=None,
-        design_space_echo=echo,
-        parameter_space_echo={"lower": [0, 0], "upper": [1, 1]},
+        design_space=Box([0.0, 0.0], [1.0, 1.0], (3, 3)),
+        parameter_space=ParameterSpace([0.0, 0.0], [1.0, 1.0]),
     )
     assert window_mass_curve(traj, 0.1)[4] == pytest.approx(0.5)  # the doubled origin
     assert window_mass_curve(traj, 4.0)[4] == 1.0
@@ -384,9 +385,7 @@ def _extract_clusters_oracle(trajectory, n, cell_diameter):
     the lexicographically first heaviest cell, one exclusion pass."""
     p = trajectory.p
     pts = trajectory.points[:n]
-    space = design_space_from_jsonable(trajectory.design_space_echo)
-    if space is None:
-        space = Box(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9, (2,) * pts.shape[1])
+    space = trajectory.design_space
     if isinstance(space, FiniteSet):
         def assign(x):
             return (int(np.argmin(((space.points - x) ** 2).sum(axis=1))),)
@@ -456,7 +455,7 @@ _FINITE_2D = [[0.0, 0.0], [0.3, 0.1], [0.6, 0.9], [1.0, 0.5], [0.2, 0.8]]
     data=st.data(),
     k=st.sampled_from([1, 2]),
     p=st.integers(1, 3),
-    region=st.sampled_from(["box", "finite", "none"]),
+    region=st.sampled_from(["box", "finite"]),
     cell=st.sampled_from([0.05, 0.1, 0.25, 0.4, 1.5]),
 )
 def test_extract_clusters_matches_per_point_loop(data, k, p, region, cell):
@@ -467,7 +466,6 @@ def test_extract_clusters_matches_per_point_loop(data, k, p, region, cell):
     echo = {
         "box": {"kind": "box", "lower": [0.0] * k, "upper": [1.0] * k, "grid_resolution": [9] * k},
         "finite": {"kind": "finite", "points": [q[:k] for q in _FINITE_2D]},
-        "none": None,
     }[region]
     traj = _make_trajectory(points, p=p, space_echo=echo)
     n = data.draw(st.integers(p, len(ticks)))
@@ -612,8 +610,8 @@ def test_calibration_eta_identity(mm_bundle):
 
     model = replace(mm_bundle.model, f=counted_f)
     cal = calibrate_window_diameter(model, mm_bundle.parameter_space, grid, thetas, epsilon=0.1)
-    # f is stacked once per sampled parameter, for gamma, kappa and the pair distances alike
-    assert len(calls) == len(thetas)
+    # one f call, broadcast over the sampled parameters, serves gamma, kappa and the pair distances
+    assert len(calls) == 1
     p = 2
     assert (1 - cal.eta) ** (-2) / p == pytest.approx(1 / p + 0.05)
     assert cal.d > 0

@@ -650,15 +650,18 @@ def _shift_one_record(records):
         ("records", lambda v: 5),
         ("final_fit", lambda v: 5),
         ("design_space", _swap_bounds),
+        ("design_space", lambda v: {}),
+        ("design_space", lambda v: {"kind": "sphere"}),
         ("points", lambda v: [[math.nan]] * len(v)),
         ("records", _shift_one_record),
     ],
     ids=["seed-null", "points-5", "records-5", "final_fit-5", "box-lower-above-upper",
-         "points-nan", "record-off-its-column"],
+         "region-empty", "region-sphere", "points-nan", "record-off-its-column"],
 )
 def test_diagnose_malformed_trajectory_exits_2(tmp_path, capsys, key, corrupt):
     """A trajectory file with one bad key exits 2 naming the file and the key,
-    where it once ended in a traceback, exit 1, or meaningless clusters."""
+    where it once ended in a traceback, exit 1, or meaningless clusters; a
+    design_space that is neither a box nor a finite set is such a key."""
     traj = _twenty_point_trajectory(tmp_path)
     obj = json.loads(Path(traj).read_text())
     obj[key] = corrupt(obj[key])

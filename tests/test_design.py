@@ -20,6 +20,7 @@ from adwynn.design import (
     pd_inverse_logdet,
     quadratic_form,
     rank_one_update,
+    regressor_stack,
     sensitivity_profile,
     solve_locally_d_optimal,
 )
@@ -30,6 +31,7 @@ from adwynn.model import (
     builtin_bundle,
     exponential_decay,
     michaelis_menten,
+    one_param_exponential,
     polynomial,
 )
 
@@ -457,6 +459,47 @@ def test_oracle_rejects_bad_settings(mm_bundle, kwargs, name):
     grid = mm_bundle.design_space.grid()
     with pytest.raises(DomainError, match=name):
         solve_locally_d_optimal(mm_bundle.model, np.array([1.0, 1.0]), grid, **kwargs)
+
+
+def _continuous_optimum(name: str, theta) -> list[float]:
+    """Support of the D-optimal design over the whole interval, whose
+    weights are equal: the saturated design of largest determinant."""
+    return {
+        "exponential_decay": lambda t: [0.0, 1.0 / t[1]],
+        "michaelis_menten": lambda t: [3.0 * t[1] / (3.0 + 2.0 * t[1]), 3.0],
+        "one_param_exponential": lambda t: [1.0 / t[0]],
+        "polynomial": lambda t: [-1.0, 0.0, 1.0],
+    }[name](theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_MODELS)),
+    corner=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_oracle_is_within_a_grid_step_of_the_closed_form(name, corner):
+    bundle = builtin_bundle(name, **({"degree": 2} if name == "polynomial" else {}))
+    space, model, region = bundle.parameter_space, bundle.model, bundle.design_space
+    theta = space.lower + np.array(corner[: model.p]) * (space.upper - space.lower)
+    step = float((region.upper - region.lower)[0]) / (region.grid_resolution[0] - 1)
+    des = solve_locally_d_optimal(model, theta, region.grid(), tol=1e-6)
+    optimum = np.array(_continuous_optimum(name, theta))
+    assert np.abs(des.support - optimum).min(axis=1).max() <= step
+    exact = Design(optimum[:, None], np.full(optimum.size, 1.0 / optimum.size))
+    logdet_exact = pd_inverse_logdet(info_matrix(exact, theta, model))[1]
+    assert d_efficiency(info_matrix(des, theta, model), logdet_exact) >= 1.0 - 5e-4
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [michaelis_menten(), exponential_decay(), polynomial(), polynomial(degree=3),
+     one_param_exponential()],
+    ids=["michaelis_menten", "exponential_decay", "linear", "cubic", "one_param_exponential"],
+)
+def test_regressor_stack_matches_per_theta_loop(bundle):
+    grid, thetas = bundle.design_space.grid(), bundle.parameter_space.sample_grid(5)
+    loop = np.stack([bundle.model.f(grid, theta) for theta in thetas])
+    assert np.array_equal(regressor_stack(bundle.model, grid, thetas), loop)
 
 
 def test_oracle_michaelis_menten_analytic_bounds(mm_bundle):

@@ -57,8 +57,9 @@ def test_design_space_json_roundtrip():
         back = design_space_from_jsonable(json.loads(json.dumps(space.to_jsonable())))
         assert type(back) is type(space)
         assert np.array_equal(back.grid(), space.grid())
-    assert design_space_from_jsonable({}) is None
-    assert design_space_from_jsonable({"kind": "sphere"}) is None
+    for echo in ({}, {"kind": "sphere"}):
+        with pytest.raises(DomainError, match="kind must be 'box' or 'finite'"):
+            design_space_from_jsonable(echo)
 
 
 def test_parameter_space_validation():
