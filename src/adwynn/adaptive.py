@@ -228,12 +228,10 @@ class WynnState:
         self,
         model: ModelSpec,
         design_space: DesignSpace,
-        config: WynnConfig,
         estimator: LSAdaptiveEstimator,
         keep_stages: Sequence[int] = (),
     ):
         self.model = model
-        self.config = config
         self.estimator = estimator
         self.design = estimator.data
         self.grid = design_space.grid()
@@ -467,7 +465,7 @@ def run(
     """
     if estimator is None:
         estimator = LSAdaptiveEstimator(model, parameter_space)
-    state = WynnState(model, design_space, config, estimator, keep_stages)
+    state = WynnState(model, design_space, estimator, keep_stages)
     initial = starting_design(model, design_space, parameter_space)
     if config.n_max < initial.shape[0]:
         raise ConfigError(

@@ -49,6 +49,7 @@ Array = np.ndarray
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 CHI2_QUANTILE_TOL = 1e-12  # relative, of chi2_quantile's bisection
 REFERENCE_TOL = 1e-5  # vertex-exchange tolerance of run_study's reference design
+MAX_FAILURE_FRACTION = 0.01  # share of failed replicates above which run_study raises
 
 # MCReport's per-checkpoint statistics, in report order
 CHECKPOINT_STATS = (
@@ -84,57 +85,25 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x).
-
-    Series expansion for x < a + 1, continued fraction (modified Lentz)
-    for the complement otherwise.
-    """
-    if x < 0 or a <= 0:
-        raise DomainError("gamma_p requires x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        ap = a
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + a * math.log(x) - lg) * h
-    return 1.0 - q
-
-
 def chi2_cdf(dim: int, x: float) -> float:
-    """CDF of the chi-square distribution with ``dim`` degrees of freedom."""
+    """CDF of the chi-square distribution with an integer ``dim`` >= 1
+    degrees of freedom, in closed form: F_1(x) = erf(sqrt(x/2)),
+    F_2(x) = 1 - exp(-x/2) and
+    F_{k+2}(x) = F_k(x) - exp(-x/2) (x/2)^(k/2) / Gamma(k/2 + 1).
+    """
+    if dim < 1 or dim != int(dim):
+        raise DomainError(f"chi-square degrees of freedom must be an integer >= 1, got {dim!r}")
     if x <= 0:
         return 0.0
-    return _gamma_p(dim / 2.0, x / 2.0)
+    h = 0.5 * x
+    if dim % 2:
+        k, cdf, term = 1, math.erf(math.sqrt(h)), 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
+    else:
+        k, cdf, term = 2, -math.expm1(-h), math.exp(-h) * h
+    for j in range(k, dim, 2):  # F_j to F_{j+2}
+        cdf -= term
+        term *= h / (0.5 * j + 1.0)
+    return max(cdf, 0.0)  # near x = 0 the difference can round below zero
 
 
 def chi2_quantile(dim: int, level: float) -> float:
@@ -282,8 +251,8 @@ def calibrate_window_diameter(
 # --------------------------------------------------------------------------
 
 
-def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
-    """Largest window mass at each of the stages 1, ..., n, in one pass.
+def _window_masses(trajectory: Trajectory, d: float) -> Array:
+    """Largest window mass at each stage of the trajectory, in one pass.
 
     One-dimensional regions use the intervals [v, v + d] anchored at the
     observed values v, each opening at that value's first observation;
@@ -291,7 +260,7 @@ def _window_masses(trajectory: Trajectory, d: float, n: int) -> Array:
     points.  Every window's count is a cumulative sum over the stages,
     taken in blocks that carry the running counts.
     """
-    pts = trajectory.points[:n]
+    pts, n = trajectory.points, trajectory.n
     if pts.shape[1] == 1:
         centers, opens = np.unique(pts, axis=0, return_index=True)
     else:
@@ -327,7 +296,7 @@ def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict
     """
     _require_positive("window diameter d", d)
     n_from = max(1, n_from)
-    masses = _window_masses(trajectory, d, trajectory.n)[n_from - 1 :]
+    masses = _window_masses(trajectory, d)[n_from - 1 :]
     return dict(zip(range(n_from, trajectory.n + 1), masses.tolist()))
 
 
@@ -605,7 +574,6 @@ def run_study(
     seed: int,
     workers: int = 1,
     keep_paths: int = 0,
-    max_failure_fraction: float = 0.01,
 ) -> MCReport:
     """Simulate independent replicates and reduce them into an MCReport.
 
@@ -614,7 +582,7 @@ def run_study(
     design raises ConfigError before any replicate runs.  Replicates are
     seeded from the master seed by index, so the report does not depend on
     the worker count.  Reduction is ordered by replicate index.  If more than
-    ``max_failure_fraction`` of the replicates fail the study raises
+    ``MAX_FAILURE_FRACTION`` of the replicates fail the study raises
     StudyError.
     """
     checkpoints = tuple(sorted(int(n) for n in checkpoints))
@@ -653,7 +621,7 @@ def run_study(
     failed = [r["index"] for r in results if r["failed"] is not None]
     messages = [r["failed"] for r in results if r["failed"] is not None]
     alive = [r for r in results if r["failed"] is None]
-    if len(failed) > max_failure_fraction * replicates:
+    if len(failed) > MAX_FAILURE_FRACTION * replicates:
         raise StudyError(
             f"{len(failed)} of {replicates} replicates failed: {messages[:5]}", failed
         )

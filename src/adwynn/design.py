@@ -44,6 +44,24 @@ _DET_BLOCK_CELLS = 1 << 16  # entries of the stacked tuples one batched det scor
 MAX_EXCHANGES = 100000
 
 
+def point_rows(points, name: str, distinct: bool = True) -> Array:
+    """``points`` as a read-only (m, k) float copy, a 1-D array read as one
+    column.  It must be nonempty and finite, and with ``distinct`` its rows
+    must differ (0.0 and -0.0 are equal); DomainError naming ``name`` if not.
+    """
+    pts = np.array(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise DomainError(f"{name} must be a nonempty (m, k) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DomainError(f"{name} must be finite")
+    if distinct and np.unique(pts, axis=0).shape[0] < pts.shape[0]:
+        raise DomainError(f"{name} must be distinct points")
+    pts.setflags(write=False)
+    return pts
+
+
 @dataclass(frozen=True)
 class Design:
     """Finitely supported probability measure: support points and weights."""
@@ -52,26 +70,14 @@ class Design:
     weights: Array
 
     def __post_init__(self):
-        pts = np.asarray(self.support, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise DomainError("design support must be a nonempty (s, k) array")
+        pts = point_rows(self.support, "design support")
+        w = np.array(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
-            raise DomainError("weights must match the number of support points")
-        if np.any(w <= 0.0):
+            raise DomainError("design weights must match the number of support points")
+        if not np.all(w > 0.0):  # NaN fails too
             raise DomainError("design weights must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"design weights sum to {w.sum()!r}, expected 1")
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= 0.0:
-            raise DomainError("support points must be distinct")
-        pts = pts.copy()
-        w = w.copy()
-        pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
@@ -160,11 +166,9 @@ def pd_inverse_logdet(M: Array, floor: float = PD_FLOOR) -> tuple[Array, float]:
     return np.array([[c / det, -b / det], [-b / det, a / det]]), math.log(det)
 
 
-def sensitivity_profile(
-    points: Array, M: Array, theta: Array, model: ModelSpec, floor: float = PD_FLOOR
-) -> Array:
+def sensitivity_profile(points: Array, M: Array, theta: Array, model: ModelSpec) -> Array:
     """d(x) = f(x, theta)' M^{-1} f(x, theta) at each row of a point array, shape (m,)."""
-    Minv = pd_inverse_logdet(M, floor)[0]
+    Minv = pd_inverse_logdet(M)[0]
     F = np.asarray(model.f(np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(theta, dtype=float)), dtype=float)
     return quadratic_form(F, Minv)
 
@@ -197,18 +201,25 @@ def equivalence_gap(design: Design, theta: Array, model: ModelSpec, grid: Array)
 def _best_start_tuple(F: Array, p: int) -> list[int]:
     """Indices of the p-tuple maximizing |det| of stacked regressors.
 
-    For p = 2 a closed form over all row pairs.  Otherwise, up to
-    ``_COMBO_CAP`` combinations, batched determinants over blocks of
-    ``_DET_BLOCK_CELLS`` entries, in lexicographic order (the first
-    maximum wins, a NaN never does); beyond that greedy volume
-    maximization (largest row first, then the row with the largest
-    component orthogonal to the current span).
+    A row with a NaN or inf entry never enters the tuple (LAPACK may give
+    such a tuple a finite determinant).  For p = 2 a closed form over all
+    row pairs; otherwise, up to ``_COMBO_CAP`` combinations, batched
+    determinants over blocks of ``_DET_BLOCK_CELLS`` entries.  Both scan
+    the tuples in lexicographic order: the first maximum wins, a NaN
+    never does, and with no finite determinant the result is empty.
+    Beyond the cap, greedy volume maximization (largest row first, then
+    the row with the largest component orthogonal to the current span).
     """
-    m = F.shape[0]
+    rows = np.flatnonzero(np.isfinite(F).all(axis=1))
+    F, m = F[rows], rows.size
     if p == 2:
+        if m < 2:
+            return []
         dets = np.abs(F[:, None, 0] * F[None, :, 1] - F[:, None, 1] * F[None, :, 0])
-        i, j = np.unravel_index(int(np.argmax(dets)), dets.shape)
-        return [int(i), int(j)]
+        vals = np.where(np.isnan(dets), -1.0, dets)
+        np.fill_diagonal(vals, -1.0)  # vals is symmetric, so its first maximum has i < j
+        i, j = divmod(int(np.argmax(vals)), m)
+        return rows[[i, j]].tolist() if vals[i, j] >= 0.0 else []
     if math.comb(m, p) <= _COMBO_CAP:
         combos = itertools.combinations(range(m), p)
         block = max(1, _DET_BLOCK_CELLS // (p * p))
@@ -221,7 +232,7 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
             i = int(np.argmax(vals))
             if vals[i] > best_val:
                 best, best_val = idx[i].tolist(), vals[i]
-        return best
+        return rows[best].tolist()
     chosen = [int(np.argmax((F**2).sum(axis=1)))]
     basis = F[chosen[0]][None, :] / np.linalg.norm(F[chosen[0]])
     for _ in range(p - 1):
@@ -230,7 +241,7 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
         chosen.append(idx)
         v = resid[idx]
         basis = np.vstack([basis, v / np.linalg.norm(v)])
-    return chosen
+    return rows[chosen].tolist()
 
 
 def solve_locally_d_optimal(

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import point_rows
 from .errors import DomainError, FitFailureError
 from .model import ModelSpec, ParameterSpace, as_theta
 
@@ -43,19 +44,12 @@ class DataBatch:
     ys: Array
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 2 or xs.shape[0] == 0:
-            raise DomainError("data points must form a nonempty (n, k) array")
+        xs = point_rows(self.xs, "data points", distinct=False)
+        ys = np.array(self.ys, dtype=float)
         if ys.shape != (xs.shape[0],):
             raise DomainError("responses must match the number of points")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise DomainError("data must be finite")
-        xs = xs.copy()
-        ys = ys.copy()
-        xs.setflags(write=False)
+        if not np.all(np.isfinite(ys)):
+            raise DomainError("responses must be finite")
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)

@@ -21,12 +21,15 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .design import regressor_stack
+from .design import point_rows, regressor_stack
 from .errors import DomainError
 
 Array = np.ndarray
 
 _CONTAINS_TOL = 1e-9
+SPAN_FLOOR = 1e-8  # least singular value check_span accepts
+SI_FLOOR = 1e-12  # least response discrepancy check_si_numeric accepts
+PAIR_DRAWS = 100000  # draws sample_parameter_pairs makes before it gives up
 
 
 def _freeze(a: Array) -> Array:
@@ -80,19 +83,7 @@ class FiniteSet:
     points: Array
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise DomainError("FiniteSet needs a nonempty (m, k) point array")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("FiniteSet points must be finite")
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= 0.0:
-            raise DomainError("FiniteSet points must be pairwise distinct")
-        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "points", point_rows(self.points, "FiniteSet points"))
 
     @property
     def dimension(self) -> int:
@@ -255,22 +246,17 @@ class SpanReport:
     passed: bool
 
 
-def check_span(
-    model: ModelSpec,
-    theta_sample: Array,
-    grid: Array,
-    floor: float = 1e-8,
-) -> SpanReport:
+def check_span(model: ModelSpec, theta_sample: Array, grid: Array) -> SpanReport:
     """Check that {f(x, theta) : x in grid} spans R^p for each sampled theta.
 
     Report-only: the smallest singular value of the (m, p) regressor
-    matrix is compared against ``floor`` for every sampled parameter.
+    matrix is compared against ``SPAN_FLOOR`` for every sampled parameter.
     """
     F = regressor_stack(model, grid, theta_sample)
     if F.shape[1] < model.p:
         raise DomainError("span check needs at least p grid points")
     smallest = tuple(np.linalg.svd(F, compute_uv=False)[:, -1].tolist())
-    return SpanReport(smallest, floor, all(s > floor for s in smallest))
+    return SpanReport(smallest, SPAN_FLOOR, all(s > SPAN_FLOOR for s in smallest))
 
 
 @dataclass(frozen=True)
@@ -291,10 +277,7 @@ class SIReport:
 
 
 def check_si_numeric(
-    model: ModelSpec,
-    theta_pairs: Sequence[tuple[Array, Array]],
-    point_tuples: Array,
-    floor: float = 1e-12,
+    model: ModelSpec, theta_pairs: Sequence[tuple[Array, Array]], point_tuples: Array
 ) -> SIReport:
     pairs_a = np.stack([as_theta(a, model.p) for a, _ in theta_pairs])
     pairs_b = np.stack([as_theta(b, model.p) for _, b in theta_pairs])
@@ -311,7 +294,7 @@ def check_si_numeric(
     flat = int(np.argmin(disc))
     worst_pair, worst_tuple = np.unravel_index(flat, disc.shape)
     min_disc = float(disc[worst_pair, worst_tuple])
-    return SIReport(min_disc, floor, min_disc > floor, int(worst_pair), int(worst_tuple))
+    return SIReport(min_disc, SI_FLOOR, min_disc > SI_FLOOR, int(worst_pair), int(worst_tuple))
 
 
 def sample_parameter_pairs(
@@ -319,12 +302,12 @@ def sample_parameter_pairs(
     count: int,
     min_separation: float,
     rng: np.random.Generator,
-    max_draws: int = 100000,
 ) -> list[tuple[Array, Array]]:
-    """Uniform parameter pairs with separation >= min_separation."""
+    """Uniform parameter pairs with separation >= min_separation, from at
+    most ``PAIR_DRAWS`` draws."""
     pairs: list[tuple[Array, Array]] = []
     draws = 0
-    while len(pairs) < count and draws < max_draws:
+    while len(pairs) < count and draws < PAIR_DRAWS:
         a = rng.uniform(space.lower, space.upper)
         b = rng.uniform(space.lower, space.upper)
         draws += 1
@@ -430,6 +413,20 @@ class ModelBundle:
     parameter_space: ParameterSpace
 
 
+def _bundle(
+    model: ModelSpec,
+    x_bounds: tuple[float, float],
+    grid_resolution: int,
+    theta_bounds: Sequence[tuple[float, float]],
+) -> ModelBundle:
+    """``model`` on the interval ``x_bounds`` scanned at ``grid_resolution``
+    points, with one (lower, upper) pair of ``theta_bounds`` per parameter."""
+    lower, upper = zip(*theta_bounds)
+    return ModelBundle(
+        model, Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)), ParameterSpace(lower, upper)
+    )
+
+
 def michaelis_menten(
     x_bounds: tuple[float, float] = (0.1, 3.0),
     grid_resolution: int = 201,
@@ -437,13 +434,7 @@ def michaelis_menten(
 ) -> ModelBundle:
     """Saturating response t1*x/(t2+x); identifiable from 2 points when t1 > 0."""
     model = ModelSpec("michaelis_menten", 2, _mm_mu, _mm_f)
-    lo = [b[0] for b in theta_bounds]
-    hi = [b[1] for b in theta_bounds]
-    return ModelBundle(
-        model,
-        Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),
-        ParameterSpace(lo, hi),
-    )
+    return _bundle(model, x_bounds, grid_resolution, theta_bounds)
 
 
 def exponential_decay(
@@ -453,13 +444,7 @@ def exponential_decay(
 ) -> ModelBundle:
     """Two-parameter decay t1*exp(-t2*x); identifiable when t1 > 0."""
     model = ModelSpec("exponential_decay", 2, _expdecay_mu, _expdecay_f)
-    lo = [b[0] for b in theta_bounds]
-    hi = [b[1] for b in theta_bounds]
-    return ModelBundle(
-        model,
-        Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),
-        ParameterSpace(lo, hi),
-    )
+    return _bundle(model, x_bounds, grid_resolution, theta_bounds)
 
 
 def polynomial(
@@ -475,13 +460,8 @@ def polynomial(
     """
     if degree < 0:
         raise DomainError("polynomial degree must be >= 0")
-    p = degree + 1
-    model = ModelSpec(f"polynomial_deg{degree}", p, _poly_mu, _poly_f)
-    return ModelBundle(
-        model,
-        Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),
-        ParameterSpace([-coef_bound] * p, [coef_bound] * p),
-    )
+    model = ModelSpec(f"polynomial_deg{degree}", degree + 1, _poly_mu, _poly_f)
+    return _bundle(model, x_bounds, grid_resolution, [(-coef_bound, coef_bound)] * model.p)
 
 
 def one_param_exponential(
@@ -495,11 +475,7 @@ def one_param_exponential(
     constant in the parameter and identifiability would fail.
     """
     model = ModelSpec("one_param_exponential", 1, _exp1_mu, _exp1_f)
-    return ModelBundle(
-        model,
-        Box([x_bounds[0]], [x_bounds[1]], (grid_resolution,)),
-        ParameterSpace([theta_bounds[0]], [theta_bounds[1]]),
-    )
+    return _bundle(model, x_bounds, grid_resolution, [theta_bounds])
 
 
 BUILTIN_MODELS: dict[str, Callable[..., ModelBundle]] = {

@@ -19,7 +19,7 @@ the asymptotic results distinguish:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -52,8 +52,15 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
+class _Gaussian:
+    """Draws a normal error with the spec's ``conditional_sd`` at the step."""
+
+    def draw(self, step: int, rng: np.random.Generator) -> float:
+        return self.conditional_sd(step) * rng.standard_normal()
+
+
 @dataclass(frozen=True)
-class IIDGaussian:
+class IIDGaussian(_Gaussian):
     sigma: float
 
     def __post_init__(self):
@@ -65,9 +72,6 @@ class IIDGaussian:
 
     def limit_variance(self) -> float:
         return self.sigma**2
-
-    def draw(self, step: int, rng: np.random.Generator) -> float:
-        return self.sigma * rng.standard_normal()
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class IIDScaledT:
 
 
 @dataclass(frozen=True)
-class Heteroscedastic:
+class Heteroscedastic(_Gaussian):
     """Gaussian with conditional s.d. sigma*sqrt(1 + decay/i) at step i."""
 
     sigma: float
@@ -111,12 +115,9 @@ class Heteroscedastic:
     def limit_variance(self) -> float:
         return self.sigma**2
 
-    def draw(self, step: int, rng: np.random.Generator) -> float:
-        return self.conditional_sd(step) * rng.standard_normal()
-
 
 @dataclass(frozen=True)
-class NonAH:
+class NonAH(_Gaussian):
     """Oscillating conditional variance; no asymptotic limit exists."""
 
     sigma_odd: float
@@ -134,28 +135,26 @@ class NonAH:
     def limit_variance(self) -> None:
         return None
 
-    def draw(self, step: int, rng: np.random.Generator) -> float:
-        return self.conditional_sd(step) * rng.standard_normal()
-
 
 ErrorSpec = Union[IIDGaussian, IIDScaledT, Heteroscedastic, NonAH]
 
 
 _VARIANTS = {
-    "iid_gaussian": (IIDGaussian, ("sigma",)),
-    "iid_scaled_t": (IIDScaledT, ("df", "scale")),
-    "heteroscedastic": (Heteroscedastic, ("sigma", "decay")),
-    "non_ah": (NonAH, ("sigma_odd", "sigma_even")),
+    "iid_gaussian": IIDGaussian,
+    "iid_scaled_t": IIDScaledT,
+    "heteroscedastic": Heteroscedastic,
+    "non_ah": NonAH,
 }
 
 
 def make_error_spec(variant: str, **params) -> ErrorSpec:
     """Build an error spec from its configuration name and parameters."""
     try:
-        cls, names = _VARIANTS[variant]
+        cls = _VARIANTS[variant]
     except KeyError:
         known = ", ".join(sorted(_VARIANTS))
         raise DomainError(f"unknown noise variant {variant!r}; known: {known}") from None
+    names = tuple(f.name for f in fields(cls))
     missing = [k for k in names if k not in params]
     extra = [k for k in params if k not in names]
     if missing or extra:

@@ -186,13 +186,7 @@ def test_quadratic_run_from_a_certified_start(grid_resolution, start):
 
 
 def _manual_state(bundle, points, responses, theta):
-    config = WynnConfig(n_max=len(points) + 5)
-    state = WynnState(
-        bundle.model,
-        bundle.design_space,
-        config,
-        FixedEstimator(bundle, theta),
-    )
+    state = WynnState(bundle.model, bundle.design_space, FixedEstimator(bundle, theta))
     for x, y in zip(points, responses):
         state._append(np.atleast_1d(np.asarray(x, dtype=float)), float(y))
     state.n_start = state.n

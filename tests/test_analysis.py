@@ -101,6 +101,29 @@ def test_chi2_critical_value():
     assert chi2_cdf(4, chi2_quantile(4, 0.5)) == pytest.approx(0.5, abs=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    x=st.floats(0.0, 1e4, allow_nan=False),
+    dx=st.floats(0.0, 100.0, allow_nan=False),
+)
+def test_chi2_cdf_is_a_cdf_and_steps_by_the_recurrence(dim, x, dx):
+    # rounding alone may lower the CDF by a few ulps between nearby x
+    cdf = chi2_cdf(dim, x)
+    assert 0.0 <= cdf <= 1.0
+    assert chi2_cdf(dim, x + dx) >= cdf - 1e-14
+    # F_k(x) - F_{k+2}(x) = exp(-x/2) (x/2)^(k/2) / Gamma(k/2 + 1)
+    h = x / 2
+    term = math.exp(-h + dim / 2 * math.log(h) - math.lgamma(dim / 2 + 1)) if h > 0 else 0.0
+    assert abs(cdf - chi2_cdf(dim + 2, x) - term) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5])
+def test_chi2_cdf_rejects_a_non_integer_or_nonpositive_dimension(dim):
+    with pytest.raises(DomainError, match="degrees of freedom"):
+        chi2_cdf(dim, 1.0)
+
+
 def test_ks_distance_matches_brute_force(rng):
     sample = rng.normal(size=60)
     d = ks_distance(sample, normal_cdf)
@@ -781,7 +804,8 @@ def test_study_failure_fraction_enforced(mm_bundle, monkeypatch):
     scenario = _mm_scenario(mm_bundle, n_max=20)
     with pytest.raises(StudyError):
         run_study(scenario, 4, [20], seed=2)  # 25% failures > 1%
-    report = run_study(scenario, 4, [20], seed=2, max_failure_fraction=0.5)
+    monkeypatch.setattr(analysis, "MAX_FAILURE_FRACTION", 0.5)
+    report = run_study(scenario, 4, [20], seed=2)
     assert report.failed == (0,)
     assert "injected" in report.failure_messages[0]
     assert report.error_samples[20].shape == (3,)

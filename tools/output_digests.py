@@ -15,6 +15,10 @@ checkpoints 30 and 40, seed 31415):
   and at the last;
 - ``mc`` under ``non_ah`` noise (no limiting sigma), with 3 replicates
   and with 1;
+- ``mc`` for the single-parameter exponential (p = 1) at theta_bar = 1
+  and for the quadratic ``polynomial`` (p = 3) at theta_bar =
+  (0.5, -1, 0.8), both at sigma = 0.1, so that the chi-square statistics
+  take an odd number of degrees of freedom;
 - ``oracle`` for Michaelis-Menten at theta = (1, 1), for exponential
   decay at theta = (1.2, 0.9), and for the single-parameter exponential
   at theta = 1;
@@ -125,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
             return path
 
         cfg_non_ah = variant("non_ah", noise=NON_AH_NOISE)
+        cfg_exp1 = variant("exp1", **EXP1)
+        cfg_quadratic = variant("quadratic", **QUADRATIC)
 
         def run(name: str, args: list[str]) -> None:
             rc = _adwynn(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).wait()
@@ -145,12 +151,13 @@ def main(argv: list[str] | None = None) -> int:
         run("mc_non_ah", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah"])
         run("mc_non_ah_r1", ["mc", "--config", str(cfg_non_ah), "--prefix", "mc_non_ah_r1",
                              "--replicates", "1"])
+        run("mc_exp1", ["mc", "--config", str(cfg_exp1), "--prefix", "mc_exp1"])
+        run("mc_quadratic", ["mc", "--config", str(cfg_quadratic), "--prefix", "mc_quadratic"])
         run("oracle", ["oracle", "--config", str(cfg), "--prefix", "oracle"])
         run("oracle_expdecay", ["oracle", "--config", str(variant("expdecay", **EXPDECAY)),
                                 "--prefix", "oracle_expdecay"])
-        run("oracle_exp1", ["oracle", "--config", str(variant("exp1", **EXP1)),
-                            "--prefix", "oracle_exp1"])
-        run("simulate_quadratic", ["simulate", "--config", str(variant("quadratic", **QUADRATIC)),
+        run("oracle_exp1", ["oracle", "--config", str(cfg_exp1), "--prefix", "oracle_exp1"])
+        run("simulate_quadratic", ["simulate", "--config", str(cfg_quadratic),
                                    "--prefix", "simulate_quadratic"])
         run("simulate_quadratic_100", ["simulate", "--config",
                                        str(variant("quadratic_100", **QUADRATIC_100)),
