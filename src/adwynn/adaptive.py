@@ -20,6 +20,7 @@ that announces each refit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .design import (
     _best_start_tuple,
+    finite_regressors,
     information,
     pd_inverse_logdet,
     quadratic_form,
@@ -151,7 +153,8 @@ def build_initial_design(
     ``theta_check_sample``.  Construction is greedy; for p = 1 the
     start point maximizes the worst-case squared regressor directly.
     Points are added until the floor is cleared or the addition budget
-    10 * p * len(sample) runs out.
+    10 * p * len(sample) runs out.  Regressors that are not finite on the
+    sample or at the box's centre raise DomainError (``finite_regressors``).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     m = grid.shape[0]
@@ -165,8 +168,9 @@ def build_initial_design(
         worst_sq = (F_sample[:, :, 0] ** 2).min(axis=0)
         chosen = [int(np.argmax(worst_sq))]
     else:
-        F_center = np.asarray(model.f(grid, space.center()), dtype=float)
-        chosen = _best_start_tuple(F_center, p)
+        center = space.center()
+        F_center = np.asarray(model.f(grid, center), dtype=float)
+        chosen = _best_start_tuple(finite_regressors(model, F_center, grid, center), p)
 
     outer = np.einsum("smi,smj->smij", F_sample, F_sample)  # (S, m, p, p)
     B = outer[:, chosen, :, :].sum(axis=1)  # (S, p, p)
@@ -175,7 +179,7 @@ def build_initial_design(
         return float(np.linalg.eigvalsh(B_now / count)[:, 0].min())
 
     budget = 10 * p * F_sample.shape[0]
-    while certified(B, len(chosen)) <= PD_FLOOR:
+    while not certified(B, len(chosen)) > PD_FLOOR:
         if len(chosen) - p >= budget:
             raise InitializationError(
                 f"could not clear pd_floor {PD_FLOOR:.1e} after {len(chosen)} points; "
@@ -282,7 +286,10 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     Minv, logdet = pd_inverse_logdet(state.M, PD_FLOOR)
     F_grid = np.asarray(state.model.f(state.grid, state.fit.theta_hat), dtype=float)
     d = quadratic_form(F_grid, Minv)
-    idx = int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
+    d_max = d.max()
+    if not math.isfinite(d_max):  # d overflows or the regressors at theta_hat are not finite
+        finite_regressors(state.model, F_grid, state.grid, state.fit.theta_hat)
+    idx = int(np.argmax(d >= d_max * (1.0 - TIE_RTOL)))
     x_next = state.grid[idx].copy()
     y_next = response_source.observe(x_next, state.n + 1)
     state._append(x_next, float(y_next))

@@ -40,7 +40,9 @@ from .design import (
     regressor_stack,
     solve_locally_d_optimal,
 )
-from .errors import ConfigError, DomainError, SingularMatrixError, StudyError
+from .errors import (
+    ConfigError, DomainError, SingularMatrixError, StudyError, require_positive_finite
+)
 from .model import DesignSpace, FiniteSet, ModelSpec, ParameterSpace
 from .noise import make_rng, mix_seed
 
@@ -69,11 +71,6 @@ CHECKPOINT_STATS = (
 
 # element budget of one block of the mass diagnostics' temporary arrays
 _BLOCK_CELLS = 1 << 14
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:  # NaN fails too
-        raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -147,8 +144,7 @@ def matrix_sqrt(M: Array) -> Array:
 def normality_stat(root: Array, delta: Array, sigma: float, n: int) -> Array:
     """Standardized estimation error sqrt(n)/sigma * root delta, with root
     = M^{1/2} (``matrix_sqrt``) and delta = theta_hat - theta_bar."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    require_positive_finite("sigma", sigma)
     return (math.sqrt(n) / sigma) * (root @ delta)
 
 
@@ -157,7 +153,7 @@ def normality_stat(root: Array, delta: Array, sigma: float, n: int) -> Array:
 # --------------------------------------------------------------------------
 
 
-def sample_unit_directions(p: int, count: int, seed: int = 0) -> Array:
+def sample_unit_directions(p: int, count: int, seed: int) -> Array:
     """Unit vectors: the signed coordinate axes plus seeded random ones."""
     axes = np.vstack([np.eye(p), -np.eye(p)])
     if p == 1 or count <= 2 * p:
@@ -168,20 +164,11 @@ def sample_unit_directions(p: int, count: int, seed: int = 0) -> Array:
     return np.vstack([axes, extra])
 
 
-def compute_gamma_kappa(
-    model: ModelSpec, grid: Array, theta_sample: Array, direction_sample: Array
-) -> tuple[float, float]:
-    """Sampled regressor range constants.
-
-    gamma approximates the largest regressor norm over the region and
-    parameter space; kappa the smallest (over directions and
-    parameters) of the best squared projection achievable by some grid
-    point.  A kappa at zero flags a spanning failure.
-    """
-    return _gamma_kappa(regressor_stack(model, grid, theta_sample), direction_sample)
-
-
 def _gamma_kappa(F_all: Array, direction_sample: Array) -> tuple[float, float]:
+    """Sampled regressor range constants of a (thetas, m, p) regressor stack:
+    gamma, the largest regressor norm, and kappa, the least over directions
+    and thetas of the best squared projection by some grid point (0 flags a
+    spanning failure)."""
     directions = np.atleast_2d(np.asarray(direction_sample, dtype=float))
     if directions.shape[0] == 0:
         raise DomainError("direction sample must be nonempty")
@@ -223,7 +210,7 @@ def calibrate_window_diameter(
     p = model.p
     if p < 2:
         raise DomainError("the window mass bound applies only for p >= 2")
-    _require_positive("epsilon", epsilon)
+    require_positive_finite("epsilon", epsilon)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     F = regressor_stack(model, grid, theta_sample)
     gamma, kappa = _gamma_kappa(F, sample_unit_directions(p, 2 * p + 32, seed=1))
@@ -237,7 +224,7 @@ def calibrate_window_diameter(
     d = float(dist.max(initial=0.0))
     for start in range(0, order.size, block):
         pairs = order[start : start + block]
-        # the largest regressor distance over the sampled parameters (NaN propagates)
+        # the largest regressor distance over the sampled parameters
         fvar = np.sqrt(((F[:, a[pairs]] - F[:, b[pairs]]) ** 2).sum(axis=-1)).max(axis=0)
         violating = fvar > threshold
         if violating.any():
@@ -291,10 +278,10 @@ def window_mass_curve(trajectory: Trajectory, d: float, n_from: int = 1) -> dict
     observed points; higher dimensions scan balls of radius d/2 around
     the region's grid points.  The counts of every window are accumulated
     over the stages, so the curve costs O(n * windows) in all.  A d that is
-    not positive (NaN included) raises DomainError; an n_from past the
+    not finite and positive raises DomainError; an n_from past the
     trajectory gives {}.
     """
-    _require_positive("window diameter d", d)
+    require_positive_finite("window diameter d", d)
     n_from = max(1, n_from)
     masses = _window_masses(trajectory, d)[n_from - 1 :]
     return dict(zip(range(n_from, trajectory.n + 1), masses.tolist()))
@@ -324,10 +311,6 @@ class MassDiagnostics:
     excluded_mass: float
     window_masses: Optional[dict[int, float]] = None
     n0: Optional[int] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.found >= self.requested
 
     def to_jsonable(self) -> dict:
         return {
@@ -388,14 +371,14 @@ def extract_clusters(trajectory: Trajectory, n: int, cell_diameter: float) -> Ma
     as achieved point-set distances.  Finding fewer than p clusters is
     reported, not raised; it usually means n is too small or the cells
     too large.  An n outside [p, trajectory length] or a cell_diameter
-    that is not positive (NaN included) raises DomainError.
+    that is not finite and positive raises DomainError.
     """
     p = trajectory.p
     if n < p:
         raise DomainError("need at least p observations to extract p clusters")
     if n > trajectory.n:
         raise DomainError(f"stage n = {n} exceeds the trajectory length {trajectory.n}")
-    _require_positive("cell_diameter", cell_diameter)
+    require_positive_finite("cell_diameter", cell_diameter)
     pts = trajectory.points[:n]
     space = trajectory.design_space
     # points repeat a few grid points: work on each distinct point once

@@ -141,7 +141,6 @@ class RunConfig:
         for key in raw:
             if key not in _TOP_KEYS:
                 raise ConfigError(f"unknown key $.{key}")
-        self.raw = raw
         model_cfg = _section(raw, "model", ("name", "params"), required=True)
         name = _expect(model_cfg, "name", str, "$.model")
         params = _expect(model_cfg, "params", dict, "$.model", required=False, default={})
@@ -231,9 +230,6 @@ class RunConfig:
             noise=self.noise,
             config=self.wynn_config(n_max_override),
         )
-
-    def to_jsonable(self) -> dict:
-        return json.loads(json.dumps(self.raw))
 
 
 def load_config(path: str) -> RunConfig:

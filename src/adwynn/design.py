@@ -82,10 +82,6 @@ class Design:
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def size(self) -> int:
-        return self.support.shape[0]
-
     def to_jsonable(self) -> dict:
         return {
             "support": [list(map(float, row)) for row in self.support],
@@ -105,15 +101,27 @@ def information(F: Array, w: Array) -> Array:
     return 0.5 * (M + M.T)
 
 
+def finite_regressors(model: ModelSpec, F: Array, grid: Array, thetas: Array) -> Array:
+    """F, the regressors of ``model`` on the (m, k) grid at a (p,) theta,
+    (m, p), or at each row of (S, p) thetas, (S, m, p); DomainError naming
+    the model, a grid point and a theta if an entry is not finite."""
+    if not np.isfinite(F).all():
+        s, i = np.argwhere(~np.isfinite(F.reshape(-1, *F.shape[-2:])).all(axis=-1))[0]
+        raise DomainError(f"model {model.name}: regressors are not finite at "
+                          f"x = {grid[i].tolist()}, theta = {np.atleast_2d(thetas)[s].tolist()}")
+    return F
+
+
 def regressor_stack(model: ModelSpec, grid: Array, theta_sample: Array) -> Array:
     """f over the grid at each sampled parameter, shape (thetas, m, p), in
-    one call broadcast over both (see ``ModelSpec``)."""
+    one call broadcast over both (see ``ModelSpec``); it must be finite."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     thetas = np.atleast_2d(np.asarray(theta_sample, dtype=float))
     if thetas.shape[0] == 0:
         raise DomainError("the parameter sample is empty")
     F = np.asarray(model.f(grid[None], thetas[:, None, :]), dtype=float)
-    return np.broadcast_to(F, (thetas.shape[0], grid.shape[0], model.p))
+    F = np.broadcast_to(F, (thetas.shape[0], grid.shape[0], model.p))
+    return finite_regressors(model, F, grid, thetas)
 
 
 def info_matrix(design: Design, theta: Array, model: ModelSpec) -> Array:
@@ -199,27 +207,23 @@ def equivalence_gap(design: Design, theta: Array, model: ModelSpec, grid: Array)
 
 
 def _best_start_tuple(F: Array, p: int) -> list[int]:
-    """Indices of the p-tuple maximizing |det| of stacked regressors.
+    """Indices of the p-tuple maximizing |det| of stacked finite regressors
+    (``finite_regressors``), empty when the m rows are fewer than p.
 
-    A row with a NaN or inf entry never enters the tuple (LAPACK may give
-    such a tuple a finite determinant).  For p = 2 a closed form over all
-    row pairs; otherwise, up to ``_COMBO_CAP`` combinations, batched
-    determinants over blocks of ``_DET_BLOCK_CELLS`` entries.  Both scan
-    the tuples in lexicographic order: the first maximum wins, a NaN
-    never does, and with no finite determinant the result is empty.
-    Beyond the cap, greedy volume maximization (largest row first, then
-    the row with the largest component orthogonal to the current span).
+    For p = 2 a closed form over all row pairs; otherwise, up to
+    ``_COMBO_CAP`` combinations, batched determinants over blocks of
+    ``_DET_BLOCK_CELLS`` entries.  Both scan the tuples in lexicographic
+    order: the first maximum wins.  Beyond the cap, greedy volume
+    maximization (largest row first, then the row with the largest
+    component orthogonal to the current span).
     """
-    rows = np.flatnonzero(np.isfinite(F).all(axis=1))
-    F, m = F[rows], rows.size
+    m = F.shape[0]
     if p == 2:
         if m < 2:
             return []
         dets = np.abs(F[:, None, 0] * F[None, :, 1] - F[:, None, 1] * F[None, :, 0])
-        vals = np.where(np.isnan(dets), -1.0, dets)
-        np.fill_diagonal(vals, -1.0)  # vals is symmetric, so its first maximum has i < j
-        i, j = divmod(int(np.argmax(vals)), m)
-        return rows[[i, j]].tolist() if vals[i, j] >= 0.0 else []
+        np.fill_diagonal(dets, -1.0)  # dets is symmetric, so its first maximum has i < j
+        return list(divmod(int(np.argmax(dets)), m))
     if math.comb(m, p) <= _COMBO_CAP:
         combos = itertools.combinations(range(m), p)
         block = max(1, _DET_BLOCK_CELLS // (p * p))
@@ -228,11 +232,10 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
             flat = itertools.chain.from_iterable(itertools.islice(combos, block))
             idx = np.fromiter(flat, dtype=np.intp).reshape(-1, p)
             dets = np.abs(np.linalg.det(F[idx]))
-            vals = np.where(np.isnan(dets), -1.0, dets)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best, best_val = idx[i].tolist(), vals[i]
-        return rows[best].tolist()
+            i = int(np.argmax(dets))
+            if dets[i] > best_val:
+                best, best_val = idx[i].tolist(), dets[i]
+        return best
     chosen = [int(np.argmax((F**2).sum(axis=1)))]
     basis = F[chosen[0]][None, :] / np.linalg.norm(F[chosen[0]])
     for _ in range(p - 1):
@@ -241,7 +244,7 @@ def _best_start_tuple(F: Array, p: int) -> list[int]:
         chosen.append(idx)
         v = resid[idx]
         basis = np.vstack([basis, v / np.linalg.norm(v)])
-    return rows[chosen].tolist()
+    return chosen
 
 
 def solve_locally_d_optimal(
@@ -265,7 +268,7 @@ def solve_locally_d_optimal(
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     theta = np.asarray(theta, dtype=float)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    F = np.asarray(model.f(grid, theta), dtype=float)
+    F = finite_regressors(model, np.asarray(model.f(grid, theta), dtype=float), grid, theta)
     p = model.p
 
     w = np.zeros(grid.shape[0])

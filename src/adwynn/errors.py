@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class AdwynnError(Exception):
     """Base class for all package errors."""
@@ -49,3 +51,9 @@ class StudyError(AdwynnError):
 
 class ConfigError(AdwynnError):
     """A run configuration is malformed or inconsistent."""
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """DomainError naming ``name`` unless ``value`` is finite and positive."""
+    if not 0 < value < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")

@@ -54,10 +54,6 @@ class DataBatch:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @property
-    def n(self) -> int:
-        return self.xs.shape[0]
-
 
 class GroupedData:
     """Observations grouped by distinct design point: the empirical design
@@ -248,7 +244,6 @@ def _gauss_newton(
     model: ModelSpec,
     space: ParameterSpace,
     theta0: Array,
-    trace: list | None = None,
     start: tuple[Array, float] | None = None,
 ) -> tuple[Array, float, bool]:
     """Box-projected damped Gauss-Newton descent from theta0 on grouped data.
@@ -286,8 +281,6 @@ def _gauss_newton(
     theta = space.project(theta0)
     t = theta.tolist()
     r, value = start if start is not None else _residual(data, model, theta)
-    if trace is not None:
-        trace.append((theta.copy(), value))
     for _ in range(MAX_ITERATIONS):
         F = np.asarray(model.f(points, theta), dtype=float) * root[:, None]
         g = F.T @ (root * r)
@@ -318,8 +311,6 @@ def _gauss_newton(
             return theta, value, False
         moved = math.hypot(*map(operator.sub, accepted, t))
         theta, t, r, value = cand_theta, accepted, cand_r, cand_value
-        if trace is not None:
-            trace.append((theta.copy(), value))
         if moved < STEP_TOL:
             return theta, value, True
     return theta, value, False
@@ -332,7 +323,6 @@ def _fit(
     values: Array,
     theta_grid: Array,
     warm_start: Array | None = None,
-    trace: list | None = None,
 ) -> LSFit:
     """The least-squares core: one descent from the better of two seeds.
 
@@ -346,7 +336,7 @@ def _fit(
         at_warm = _residual(data, model, warm_start)
         if at_warm[1] < g_min:
             seed, start = warm_start, at_warm
-    theta, value, converged = _gauss_newton(data, model, space, seed, trace, start)
+    theta, value, converged = _gauss_newton(data, model, space, seed, start)
     return LSFit(
         theta_hat=theta,
         sse_value=value,
@@ -362,15 +352,13 @@ def fit_ls(
     model: ModelSpec,
     space: ParameterSpace,
     warm_start: Array | None = None,
-    trace: list | None = None,
 ) -> LSFit:
     """Global-then-local least squares over the parameter box.
 
     The coarse phase scans a full-factorial grid (ties broken toward
     the lexicographically smallest grid index), then one descent runs
     from the better of the scan winner and ``warm_start``, projected into
-    the box (``_fit``).  ``trace`` collects the descent's iterates and
-    objectives.
+    the box (``_fit``).
     """
     if warm_start is not None:
         try:
@@ -383,7 +371,7 @@ def fit_ls(
     grouped = GroupedData.from_arrays(data.xs, data.ys)
     theta_grid = space.sample_grid(GRID_POINTS_PER_AXIS)
     values = _grid_sse(grouped, model, theta_grid)
-    return _fit(grouped, model, space, values, theta_grid, warm_start, trace)
+    return _fit(grouped, model, space, values, theta_grid, warm_start)
 
 
 class LSAdaptiveEstimator:

@@ -115,8 +115,6 @@ class Box:
         if not np.all(lo < hi):
             raise DomainError("Box requires lower[j] < upper[j] for all axes")
         res = tuple(int(r) for r in np.atleast_1d(self.grid_resolution))
-        if len(res) == 1 and lo.size > 1:
-            res = res * lo.size
         if len(res) != lo.size or any(r < 2 for r in res):
             raise DomainError("grid resolution must be >= 2 per axis")
         object.__setattr__(self, "lower", _freeze(lo))
@@ -178,8 +176,8 @@ class ParameterSpace:
     def center(self) -> Array:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, theta, tol: float = _CONTAINS_TOL) -> bool:
-        theta = as_theta(theta, self.p)
+    def contains(self, theta) -> bool:
+        theta, tol = as_theta(theta, self.p), _CONTAINS_TOL
         return bool(np.all(theta >= self.lower - tol) and np.all(theta <= self.upper + tol))
 
     def on_boundary(self, theta, tol: float = 1e-12) -> bool:
@@ -192,7 +190,7 @@ class ParameterSpace:
     def project(self, theta) -> Array:
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
 
-    def sample_grid(self, points_per_axis: int = 5) -> Array:
+    def sample_grid(self, points_per_axis: int) -> Array:
         """Deterministic full-factorial sample, (points_per_axis**p, p)."""
         return _full_factorial(self.lower, self.upper, [points_per_axis] * self.p)
 

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,11 +45,6 @@ def mix_seed(master_seed: int, index: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic 64-bit-seeded generator."""
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    if not 0 < value < math.inf:  # NaN fails too
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 class _Gaussian:
@@ -85,7 +80,7 @@ class IIDScaledT:
         if not 4 < self.df < math.inf:
             # df > 4: third absolute moments exist comfortably
             raise DomainError(f"df must be finite and exceed 4, got {self.df!r}")
-        _require_positive_finite("scale", self.scale)
+        require_positive_finite("scale", self.scale)
 
     def conditional_sd(self, step: int) -> float:
         return self.scale
@@ -105,7 +100,7 @@ class Heteroscedastic(_Gaussian):
     decay: float
 
     def __post_init__(self):
-        _require_positive_finite("sigma", self.sigma)
+        require_positive_finite("sigma", self.sigma)
         if not 0 <= self.decay < math.inf:
             raise DomainError(f"decay must be finite and >= 0, got {self.decay!r}")
 
@@ -124,8 +119,8 @@ class NonAH(_Gaussian):
     sigma_even: float
 
     def __post_init__(self):
-        _require_positive_finite("sigma_odd", self.sigma_odd)
-        _require_positive_finite("sigma_even", self.sigma_even)
+        require_positive_finite("sigma_odd", self.sigma_odd)
+        require_positive_finite("sigma_even", self.sigma_even)
         if self.sigma_odd == self.sigma_even:
             raise DomainError("NonAH requires sigma_odd != sigma_even")
 

@@ -40,7 +40,7 @@ from adwynn.errors import (
     SingularMatrixError,
 )
 from adwynn.estimator import DataBatch, GroupedData, LSAdaptiveEstimator, LSFit, fit_ls
-from adwynn.model import ModelSpec, ParameterSpace, builtin_bundle
+from adwynn.model import Box, ModelSpec, ParameterSpace, builtin_bundle
 from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng, mix_seed
 
 
@@ -159,6 +159,40 @@ def test_initial_design_budget_exhausted_names_pd_floor():
         build_initial_design(bundle.model, space, bundle.design_space.grid(), space.sample_grid(2))
 
 
+def _nan_at_the_centre() -> ModelSpec:
+    """The line t1 + t2 x, with its mean and regressors NaN at theta = (0.5, 0.5)."""
+
+    def at_centre(theta):
+        return np.all(np.asarray(theta, dtype=float) == 0.5, axis=-1)
+
+    def mu(x, theta):
+        th = np.asarray(theta, dtype=float)
+        line = th[..., 0] + th[..., 1] * np.asarray(x, dtype=float)[..., 0]
+        return np.where(at_centre(th), np.nan, line)
+
+    def f(x, theta):
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        ones = np.where(at_centre(theta), np.nan, 1.0) + 0.0 * x0
+        return np.stack(np.broadcast_arrays(ones, x0 * ones), axis=-1)
+
+    return ModelSpec("nan_at_centre", 2, mu, f)
+
+
+def test_start_rejects_regressors_that_are_not_finite():
+    """Regressors NaN at the box's centre fail the start, naming the model,
+    the point and theta, whether or not the certification sample holds the
+    centre; past the start they would surface only as a fit error."""
+    model, space = _nan_at_the_centre(), ParameterSpace([0.0, 0.0], [1.0, 1.0])
+    region = Box([-1.0], [1.0], (11,))
+    message = (r"model nan_at_centre: regressors are not finite at x = \[-1\.0\], "
+               r"theta = \[0\.5, 0\.5\]")
+    for sample in (space.sample_grid(5), space.sample_grid(2)):
+        with pytest.raises(DomainError, match=message):
+            build_initial_design(model, space, region.grid(), sample)
+    with pytest.raises(DomainError, match=message):
+        run(model, region, space, WynnConfig(n_max=20), ReplaySource([0.0] * 20), seed=0)
+
+
 @pytest.mark.parametrize(
     "grid_resolution,start",
     [(201, [-1.0, 1.0, 0.0]), (11, [-1.0, 0.0, 1.0])],
@@ -246,6 +280,18 @@ def test_step_rejects_non_finite_information_matrix(poly1_bundle):
     state = _manual_state(poly1_bundle, [[-1.0], [1.0]], [0.0, 0.0], [0.0, 0.0])
     state.M = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(SingularMatrixError):
+        wynn_step(state, ReplaySource([0.0]))
+    assert state.logdet == state.max_d == [] and state.n == 2
+
+
+def test_step_rejects_regressors_that_are_not_finite_at_the_estimate():
+    # f(0, theta) is 0/0 at theta2 = 0: a NaN sensitivity would send the step to
+    # grid index 0 and record max_d as NaN
+    bundle = builtin_bundle(
+        "michaelis_menten", x_bounds=[0.0, 3.0], theta_bounds=[[0.2, 3.0], [0.0, 3.0]]
+    )
+    state = _manual_state(bundle, [[1.0], [3.0]], [0.5, 0.7], [1.0, 0.0])
+    with pytest.raises(DomainError, match=r"at x = \[0\.0\], theta = \[1\.0, 0\.0\]"):
         wynn_step(state, ReplaySource([0.0]))
     assert state.logdet == state.max_d == [] and state.n == 2
 

@@ -14,7 +14,6 @@ from adwynn.analysis import (
     calibrate_window_diameter,
     chi2_cdf,
     chi2_quantile,
-    compute_gamma_kappa,
     empirical_design,
     extract_clusters,
     ks_distance,
@@ -25,7 +24,7 @@ from adwynn.analysis import (
     sample_unit_directions,
     window_mass_curve,
 )
-from adwynn.design import Design, info_matrix
+from adwynn.design import Design, info_matrix, regressor_stack
 from adwynn.errors import ConfigError, DomainError, StudyError
 from adwynn.model import Box, FiniteSet, ModelSpec, ParameterSpace, design_space_from_jsonable
 from adwynn.noise import IIDGaussian, NonAH
@@ -38,7 +37,7 @@ def _make_trajectory(points, p=2, space_echo=None):
     if points.ndim == 1:
         points = points[:, None]
     if space_echo is None:
-        space = Box(points.min(axis=0), points.max(axis=0) + 1.0, 2)
+        space = Box(points.min(axis=0), points.max(axis=0) + 1.0, (2,) * points.shape[1])
     else:
         space = design_space_from_jsonable(space_echo)
     return Trajectory(
@@ -158,6 +157,9 @@ def test_normality_stat_zero_at_truth(mm_bundle):
     root = matrix_sqrt(info_matrix(design, np.array([1.0, 1.0]), mm_bundle.model))
     t = normality_stat(root, np.zeros(2), 0.1, 100)
     assert np.allclose(t, 0.0)
+    for sigma in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma must be finite and positive"):
+            normality_stat(root, np.zeros(2), sigma, 100)
 
 
 def test_normality_stat_scalar_example():
@@ -287,7 +289,7 @@ def test_window_mass_curve_2d_matches_ball_counts_at_every_stage(cells, d, n_fro
 
 def test_window_mass_validates_inputs():
     traj = _make_trajectory(np.arange(5.0))
-    for d in (0.0, -0.1):
+    for d in (0.0, -0.1, math.inf):
         with pytest.raises(DomainError, match="window diameter d"):
             window_mass_curve(traj, d)
     assert window_mass_curve(traj, 0.1, n_from=9) == {}
@@ -343,8 +345,7 @@ def test_extract_clusters_two_alternating_points():
         pts, space_echo={"kind": "box", "lower": [0.0], "upper": [1.0], "grid_resolution": [11]}
     )
     diag = extract_clusters(traj, 60, cell_diameter=0.1)
-    assert diag.found == 2
-    assert diag.complete
+    assert diag.found == 2 == diag.requested
     masses = sorted(c.mass for c in diag.clusters)
     assert masses == [0.5, 0.5]
     assert diag.separations[0] == pytest.approx(1.0)
@@ -388,8 +389,7 @@ def test_extract_clusters_failure_reported_not_raised():
         pts, space_echo={"kind": "box", "lower": [0.0], "upper": [1.0], "grid_resolution": [11]}
     )
     diag = extract_clusters(traj, 20, cell_diameter=0.3)
-    assert diag.found == 1
-    assert not diag.complete
+    assert diag.found == 1 < diag.requested
     assert diag.pi0 is None
 
 
@@ -506,7 +506,7 @@ def test_extract_clusters_breaks_mass_ties_to_the_first_cell():
     assert diag == _extract_clusters_oracle(traj, 6, 0.1)
 
 
-@pytest.mark.parametrize("n,cell", [(1, 0.1), (21, 0.1), (20, 0.0)])
+@pytest.mark.parametrize("n,cell", [(1, 0.1), (21, 0.1), (20, 0.0), (20, math.inf)])
 def test_extract_clusters_rejects_bad_stage_and_cell(n, cell):
     traj = _make_trajectory(
         np.linspace(0.0, 1.0, 20),
@@ -523,7 +523,7 @@ def test_gamma_kappa_polynomial(poly1_bundle):
     grid = poly1_bundle.design_space.grid()
     thetas = np.zeros((1, 2))
     dirs = sample_unit_directions(2, 36, seed=3)
-    gamma, kappa = compute_gamma_kappa(poly1_bundle.model, grid, thetas, dirs)
+    gamma, kappa = analysis._gamma_kappa(regressor_stack(poly1_bundle.model, grid, thetas), dirs)
     # grid max oracle: the largest regressor norm sits at the endpoints
     F = np.asarray(poly1_bundle.model.f(grid, np.zeros(2)))
     assert gamma == pytest.approx(float(np.sqrt((F**2).sum(axis=1)).max()))
@@ -545,7 +545,8 @@ def test_kappa_zero_flags_span_failure():
 
     model = ModelSpec("flat", 2, mu, f)
     grid = np.linspace(-1, 1, 9)[:, None]
-    gamma, kappa = compute_gamma_kappa(model, grid, np.zeros((1, 2)), np.array([[0.0, 1.0]]))
+    F = regressor_stack(model, grid, np.zeros((1, 2)))
+    gamma, kappa = analysis._gamma_kappa(F, np.array([[0.0, 1.0]]))
     assert kappa == 0.0
 
 
@@ -553,18 +554,19 @@ def test_gamma_kappa_michaelis_menten(mm_bundle):
     grid = mm_bundle.design_space.grid()
     thetas = mm_bundle.parameter_space.sample_grid(4)
     dirs = sample_unit_directions(2, 36, seed=9)
-    gamma, kappa = compute_gamma_kappa(mm_bundle.model, grid, thetas, dirs)
+    gamma, kappa = analysis._gamma_kappa(regressor_stack(mm_bundle.model, grid, thetas), dirs)
     assert np.isfinite(gamma) and gamma > 0
     assert np.isfinite(kappa) and kappa > 0
 
 
 def test_calibration_rejects_nan_epsilon(mm_bundle):
     grid = mm_bundle.design_space.grid()
-    with pytest.raises(DomainError, match="epsilon"):
-        calibrate_window_diameter(
-            mm_bundle.model, mm_bundle.parameter_space, grid,
-            mm_bundle.parameter_space.sample_grid(2), epsilon=math.nan,
-        )
+    for epsilon in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError, match="epsilon"):
+            calibrate_window_diameter(
+                mm_bundle.model, mm_bundle.parameter_space, grid,
+                mm_bundle.parameter_space.sample_grid(2), epsilon=epsilon,
+            )
 
 
 def _calibration_oracle(model, grid, thetas, threshold):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwynn.adaptive import Trajectory
-from adwynn.cli import RunConfig, load_config, main, read_replay_file
+from adwynn.cli import main, read_replay_file
 from adwynn.model import BUILTIN_MODELS, builtin_bundle
 
 
@@ -37,13 +37,6 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
 
 
 # ---------------------------------------------------------------- config
-
-
-def test_config_roundtrip(tmp_path):
-    path, raw = _write_config(tmp_path)
-    cfg = load_config(str(path))
-    again = RunConfig(cfg.to_jsonable())
-    assert cfg.to_jsonable() == again.to_jsonable() == raw
 
 
 def test_config_missing_model_exits_2(tmp_path, capsys):
@@ -308,6 +301,19 @@ def test_simulate_replay_exhaustion_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", str(path), "--n-max", "4"])
     assert rc == 1
     assert "exhausted" in capsys.readouterr().err
+
+
+def test_simulate_with_regressors_not_finite_exits_1_naming_the_point(tmp_path, capsys):
+    # f(0, theta) is 0/0 at theta2 = 0, where the start's parameter sample reaches
+    path, _ = _write_config(
+        tmp_path,
+        model={"name": "michaelis_menten",
+               "params": {"x_bounds": [0.0, 3.0], "theta_bounds": [[0.2, 3.0], [0.0, 3.0]]}},
+        theta_bar=[1.0, 0.02], wynn={"n_max": 300}, seed=0,
+    )
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert "regressors are not finite at x = [0.0]" in capsys.readouterr().err
+    assert not (tmp_path / "t_trajectory.json").exists()
 
 
 def test_read_replay_file_validates(tmp_path):

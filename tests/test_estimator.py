@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -111,7 +112,7 @@ def test_noiseless_recovery(name, kwargs, theta_bar):
     fit = fit_ls(batch, bundle.model, bundle.parameter_space)
     assert np.linalg.norm(fit.theta_hat - np.asarray(theta_bar)) <= 1e-6
     assert fit.sse_value <= 1e-12
-    assert fit.sigma2_hat == pytest.approx(fit.sse_value / batch.n)
+    assert fit.sigma2_hat == pytest.approx(fit.sse_value / batch.ys.shape[0])
 
 
 def test_underdetermined_single_point(poly1_bundle):
@@ -138,15 +139,28 @@ def test_boundary_truth_recovered(mm_bundle):
 
 
 def test_descent_is_monotone(mm_bundle, rng):
+    """The SSE falls strictly along the iterates of the fit and of descents
+    from the box's corners, read off the f calls: the descent calls f once
+    per iteration, at the current iterate.  From some corner the line search
+    halves a step (more trials than iterations)."""
     xs = rng.uniform(0.1, 3.0, size=(20, 1))
     ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.0, 1.0]))) + rng.normal(
         0, 0.2, size=20
     )
-    trace: list = []
-    fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space, trace=trace)
-    values = [v for _, v in trace]
-    assert all(b < a or b == pytest.approx(a) for a, b in zip(values, values[1:]))
-    assert all(b <= a for a, b in zip(values, values[1:]))
+    batch, space = DataBatch(xs, ys), mm_bundle.parameter_space
+    counting = _CountingModel(mm_bundle.model)
+    runs = [(fit_ls(batch, counting.spec, space).sse_value, counting)]
+    for corner in itertools.product(*zip(space.lower, space.upper)):
+        counting = _CountingModel(mm_bundle.model)
+        descent = _gauss_newton(GroupedData.from_arrays(xs, ys), counting.spec, space,
+                                np.array(corner))
+        runs.append((descent[1], counting))
+    assert any(c.mu_calls > c.f_calls + 1 for _, c in runs)
+    for final, counting in runs:
+        values = [sse(batch, theta, mm_bundle.model) for theta in counting.f_thetas]
+        assert len(values) >= 2
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert final <= values[-1]
 
 
 def test_fit_never_worse_than_grid(mm_bundle, rng):
@@ -270,11 +284,13 @@ def test_sequential_warm_start_is_used(mm_bundle):
 
 
 class _CountingModel:
-    """Wraps a ModelSpec so the calls of mu and f can be counted."""
+    """Wraps a ModelSpec so the calls of mu and f can be counted; ``f_thetas``
+    holds the parameter of each f call."""
 
     def __init__(self, model):
         self.mu_calls = 0
         self.f_calls = 0
+        self.f_thetas = []
 
         def mu(x, theta):
             self.mu_calls += 1
@@ -282,6 +298,7 @@ class _CountingModel:
 
         def f(x, theta):
             self.f_calls += 1
+            self.f_thetas.append(np.array(theta, dtype=float))
             return model.f(x, theta)
 
         self.spec = replace(model, mu=mu, f=f)
@@ -662,12 +679,12 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
     ]
     for bundle, xs, ys, j, bound in cases:
         space = bundle.parameter_space
-        trace = []
+        counting = _CountingModel(bundle.model)  # f is called once per iterate
         _, _, converged = _gauss_newton(
-            GroupedData.from_arrays(xs, ys), bundle.model, space, space.center(), trace
+            GroupedData.from_arrays(xs, ys), counting.spec, space, space.center()
         )
         assert converged
-        path = np.array([theta for theta, _ in trace])
+        path = np.array(counting.f_thetas)
         assert np.all(path >= space.lower) and np.all(path <= space.upper)
         first = int(np.argmax(path[:, j] == bound))
         assert first > 0 and np.all(path[first:, j] == bound)
@@ -693,9 +710,9 @@ def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
     calls = []
     descend = estimator._gauss_newton
 
-    def recording(data, model, space, theta0, trace=None, start=None):
+    def recording(data, model, space, theta0, start=None):
         calls.append((np.array(theta0), start))
-        calls.append(descend(data, model, space, theta0, trace, start))
+        calls.append(descend(data, model, space, theta0, start))
         return calls[-1]
 
     monkeypatch.setattr(estimator, "_gauss_newton", recording)

@@ -33,6 +33,9 @@ def test_box_requires_strict_bounds():
 def test_box_grid_resolution_floor():
     with pytest.raises(DomainError):
         Box([0.0], [1.0], (1,))
+    # one resolution per axis: a single entry does not cover a second axis
+    with pytest.raises(DomainError, match="per axis"):
+        Box([0.0, 0.0], [1.0, 1.0], (5,))
 
 
 def test_box_grid_shape_and_order():

@@ -28,6 +28,10 @@ checkpoints 30 and 40, seed 31415):
   points come from scoring all C(100, 3) point triples;
 - ``oracle`` for Michaelis-Menten at theta = (1.983492724500072,
   0.9554027985388369) with ``--tol 0``, where the exchange stops short (exit 1);
+- ``simulate`` for Michaelis-Menten on x in [0, 3] with theta2 in [0, 3],
+  at theta_bar = (1, 0.02), sigma = 0.1, n_max = 300 and seed 0: at
+  theta2 = 0 the regressor at x = 0 is 0/0, so the run stops with exit 1
+  and writes no trajectory;
 - three scripted ``session`` runs answered with zero-noise responses at
   theta_bar: one complete, one that sends QUIT after 5 adaptive
   observations, and one that sends QUIT after one starting observation.
@@ -70,6 +74,10 @@ QUADRATIC = {"model": {"name": "polynomial", "params": {"degree": 2}},
 QUADRATIC_100 = {**QUADRATIC, "model": {"name": "polynomial",
                                         "params": {"degree": 2, "grid_resolution": 100}}}
 MM_CYCLE = {"oracle": {"theta": [1.983492724500072, 0.9554027985388369]}}
+MM_CORNER = {"model": {"name": "michaelis_menten",
+                       "params": {"x_bounds": [0.0, 3.0],
+                                  "theta_bounds": [[0.2, 3.0], [0.0, 3.0]]}},
+             "theta_bar": [1.0, 0.02], "wynn": {"n_max": 300}, "seed": 0}
 QUIT_AFTER_ADAPTIVE = 5
 
 
@@ -164,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
                                        "--prefix", "simulate_quadratic_100"])
         run("oracle_mm_tol0", ["oracle", "--config", str(variant("mm_cycle", **MM_CYCLE)),
                                "--prefix", "oracle_mm_tol0", "--tol", "0"])
+        run("simulate_corner", ["simulate", "--config", str(variant("mm_corner", **MM_CORNER)),
+                                "--prefix", "simulate_corner"])
         sessions = {
             "session_complete": lambda obs, est: False,
             # one ESTIMATE after the starting design, then one per adaptive step
