@@ -47,8 +47,9 @@ from .model import (
     DesignSpace,
     ModelSpec,
     ParameterSpace,
+    check_value,
     design_space_from_jsonable,
-    finite_real_array,
+    read_value,
 )
 from .noise import ErrorSpec, make_rng
 
@@ -299,42 +300,6 @@ def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     return state
 
 
-def _read(obj, path: str, kind=None):
-    """The value at ``path`` (keys joined by '.') of a trajectory file's
-    object, checked by ``_check``."""
-    for key in path.split("."):
-        if not isinstance(obj, dict) or key not in obj:
-            raise DomainError(f"{path} is missing")
-        obj = obj[key]
-    return _check(obj, path, kind)
-
-
-def _check(value, path: str, kind):
-    """``value``, of exactly the type ``kind`` unless that is None; for a
-    shape tuple (a string stands for any length), a finite float array of
-    that shape, or a float for ().  Else DomainError names the path."""
-    if kind is None or isinstance(kind, type):
-        if kind is not None and type(value) is not kind:  # a boolean is no integer
-            raise DomainError(f"{path} has type {type(value).__name__}, not {kind.__name__}")
-        return value
-    arr = finite_real_array(value, path)
-    if arr.shape == (0,) and len(kind) == 2:  # an empty list of rows
-        arr = arr.reshape(0, kind[1] if isinstance(kind[1], int) else 1)
-    if arr.ndim != len(kind) or any(isinstance(w, int) and w != g for w, g in zip(kind, arr.shape)):
-        shapes = ["(" + ", ".join(map(str, shape)) + ")" for shape in (kind, arr.shape)]
-        raise DomainError(f"{path} must have shape {shapes[0]}, got {shapes[1]}")
-    return float(arr) if kind == () else arr
-
-
-def _region(obj, key: str, parse):
-    """The region ``parse`` reads from the object at ``key``; any failure
-    raises DomainError naming the key."""
-    try:
-        return parse(_read(obj, key, dict))
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{key}: {exc}") from None
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Complete record of one adaptive run.  ``estimates`` is (stages, p):
@@ -407,33 +372,36 @@ class Trajectory:
         do a ``design_space`` that is neither a box nor a finite set, and
         records that disagree with ``points``, ``responses`` or
         ``estimates``: the file's records must be the columns' records."""
-        space = _region(obj, "parameter_space",
-                        lambda e: ParameterSpace(_read(e, "lower"), _read(e, "upper")))
-        region = _region(obj, "design_space", design_space_from_jsonable)
-        points = _read(obj, "points", ("n", "k"))
+        bounds = [read_value(obj, f"parameter_space.{key}", ("p",)) for key in ("lower", "upper")]
+        try:
+            space = ParameterSpace(*bounds)
+        except DomainError as exc:
+            raise DomainError(f"parameter_space: {exc}") from None
+        region = design_space_from_jsonable(read_value(obj, "design_space"))
+        points = read_value(obj, "points", ("n", "k"))
         (n, k), p = points.shape, space.p
         if n and region.dimension != k:
             raise DomainError(f"design_space has dimension {region.dimension}, points {k}")
-        n_start = _read(obj, "n_start", int)
+        n_start = read_value(obj, "n_start", int)
         if not 0 <= n_start <= n:
             raise DomainError(f"n_start must lie between 0 and {n}, got {n_start}")
         stages = n - n_start + 1 if n_start else 0
-        records = _read(obj, "records", list)
+        records = read_value(obj, "records", list)
         logdet, max_d = (
-            _check([r.get(key) if isinstance(r, dict) else None for r in records],
-                   f"records.{key}", (max(stages - 1, 0),))
+            check_value([r.get(key) if isinstance(r, dict) else None for r in records],
+                        f"records.{key}", (max(stages - 1, 0),))
             for key in ("logdet", "max_d")
         )
-        final_fit = _read(obj, "final_fit")
+        final_fit = read_value(obj, "final_fit")
         if final_fit is not None:
-            _read(obj, "final_fit", dict)
-            final_fit = LSFit(**{key: _read(obj, f"final_fit.{key}", kind) for key, kind in (
-                ("theta_hat", (p,)), ("sse_value", ()), ("sigma2_hat", ()),
+            final_fit = LSFit(**{key: read_value(obj, f"final_fit.{key}", kind) for key, kind in (
+                ("theta_hat", (p,)), ("sse_value", float), ("sigma2_hat", float),
                 ("converged", bool), ("grid_minimum", (p,)), ("grid_tie", bool))})
         trajectory = Trajectory(
-            model_name=_read(obj, "model", str), seed=_read(obj, "seed", int),
-            config_echo=_read(obj, "config", dict), n_start=n_start, points=points,
-            responses=_read(obj, "responses", (n,)), estimates=_read(obj, "estimates", (stages, p)),
+            model_name=read_value(obj, "model", str), seed=read_value(obj, "seed", int),
+            config_echo=read_value(obj, "config", dict), n_start=n_start, points=points,
+            responses=read_value(obj, "responses", (n,)),
+            estimates=read_value(obj, "estimates", (stages, p)),
             logdet=logdet, max_d=max_d, final_fit=final_fit,
             design_space=region, parameter_space=space,
         )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -45,7 +44,7 @@ from .adaptive import (
 from .design import equivalence_gap, info_matrix, pd_inverse_logdet, solve_locally_d_optimal
 from .errors import AdwynnError, ConfigError, DomainError
 from .estimator import LSAdaptiveEstimator
-from .model import ModelBundle, builtin_bundle, finite_real_array
+from .model import ModelBundle, builtin_bundle, check_value, read_value
 from .noise import ErrorSpec, make_error_spec
 
 JSON_KW = {"indent": 2, "ensure_ascii": True}
@@ -56,75 +55,25 @@ JSON_KW = {"indent": 2, "ensure_ascii": True}
 # --------------------------------------------------------------------------
 
 
-def _expect(cfg: dict, key: str, types, where: str, required: bool = True, default=None):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    val = cfg[key]
-    if types is not None and not isinstance(val, types):
-        raise ConfigError(f"{where}.{key} has wrong type {type(val).__name__}")
-    return val
+def _at_least(value, floor, where: str):
+    """``value`` if it is finite and at least ``floor`` (NaN is not);
+    else ConfigError naming ``where``."""
+    if not floor <= value < math.inf:
+        raise ConfigError(f"{where} must be finite and >= {floor}, got {value!r}")
+    return value
 
 
-def _as_int(value, where: str, lower: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if lower is not None and value < lower:
-        raise ConfigError(f"{where} must be >= {lower}, got {value}")
-    return int(value)
+def _count(raw: dict, path: str, floor: int, default=None) -> Optional[int]:
+    """The integer at ``path``, at least ``floor``, or ``default`` if absent."""
+    value = read_value(raw, path, int, default)
+    return value if value is None else _at_least(value, floor, path)
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond float range
-        raise ConfigError(f"{where} must be a number in float range") from None
-
-
-def _as_checkpoints(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty list of integers >= 1, got {value!r}")
-    checkpoints = [_as_int(c, f"{where}[{i}]", lower=1) for i, c in enumerate(value)]
-    if len(set(checkpoints)) != len(checkpoints):
-        raise ConfigError(f"{where} must hold distinct stages, got {checkpoints}")
-    return checkpoints
-
-
-def _as_vector(value, where: str) -> np.ndarray:
-    try:
-        vec = finite_real_array(value, where)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    if vec.ndim != 1:
-        raise ConfigError(f"{where} must be a flat array of finite numbers")
-    return vec
-
-
-def _oracle_tol(tol: float, where: str) -> float:
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"{where} must be finite and >= 0, got {tol!r}")
-    return tol
-
-
-def _section(raw: dict, name: str, keys, required: bool = False) -> dict:
-    """The object ``$.name``; a key not in ``keys`` is a config error."""
-    cfg = _expect(raw, name, dict, "$", required=required, default={})
-    for key in cfg:
+def _section(raw: dict, path: str, keys) -> None:
+    """Check that the object at ``path``, if there is one, holds only ``keys``."""
+    for key in read_value(raw, path, dict, {}):
         if key not in keys:
-            raise ConfigError(f"unknown key $.{name}.{key}")
-    return cfg
-
-
-# readers of the $.mc keys, which map onto run_study's arguments
-_MC_KEYS = {
-    "replicates": functools.partial(_as_int, lower=1),
-    "checkpoints": _as_checkpoints,
-    "workers": functools.partial(_as_int, lower=1),
-    "keep_paths": functools.partial(_as_int, lower=0),
-}
+            raise ConfigError(f"unknown key {path}.{key}")
 
 
 _TOP_KEYS = (
@@ -133,87 +82,80 @@ _TOP_KEYS = (
 
 
 class RunConfig:
-    """Validated configuration; see docs/formats.md for the schema."""
+    """Validated configuration; see docs/formats.md for the schema.  Every
+    value is read by ``read_value``, whose DomainError, naming the key,
+    becomes a ConfigError here."""
 
     def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration root must be a JSON object")
-        for key in raw:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"unknown key $.{key}")
-        model_cfg = _section(raw, "model", ("name", "params"), required=True)
-        name = _expect(model_cfg, "name", str, "$.model")
-        params = _expect(model_cfg, "params", dict, "$.model", required=False, default={})
+        try:
+            self._load(raw)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def _load(self, raw: dict) -> None:
+        _section(raw, "$", _TOP_KEYS)
+        _section(raw, "$.model", ("name", "params"))
+        name = read_value(raw, "$.model.name", str)
+        params = read_value(raw, "$.model.params", dict, {})
         try:
             self.bundle: ModelBundle = builtin_bundle(name, **params)
         except AdwynnError as exc:
             raise ConfigError(f"$.model: {exc}") from None
+        p = self.bundle.model.p
 
-        self.seed = _as_int(raw.get("seed", 0), "$.seed")
+        self.seed = read_value(raw, "$.seed", int, 0)
 
-        _section(raw, "fit", ())  # every key of $.fit is retired: the fit's settings are fixed
-        self.n_max = _section(raw, "wynn", ("n_max",)).get("n_max")
+        _section(raw, "$.fit", ())  # every key of $.fit is retired: the fit's settings are fixed
+        _section(raw, "$.wynn", ("n_max",))
+        self.n_max = read_value(raw, "$.wynn.n_max", int, None)
 
-        self.theta_bar = None
-        if "theta_bar" in raw:
-            theta = _as_vector(raw["theta_bar"], "$.theta_bar")
-            if theta.shape != (self.bundle.model.p,):
-                raise ConfigError(
-                    f"$.theta_bar must have length p = {self.bundle.model.p}"
-                )
-            if not self.bundle.parameter_space.contains(theta):
-                raise ConfigError("$.theta_bar lies outside the parameter space")
-            self.theta_bar = theta
+        self.theta_bar = read_value(raw, "$.theta_bar", (p,), None)
+        if self.theta_bar is not None and not self.bundle.parameter_space.contains(self.theta_bar):
+            raise ConfigError("$.theta_bar lies outside the parameter space")
 
         self.noise: Optional[ErrorSpec] = None
-        if "noise" in raw:
-            noise_cfg = _expect(raw, "noise", dict, "$")
-            variant = _expect(noise_cfg, "variant", str, "$.noise")
+        noise_cfg = read_value(raw, "$.noise", dict, None)
+        if noise_cfg is not None:
+            variant = read_value(raw, "$.noise.variant", str)
             params = {k: v for k, v in noise_cfg.items() if k != "variant"}
             try:
                 self.noise = make_error_spec(variant, **params)
             except AdwynnError as exc:
                 raise ConfigError(f"$.noise: {exc}") from None
 
-        source_cfg = _section(raw, "source", ("kind", "replay_file"))
-        self.source_kind = _expect(
-            source_cfg, "kind", str, "$.source", required=False, default="simulated"
-        )
+        _section(raw, "$.source", ("kind", "replay_file"))
+        self.source_kind = read_value(raw, "$.source.kind", str, "simulated")
         if self.source_kind not in ("simulated", "replay"):
             raise ConfigError("$.source.kind must be 'simulated' or 'replay'")
-        self.replay_file = _expect(
-            source_cfg, "replay_file", str, "$.source", required=False
-        )
+        self.replay_file = read_value(raw, "$.source.replay_file", str, None)
 
-        oracle_cfg = _section(raw, "oracle", ("theta", "tol"))
-        self.oracle_theta = None
-        if "theta" in oracle_cfg:
-            th = _as_vector(oracle_cfg["theta"], "$.oracle.theta")
-            if th.shape != (self.bundle.model.p,):
-                raise ConfigError("$.oracle.theta must have length p")
-            self.oracle_theta = th
-        self.oracle_tol = _oracle_tol(
-            _as_number(oracle_cfg.get("tol", 1e-5), "$.oracle.tol"), "$.oracle.tol"
-        )
+        _section(raw, "$.oracle", ("theta", "tol"))
+        self.oracle_theta = read_value(raw, "$.oracle.theta", (p,), None)
+        self.oracle_tol = _at_least(read_value(raw, "$.oracle.tol", float, 1e-5), 0, "$.oracle.tol")
 
-        mc_cfg = {
-            k: _MC_KEYS[k](v, f"$.mc.{k}") for k, v in _section(raw, "mc", _MC_KEYS).items()
-        }
-        self.mc_replicates = mc_cfg.get("replicates")
-        self.mc_checkpoints = mc_cfg.get("checkpoints")
-        self.mc_workers = mc_cfg.get("workers")
-        self.mc_keep_paths = mc_cfg.get("keep_paths", 0)
+        _section(raw, "$.mc", ("replicates", "checkpoints", "workers", "keep_paths"))
+        self.mc_replicates = _count(raw, "$.mc.replicates", 1)
+        self.mc_workers = _count(raw, "$.mc.workers", 1)
+        self.mc_keep_paths = _count(raw, "$.mc.keep_paths", 0, default=0)
+        self.mc_checkpoints = read_value(raw, "$.mc.checkpoints", list, None)
+        if self.mc_checkpoints is not None:
+            for i, c in enumerate(self.mc_checkpoints):
+                where = f"$.mc.checkpoints[{i}]"
+                _at_least(check_value(c, where, int), 1, where)
+            if not self.mc_checkpoints or len(set(self.mc_checkpoints)) < len(self.mc_checkpoints):
+                raise ConfigError("$.mc.checkpoints must be a nonempty list of distinct stages, "
+                                  f"got {self.mc_checkpoints}")
 
-        out_cfg = _section(raw, "output", ("dir", "prefix"))
-        self.out_dir = _expect(out_cfg, "dir", str, "$.output", required=False, default=".")
-        self.prefix = _expect(out_cfg, "prefix", str, "$.output", required=False, default="adwynn")
+        _section(raw, "$.output", ("dir", "prefix"))
+        self.out_dir = read_value(raw, "$.output.dir", str, ".")
+        self.prefix = read_value(raw, "$.output.prefix", str, "adwynn")
 
     def wynn_config(self, n_max_override: Optional[int] = None) -> WynnConfig:
         n_max = n_max_override if n_max_override is not None else self.n_max
         if n_max is None:
             raise ConfigError("missing required key $.wynn.n_max")
         try:
-            return WynnConfig(n_max=_as_int(n_max, "$.wynn.n_max"))
+            return WynnConfig(n_max=n_max)
         except DomainError as exc:
             raise ConfigError(f"$.wynn: {exc}") from None
 
@@ -320,7 +262,7 @@ def cmd_oracle(args) -> int:
     theta = cfg.oracle_theta if cfg.oracle_theta is not None else cfg.theta_bar
     if theta is None:
         raise ConfigError("oracle needs $.oracle.theta or $.theta_bar")
-    tol = _oracle_tol(args.tol, "--tol") if args.tol is not None else cfg.oracle_tol
+    tol = _at_least(args.tol, 0, "--tol") if args.tol is not None else cfg.oracle_tol
     grid = cfg.bundle.design_space.grid()
     design = solve_locally_d_optimal(cfg.bundle.model, theta, grid, tol=tol)
     gap = equivalence_gap(design, theta, cfg.bundle.model, grid)
@@ -346,7 +288,7 @@ def cmd_mc(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     replicates = cfg.mc_replicates
     if args.replicates is not None:
-        replicates = _MC_KEYS["replicates"](args.replicates, "--replicates")
+        replicates = _at_least(args.replicates, 1, "--replicates")
     if replicates is None:
         raise ConfigError("missing required key $.mc.replicates")
     checkpoints, where = cfg.mc_checkpoints, "$.mc.checkpoints"
@@ -356,7 +298,7 @@ def cmd_mc(args) -> int:
         checkpoints, where = [cfg.n_max], "$.wynn.n_max"
     workers = cfg.mc_workers
     if args.workers is not None:
-        workers = _MC_KEYS["workers"](args.workers, "--workers")
+        workers = _at_least(args.workers, 1, "--workers")
     if workers is None:
         workers = os.cpu_count() or 1
     scenario = cfg.scenario(max(checkpoints))
@@ -551,7 +493,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a model evaluated where it is not finite (0/0, say) is reported once,
+        # by the checks that name the point, not by numpy's warnings as well
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,15 @@ trajectory file echoes.  Parameter spaces are compact boxes.  The
 module also provides numeric falsification checks for the structural
 conditions the asymptotic theory relies on: the regressor image
 spanning R^p, and identifiability of the parameter from responses at p
-distinct points.
+distinct points.  ``read_value`` and ``check_value`` are the one reader
+of JSON input: the run configuration, the trajectory file and its
+regions, and model and noise parameters all pass them.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -45,29 +48,91 @@ def as_theta(theta, p: int) -> Array:
     return arr
 
 
-def finite_real_array(value, name: str) -> Array:
-    """``value`` as a float array; it must nest only finite real numbers
-    (no booleans, strings, ragged rows or integers beyond float range)."""
+_MISSING = object()
 
-    def real(v) -> bool:
-        if isinstance(v, np.ndarray):
-            return v.dtype.kind in "iuf"
-        if isinstance(v, (list, tuple)):
-            return all(map(real, v))
-        return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
+def read_value(obj, path: str, kind=None, default=_MISSING):
+    """The value at ``path`` of a JSON document ``obj``, checked by
+    ``check_value``.  ``path`` joins keys with '.'; a leading '$' stands
+    for ``obj`` itself.  A missing key raises DomainError naming the path
+    up to it, unless a ``default`` is given, which is then returned."""
+    keys = path.split(".")
+    for i in range(keys[0] == "$", len(keys)):
+        if type(obj) is not dict:
+            check_value(obj, ".".join(keys[:i]) or "the document", dict)
+        if keys[i] not in obj:
+            if default is _MISSING:
+                raise DomainError(f"missing required key {'.'.join(keys[: i + 1])}")
+            return default
+        obj = obj[keys[i]]
+    return check_value(obj, path, kind)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` nests only real numbers; a boolean is not one."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_real, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def check_value(value, path: str, kind=None):
+    """``value`` if it is of ``kind``, else DomainError naming ``path``.
+    ``kind`` is one of:
+
+    - None: any value;
+    - ``int``: an integer, returned as int (a boolean is not one);
+    - ``float``: a finite number in float range, returned as float;
+    - another type: exactly that type (``str``, ``bool``, ``list``, ``dict``);
+    - a shape tuple: a float array of that shape nesting only finite
+      numbers (no booleans, strings or ragged rows); a string entry
+      stands for any length.
+    """
+    if kind is int or kind is float:
+        try:
+            ok = (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+                  and not isinstance(value, (bool, np.bool_))
+                  and (kind is int or math.isfinite(value)))
+        except OverflowError:  # an integer beyond float range
+            ok = False
+        if not ok:
+            name = "an integer" if kind is int else "a finite number"
+            raise DomainError(f"{path} must be {name}, got {value!r}")
+        return kind(value)
+    if kind is None or isinstance(kind, type):
+        if kind is not None and type(value) is not kind:
+            raise DomainError(f"{path} has type {type(value).__name__}, not {kind.__name__}")
+        return value
     try:
-        arr = np.asarray(value, dtype=float) if real(value) else None
+        arr = np.asarray(value, dtype=float) if _real(value) else None
     except (ValueError, OverflowError):
         arr = None
     if arr is None or not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must hold only finite numbers")
+        raise DomainError(f"{path} must hold only finite numbers")
+    if arr.shape == (0,) and len(kind) == 2:  # an empty list of rows
+        arr = arr.reshape(0, kind[1] if isinstance(kind[1], int) else 1)
+    if arr.ndim != len(kind) or any(isinstance(w, int) and w != g for w, g in zip(kind, arr.shape)):
+        shapes = ["(" + ", ".join(map(str, shape)) + ")" for shape in (kind, arr.shape)]
+        raise DomainError(f"{path} must have shape {shapes[0]}, got {shapes[1]}")
     return arr
 
 
 # --------------------------------------------------------------------------
 # Spaces
 # --------------------------------------------------------------------------
+
+
+def _bounds(lower, upper, name: str, strict: bool) -> tuple[Array, Array]:
+    """``lower`` and ``upper`` as frozen, matching, nonempty finite vectors,
+    ordered ``<`` (``strict``) or ``<=`` on every axis; DomainError if not."""
+    lo, hi = (check_value(v, f"{name} bounds", ("k",)) for v in (lower, upper))
+    if lo.shape != hi.shape or lo.size == 0:
+        raise DomainError(f"{name} bounds must be matching nonempty vectors")
+    if not np.all(lo < hi if strict else lo <= hi):
+        relation = "<" if strict else "<="
+        raise DomainError(f"{name} requires lower[j] {relation} upper[j] for all axes")
+    return _freeze(lo), _freeze(hi)
 
 
 def _full_factorial(lower: Array, upper: Array, counts) -> Array:
@@ -106,19 +171,13 @@ class Box:
     grid_resolution: tuple[int, ...]
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
-            raise DomainError("Box bounds must be matching nonempty vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DomainError("Box bounds must be finite")
-        if not np.all(lo < hi):
-            raise DomainError("Box requires lower[j] < upper[j] for all axes")
-        res = tuple(int(r) for r in np.atleast_1d(self.grid_resolution))
+        lo, hi = _bounds(self.lower, self.upper, "Box", strict=True)
+        res = tuple(check_value(r, "grid resolution", int)
+                    for r in np.atleast_1d(self.grid_resolution).tolist())
         if len(res) != lo.size or any(r < 2 for r in res):
             raise DomainError("grid resolution must be >= 2 per axis")
-        object.__setattr__(self, "lower", _freeze(lo))
-        object.__setattr__(self, "upper", _freeze(hi))
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "grid_resolution", res)
 
     @property
@@ -141,13 +200,29 @@ class Box:
 DesignSpace = Union[FiniteSet, Box]
 
 
-def design_space_from_jsonable(obj: dict) -> DesignSpace:
-    """The region written by ``to_jsonable``; DomainError for any other form."""
-    if obj.get("kind") == "box":
-        return Box(obj["lower"], obj["upper"], tuple(obj["grid_resolution"]))
-    if obj.get("kind") == "finite":
-        return FiniteSet(np.asarray(obj["points"], dtype=float))
-    raise DomainError(f"kind must be 'box' or 'finite', got {obj.get('kind')!r}")
+def design_space_from_jsonable(obj) -> DesignSpace:
+    """The region written by ``to_jsonable``, read as a file's
+    ``design_space``: a field of the wrong type or shape, or a region the
+    constructor rejects, raises DomainError naming ``design_space`` and the
+    field."""
+    doc = {"design_space": obj}
+    kind = read_value(doc, "design_space.kind", default=None)
+    if kind == "box":
+        resolution = read_value(doc, "design_space.grid_resolution", list)
+        make, args = Box, (
+            read_value(doc, "design_space.lower", ("k",)),
+            read_value(doc, "design_space.upper", ("k",)),
+            tuple(check_value(r, f"design_space.grid_resolution[{i}]", int)
+                  for i, r in enumerate(resolution)),
+        )
+    elif kind == "finite":
+        make, args = FiniteSet, (read_value(doc, "design_space.points", ("m", "k")),)
+    else:
+        raise DomainError(f"design_space.kind must be 'box' or 'finite', got {kind!r}")
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise DomainError(f"design_space: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -158,16 +233,9 @@ class ParameterSpace:
     upper: Array
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
-            raise DomainError("parameter bounds must be matching nonempty vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DomainError("parameter bounds must be finite")
-        if not np.all(lo <= hi):
-            raise DomainError("parameter box requires lower[j] <= upper[j]")
-        object.__setattr__(self, "lower", _freeze(lo))
-        object.__setattr__(self, "upper", _freeze(hi))
+        lo, hi = _bounds(self.lower, self.upper, "parameter box", strict=False)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @property
     def p(self) -> int:
@@ -485,23 +553,18 @@ BUILTIN_MODELS: dict[str, Callable[..., ModelBundle]] = {
 
 
 def _factory_argument(factory: Callable[..., ModelBundle], key: str, value):
-    """``value`` checked against the type and shape of the factory's default
-    for ``key``: an integer for an integer default, otherwise finite numbers
-    in the default's shape."""
+    """``value`` checked by ``check_value`` against the type and shape of the
+    factory's default for ``key``: an integer for an integer default, a
+    finite number for a number, otherwise finite numbers in its shape."""
     params = inspect.signature(factory).parameters
     if key not in params:
         raise DomainError(
             f"{factory.__name__} takes no parameter {key!r}; it takes {', '.join(params)}"
         )
     default = params[key].default
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    arr = finite_real_array(value, key)
-    if arr.shape != np.shape(default):
-        raise DomainError(f"{key} must have the shape {np.shape(default)} of its default {default}")
-    return arr.tolist()
+    kind = np.shape(default) if np.ndim(default) else int if isinstance(default, int) else float
+    value = check_value(value, key, kind)
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def builtin_bundle(name: str, **kwargs) -> ModelBundle:

@@ -25,6 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
+from .model import check_value
 
 _MASK64 = (1 << 64) - 1
 
@@ -143,7 +144,8 @@ _VARIANTS = {
 
 
 def make_error_spec(variant: str, **params) -> ErrorSpec:
-    """Build an error spec from its configuration name and parameters."""
+    """Build an error spec from its configuration name and parameters, each
+    a finite number (``check_value``)."""
     try:
         cls = _VARIANTS[variant]
     except KeyError:
@@ -156,8 +158,4 @@ def make_error_spec(variant: str, **params) -> ErrorSpec:
         raise DomainError(
             f"noise variant {variant!r} takes {names}; missing {missing}, unexpected {extra}"
         )
-    try:
-        values = {k: float(v) for k, v in params.items()}
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"noise variant {variant!r} parameters must be numbers") from None
-    return cls(**values)
+    return cls(**{k: check_value(v, k, float) for k, v in params.items()})

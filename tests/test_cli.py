@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -316,6 +318,27 @@ def test_simulate_with_regressors_not_finite_exits_1_naming_the_point(tmp_path, 
     assert not (tmp_path / "t_trajectory.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_regressors_not_finite_print_one_error_line(tmp_path, command):
+    """The 0/0 of the corner above reaches stderr only as the program's one
+    error line, without numpy's warnings about it; run as the console
+    command, since pytest collects the warnings it would print."""
+    path, _ = _write_config(
+        tmp_path,
+        model={"name": "michaelis_menten",
+               "params": {"x_bounds": [0.0, 3.0], "theta_bounds": [[0.2, 3.0], [0.0, 3.0]]}},
+        theta_bar=[1.0, 0.02], wynn={"n_max": 300}, seed=0,
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run([sys.executable, "-m", "adwynn.cli", command, "--config", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: model michaelis_menten: regressors are not finite at "
+                           "x = [0.0], theta = [0.2, 0.0]\n")
+
+
 def test_read_replay_file_validates(tmp_path):
     from adwynn.errors import ConfigError
 
@@ -348,7 +371,7 @@ def test_nonfinite_config_value_exits_2(tmp_path, capsys, section, variant, key,
     path, _ = _write_config(tmp_path, **override)
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: $.{section}: {key} must be finite")
+    assert err.startswith(f"config error: $.{section}: {key} must be a finite number")
     assert not (tmp_path / "t_trajectory.json").exists()
 
 

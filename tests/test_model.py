@@ -36,6 +36,10 @@ def test_box_grid_resolution_floor():
     # one resolution per axis: a single entry does not cover a second axis
     with pytest.raises(DomainError, match="per axis"):
         Box([0.0, 0.0], [1.0, 1.0], (5,))
+    # an entry that is not an integer is not truncated to one
+    for resolution in ((201.9,), ("5",), (True,)):
+        with pytest.raises(DomainError, match="grid resolution must be an integer"):
+            Box([0.0], [1.0], resolution)
 
 
 def test_box_grid_shape_and_order():

@@ -35,6 +35,9 @@ checkpoints 30 and 40, seed 31415):
 - three scripted ``session`` runs answered with zero-noise responses at
   theta_bar: one complete, one that sends QUIT after 5 adaptive
   observations, and one that sends QUIT after one starting observation.
+- two bad inputs, which must exit 2 and write nothing: ``simulate``
+  with ``$.noise.sigma`` set to ``true``, and ``diagnose`` on a copy of
+  the ``simulate`` trajectory whose ``design_space.lower`` is ``["0.1"]``.
 
 Each output file and each session's stdout gets a line
 ``<sha256>  <name>``, and each command a line ``exit <code>  <run>``.
@@ -185,6 +188,17 @@ def main(argv: list[str] | None = None) -> int:
             transcripts[name] = stdout
             lines.append(f"exit {rc}  {name}")
             lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {name}/stdout")
+        with tempfile.TemporaryDirectory() as scrap:  # what a bad input writes is not digested
+            bad_noise = {**CONFIG["noise"], "sigma": True}
+            cfg_sigma_true = variant("sigma_true", noise=bad_noise)
+            run("simulate_sigma_true",
+                ["simulate", "--config", str(cfg_sigma_true), "--out-dir", scrap])
+            bad_file = Path(scrap) / "lower_string_trajectory.json"
+            trajectory = json.loads((out / "simulate_trajectory.json").read_text())
+            trajectory["design_space"]["lower"] = ["0.1"]
+            bad_file.write_text(json.dumps(trajectory))
+            run("diagnose_lower_string", ["diagnose", str(bad_file), "--d", "0.3",
+                                          "--cell-diameter", "0.1", "--out-dir", scrap])
         for path in sorted(out.iterdir()):
             if path not in configs:
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
