@@ -8,6 +8,11 @@ a parameter sample makes every later information matrix positive
 definite by induction, since each update is a convex combination with a
 rank-one term.
 
+The regressors at each estimate are evaluated once, on the scan grid.
+Every observed point is a grid row, so the information matrix, the
+sensitivity and the next refit's first Gauss-Newton iteration (from the
+warm start, the same estimate) all read their rows of that one array.
+
 The loop's own objects are the run's record: the estimator's grouped
 data is the one empirical design, and its fits are the trajectory's
 ``final_fit`` and requested stages.  The trajectory's columns are the
@@ -115,10 +120,16 @@ class SimulatedSource:
         self._theta_bar = np.asarray(theta_bar, dtype=float)
         self._noise = noise
         self._rng = rng
+        self._mean: dict[bytes, float] = {}  # mu(x, theta_bar) per design point
 
     def observe(self, x: Array, step: int) -> float:
         e = float(self._noise.draw(step, self._rng))
-        return float(self._model.mu(np.atleast_1d(x), self._theta_bar)) + e
+        x = np.atleast_1d(x)
+        key = x.tobytes()
+        mean = self._mean.get(key)
+        if mean is None:
+            mean = self._mean[key] = float(self._model.mu(x, self._theta_bar))
+        return mean + e
 
 
 class ReplaySource:
@@ -227,7 +238,13 @@ class WynnState:
     """Mutable single-run state; one writer per run.  ``design`` is the
     estimator's grouped data, read by the refit and ``compute_info`` alike.
     ``points``, ``responses``, ``estimates``, ``logdet`` and ``max_d`` are
-    the trajectory's columns, one entry per observation, refit or step."""
+    the trajectory's columns, one entry per observation, refit or step.
+
+    Every observed point must be a grid row.  ``rows`` holds the grid
+    index of each support point of ``design``, in its order, and ``F`` the
+    regressors on the grid at the current estimate (``compute_info``):
+    ``F[rows]`` is f on the support there, read by M, by the sensitivity
+    and by the next refit's first Gauss-Newton iteration."""
 
     def __init__(
         self,
@@ -240,6 +257,9 @@ class WynnState:
         self.estimator = estimator
         self.design = estimator.data
         self.grid = design_space.grid()
+        self._grid_index = {row.tobytes(): i for i, row in enumerate(self.grid)}
+        self.rows: list[int] = []
+        self.F: Optional[Array] = None
         self.fit: Optional[LSFit] = None
         self.M: Optional[Array] = None
         self.points: list[Array] = []
@@ -258,16 +278,22 @@ class WynnState:
     # -- bookkeeping ---------------------------------------------------
 
     def _append(self, x: Array, y: float) -> None:
+        """Observe y at x, a row of the grid."""
         self.points.append(x)
         self.responses.append(y)
+        support = self.design.size
         self.estimator.update(x, y)
+        if self.design.size > support:
+            self.rows.append(self._grid_index[x.tobytes()])
 
     def compute_info(self, theta: Array) -> Array:
-        F = np.asarray(self.model.f(self.design.points, theta), dtype=float)
-        return information(F, self.design.counts / float(self.n))
+        """M at theta; keeps f on the grid at theta as ``F``."""
+        self.F = np.asarray(self.model.f(self.grid, theta), dtype=float)
+        return information(self.F[self.rows], self.design.counts / float(self.n))
 
     def _refresh(self) -> None:
-        self.fit = self.estimator.estimate()
+        # F is f at the previous estimate, the refit's warm start
+        self.fit = self.estimator.estimate(None if self.F is None else self.F[self.rows])
         self.estimates.append(self.fit.theta_hat.copy())
         self.M = self.compute_info(self.fit.theta_hat)
         if self.n in self.keep_stages:
@@ -279,17 +305,17 @@ class WynnState:
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:
     """One iteration: argmax the sensitivity, observe, refit, update.
 
-    The argmax is the lowest grid index among the points whose sensitivity
-    lies within ``TIE_RTOL`` of the maximum, so rounding does not pick
-    between points that tie exactly in exact arithmetic."""
+    The sensitivity reads the regressors ``compute_info`` kept.  The argmax
+    is the lowest grid index among the points whose sensitivity lies within
+    ``TIE_RTOL`` of the maximum, so rounding does not pick between points
+    that tie exactly in exact arithmetic."""
     if state.M is None:
         raise DomainError("state is not initialized")
     Minv, logdet = pd_inverse_logdet(state.M, PD_FLOOR)
-    F_grid = np.asarray(state.model.f(state.grid, state.fit.theta_hat), dtype=float)
-    d = quadratic_form(F_grid, Minv)
+    d = quadratic_form(state.F, Minv)
     d_max = d.max()
     if not math.isfinite(d_max):  # d overflows or the regressors at theta_hat are not finite
-        finite_regressors(state.model, F_grid, state.grid, state.fit.theta_hat)
+        finite_regressors(state.model, state.F, state.grid, state.fit.theta_hat)
     idx = int(np.argmax(d >= d_max * (1.0 - TIE_RTOL)))
     x_next = state.grid[idx].copy()
     y_next = response_source.observe(x_next, state.n + 1)

@@ -14,7 +14,9 @@ The interactive session speaks a line protocol on stdin/stdout::
     QUIT                           (user -> artifact, finalize)
     ERR <reason>                   (artifact -> user, then re-prompt)
 
-A file of OBSERVE lines therefore doubles as the replay format.
+A file of OBSERVE lines therefore doubles as the replay format.  Each
+ESTIMATE is written in the same write as the next SUGGEST, and the last
+one before the command returns, so each step wakes the user once.
 """
 
 from __future__ import annotations
@@ -151,11 +153,12 @@ class RunConfig:
         self.prefix = read_value(raw, "$.output.prefix", str, "adwynn")
 
     def wynn_config(self, n_max_override: Optional[int] = None) -> WynnConfig:
-        n_max = n_max_override if n_max_override is not None else self.n_max
-        if n_max is None:
+        if n_max_override is not None:
+            return WynnConfig(n_max=_at_least(n_max_override, 1, "--n-max"))
+        if self.n_max is None:
             raise ConfigError("missing required key $.wynn.n_max")
         try:
-            return WynnConfig(n_max=n_max)
+            return WynnConfig(n_max=self.n_max)
         except DomainError as exc:
             raise ConfigError(f"$.wynn: {exc}") from None
 
@@ -368,15 +371,27 @@ def _parse_observe(line: str) -> float:
 
 
 class SessionSource:
-    """Interactive response source speaking the line protocol."""
+    """Interactive response source speaking the line protocol.  A held
+    line is written with the next emitted one, in one write and flush."""
 
     def __init__(self, fin, fout):
         self.fin = fin
         self.fout = fout
+        self._held = ""
+
+    def hold(self, line: str) -> None:
+        self._held += line + "\n"
 
     def _emit(self, line: str) -> None:
-        self.fout.write(line + "\n")
-        self.fout.flush()
+        self.hold(line)
+        self.flush()
+
+    def flush(self) -> None:
+        """Write the held lines, if any."""
+        if self._held:
+            self.fout.write(self._held)
+            self.fout.flush()
+            self._held = ""
 
     def observe(self, x, step: int) -> float:
         prompt = "SUGGEST " + str(step) + " " + " ".join(repr(float(v)) for v in np.atleast_1d(x))
@@ -388,20 +403,21 @@ class SessionSource:
             try:
                 return _parse_observe(line)
             except ValueError as exc:
-                self._emit(f"ERR {exc}")
+                self.hold(f"ERR {exc}")
                 self._emit(prompt)
 
 
 class _AnnouncingEstimator(LSAdaptiveEstimator):
-    """Least squares that writes an ESTIMATE line after each refit."""
+    """Least squares that holds an ESTIMATE line after each refit, for the
+    source to write with its next line."""
 
     def __init__(self, model, space, source: SessionSource):
         super().__init__(model, space)
         self._source = source
 
-    def estimate(self):
-        fit = super().estimate()
-        self._source._emit("ESTIMATE " + " ".join(repr(float(v)) for v in fit.theta_hat))
+    def estimate(self, warm_regressors=None):
+        fit = super().estimate(warm_regressors)
+        self._source.hold("ESTIMATE " + " ".join(repr(float(v)) for v in fit.theta_hat))
         return fit
 
 
@@ -412,7 +428,11 @@ def cmd_session(args) -> int:
     b = cfg.bundle
     source = SessionSource(sys.stdin, sys.stdout)
     estimator = _AnnouncingEstimator(b.model, b.parameter_space, source)
-    trajectory = run(b.model, b.design_space, b.parameter_space, config, source, seed, estimator)
+    try:
+        trajectory = run(b.model, b.design_space, b.parameter_space, config, source, seed,
+                         estimator)
+    finally:
+        source.flush()  # the last ESTIMATE
     jpath, cpath = write_trajectory_files(trajectory, cfg, args)
     print(f"wrote {jpath} and {cpath}", file=sys.stderr)
     return 0 if trajectory.n == config.n_max else 1

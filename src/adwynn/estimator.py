@@ -18,7 +18,10 @@ so its cost grows with the design's support, not with n.
 ``LSAdaptiveEstimator`` keeps the grid objective incrementally updated
 so the adaptive loop can refit after every observation at O(grid) cost
 per step instead of O(grid * n).  Its ``GroupedData`` is the run's one
-empirical design: the loop's information matrix reads it too.
+empirical design: the loop's information matrix reads it too.  The loop
+hands each refit the regressors at the warm start, which it has already
+evaluated, so a descent from there makes no f call for its first
+iteration.
 """
 
 from __future__ import annotations
@@ -245,14 +248,17 @@ def _gauss_newton(
     space: ParameterSpace,
     theta0: Array,
     start: tuple[Array, float] | None = None,
+    regressors: Array | None = None,
 ) -> tuple[Array, float, bool]:
     """Box-projected damped Gauss-Newton descent from theta0 on grouped data.
 
     The objective is ``W + sum_x n_x (ybar_x - mu(x))^2`` (``_residual``).
     ``start`` is the residual and objective at theta0 (inside the box)
-    when the caller has them; the residual of each accepted line-search
-    candidate is reused by the next iteration, so an iteration costs one
-    f and one mu per trial.
+    when the caller has them, and ``regressors`` is f at theta0 on
+    ``data.points``; with both, the first iteration makes no model call.
+    The residual of each accepted line-search candidate is reused by the
+    next iteration, so an iteration costs one f, at its iterate, and one
+    mu per trial.
 
     Accepts only strictly decreasing steps (step-halving line search),
     so the objective along the accepted iterates is monotone.  Stops
@@ -281,8 +287,12 @@ def _gauss_newton(
     theta = space.project(theta0)
     t = theta.tolist()
     r, value = start if start is not None else _residual(data, model, theta)
+    at_theta = regressors
     for _ in range(MAX_ITERATIONS):
-        F = np.asarray(model.f(points, theta), dtype=float) * root[:, None]
+        if at_theta is None:
+            at_theta = np.asarray(model.f(points, theta), dtype=float)
+        F = at_theta * root[:, None]
+        at_theta = None
         g = F.T @ (root * r)
         G = F.T @ F
         on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
@@ -323,20 +333,23 @@ def _fit(
     values: Array,
     theta_grid: Array,
     warm_start: Array | None = None,
+    warm_regressors: Array | None = None,
 ) -> LSFit:
     """The least-squares core: one descent from the better of two seeds.
 
     ``values`` is the objective over ``theta_grid``.  The descent is
     seeded at the warm start, a point of the box, when its objective is
     below the scan minimum, and at the scan winner otherwise.
+    ``warm_regressors``, if given, is f at the warm start on
+    ``data.points``, handed to a descent from there.
     """
     grid_minimum, g_min, grid_tie = _grid_winner(values, theta_grid)
-    seed, start = grid_minimum, None
+    seed, start, regressors = grid_minimum, None, None
     if warm_start is not None:
         at_warm = _residual(data, model, warm_start)
         if at_warm[1] < g_min:
-            seed, start = warm_start, at_warm
-    theta, value, converged = _gauss_newton(data, model, space, seed, start)
+            seed, start, regressors = warm_start, at_warm, warm_regressors
+    theta, value, converged = _gauss_newton(data, model, space, seed, start, regressors)
     return LSFit(
         theta_hat=theta,
         sse_value=value,
@@ -381,7 +394,10 @@ class LSAdaptiveEstimator:
     on all of them.  The coarse-grid objective is maintained as a running
     sum, so each refit costs O(grid) for the scan plus one descent over
     the grouped data, O(support), with the previous estimate as the warm
-    start.
+    start.  The model's mean over the scan is computed once per distinct
+    design point (keyed by its bytes, as ``GroupedData`` keys it), so a
+    repeated point costs no mu call; the cache holds support x scan
+    floats.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace):
@@ -391,20 +407,25 @@ class LSAdaptiveEstimator:
         self.grid_sse = np.zeros(self.theta_grid.shape[0])
         self.data = GroupedData()
         self.previous: Array | None = None
+        self._scan_mu: dict[bytes, Array] = {}
 
     def update(self, x, y: float) -> None:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         self.data.add(x, y)
-        mu = np.asarray(self.model.mu(x, self.theta_grid), dtype=float)
+        key = x.tobytes()
+        mu = self._scan_mu.get(key)
+        if mu is None:
+            mu = self._scan_mu[key] = np.asarray(self.model.mu(x, self.theta_grid), dtype=float)
         contrib = (y - mu) ** 2
         contrib[~np.isfinite(contrib)] = np.inf
         self.grid_sse += contrib
 
-    def estimate(self) -> LSFit:
+    def estimate(self, warm_regressors: Array | None = None) -> LSFit:
+        """Refit on every observation so far.  ``warm_regressors``, if
+        given, is f at the previous estimate on ``data.points``."""
         if self.data.n == 0:
             raise FitFailureError("no data to fit")
-        fit = _fit(
-            self.data, self.model, self.space, self.grid_sse, self.theta_grid, self.previous
-        )
+        fit = _fit(self.data, self.model, self.space, self.grid_sse, self.theta_grid,
+                   self.previous, warm_regressors)
         self.previous = fit.theta_hat
         return fit

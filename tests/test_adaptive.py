@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import astuple
@@ -29,6 +30,7 @@ from adwynn.analysis import empirical_design
 from adwynn.design import (
     Design,
     info_matrix,
+    information,
     rank_one_update,
     sensitivity_profile,
 )
@@ -51,7 +53,7 @@ class FixedEstimator(LSAdaptiveEstimator):
         super().__init__(bundle.model, bundle.parameter_space)
         self.theta = np.asarray(theta, dtype=float)
 
-    def estimate(self):
+    def estimate(self, warm_regressors=None):
         return LSFit(
             theta_hat=self.theta.copy(),
             sse_value=math.nan,
@@ -220,9 +222,12 @@ def test_quadratic_run_from_a_certified_start(grid_resolution, start):
 
 
 def _manual_state(bundle, points, responses, theta):
+    """A state observed at the grid rows nearest ``points``: the loop
+    observes only grid rows."""
     state = WynnState(bundle.model, bundle.design_space, FixedEstimator(bundle, theta))
     for x, y in zip(points, responses):
-        state._append(np.atleast_1d(np.asarray(x, dtype=float)), float(y))
+        row = np.abs(state.grid - np.asarray(x, dtype=float)).sum(axis=1).argmin()
+        state._append(state.grid[row].copy(), float(y))
     state.n_start = state.n
     state._refresh()
     return state
@@ -646,3 +651,69 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
         expected = info_matrix(empirical_design(traj.points[:n]), theta, bundle.model)
         assert np.max(np.abs(M - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
         assert np.array_equal(M, info_matrix(Design(support, counts / n), theta, bundle.model))
+
+
+def _check_regressor_reuse(scenario, seed):
+    """At every stage of the run, the kept F is f on the grid at the stage's
+    estimate and M is the information of f on the support there, byte for
+    byte; from the first fit on, f runs on the grid once per stage; and a
+    fresh estimator that is handed no regressors replays every fit exactly."""
+    model, grid = scenario.model, scenario.design_space.grid()
+    on_grid, stages = [], []
+
+    def f(x, theta):
+        on_grid.append(np.shape(x) == grid.shape and np.array_equal(x, grid))
+        return model.f(x, theta)
+
+    refresh = WynnState._refresh
+
+    def recorded_refresh(self):
+        first_call = len(on_grid)
+        refresh(self)
+        stages.append((first_call, self.n, self.fit, self.F.copy(), self.M.copy(),
+                       self.design.points.copy(), self.design.counts.copy(), list(self.rows)))
+
+    counted = dataclasses.replace(scenario, model=dataclasses.replace(model, f=f))
+    with mock.patch.object(WynnState, "_refresh", recorded_refresh):
+        traj = simulate_trajectory(counted, seed)
+    assert [stage[1] for stage in stages] == list(range(traj.n_start, traj.n + 1))
+    assert sum(on_grid[stages[0][0]:]) == len(stages)
+    for _, n, fit, F, M, support, counts, rows in stages:
+        theta = fit.theta_hat
+        assert np.array_equal(grid[rows], support)
+        assert np.array_equal(F, np.asarray(model.f(grid, theta), dtype=float))
+        F_support = np.asarray(model.f(support, theta), dtype=float)
+        assert np.array_equal(M, information(F_support, counts / n))
+
+    replay = LSAdaptiveEstimator(model, scenario.parameter_space)
+    fits = []
+    for n, (x, y) in enumerate(zip(traj.points, traj.responses.tolist()), 1):
+        replay.update(x, y)
+        if n >= traj.n_start:
+            fits.append(replay.estimate())
+    assert len(fits) == len(stages)
+    for replayed, (_, _, fit, *_) in zip(fits, stages):
+        assert np.array_equal(replayed.theta_hat, fit.theta_hat)
+        assert (replayed.sse_value, replayed.converged) == (fit.sse_value, fit.converged)
+    assert np.array_equal(np.array([fit.theta_hat for fit in fits]), traj.estimates)
+
+
+@pytest.mark.parametrize(
+    "name", ["michaelis_menten", "exponential_decay", "polynomial", "one_param_exponential"]
+)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_regressors_at_each_estimate_are_reused_bit_for_bit(name, seed):
+    bundle = builtin_bundle(name)
+    space = bundle.parameter_space
+    _check_regressor_reuse(Scenario(
+        bundle.model, bundle.design_space, space, space.center(), IIDGaussian(0.1),
+        WynnConfig(n_max=40),
+    ), seed)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_regressors_are_reused_bit_for_bit_on_two_dimensional_regions(exp_lin_scenario, seed):
+    _check_regressor_reuse(dataclasses.replace(exp_lin_scenario, config=WynnConfig(n_max=60)),
+                           seed)

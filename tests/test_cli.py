@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adwynn.adaptive import Trajectory
+from adwynn.adaptive import Trajectory, starting_design
 from adwynn.cli import main, read_replay_file
 from adwynn.model import BUILTIN_MODELS, builtin_bundle
 
@@ -372,6 +372,19 @@ def test_nonfinite_config_value_exits_2(tmp_path, capsys, section, variant, key,
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: $.{section}: {key} must be a finite number")
+    assert not (tmp_path / "t_trajectory.json").exists()
+
+
+@pytest.mark.parametrize("command, source", [
+    ("simulate", "simulated"), ("simulate", "replay"), ("session", "stdin"),
+])
+def test_n_max_flag_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, source):
+    replay = tmp_path / "replay.txt"
+    replay.write_text("OBSERVE 0.5\n")
+    extra = {"source": {"kind": "replay", "replay_file": str(replay)}} if source == "replay" else {}
+    path, _ = _write_config(tmp_path, **extra)
+    assert main([command, "--config", str(path), "--n-max", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --n-max must be finite and >= 1, got 0\n"
     assert not (tmp_path / "t_trajectory.json").exists()
 
 
@@ -934,6 +947,113 @@ def test_session_n_max_below_start_exits_2(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "below the starting design size" in capsys.readouterr().err
     assert not (tmp_path / "s_trajectory.json").exists()
+
+
+class _Lab:
+    """A session's stdin and stdout in-process.  It answers each read with
+    the line ``script`` (the number of earlier reads) returns, '' being EOF,
+    or with the noiseless response at (1, 1) to the last SUGGEST if that is
+    None; and it records each write and each flush of stdout."""
+
+    def __init__(self, script):
+        self.script = script
+        self.writes: list[str] = []
+        self.flushed: list[int] = []  # the number of writes at each flush
+        self.reads = 0
+        self._mu = builtin_bundle("michaelis_menten").model.mu
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        self.flushed.append(len(self.writes))
+
+    def readline(self):
+        assert self.flushed and self.flushed[-1] == len(self.writes)  # the prompt is out
+        line = self.script(self.reads)
+        self.reads += 1
+        if line is not None:
+            return line
+        x = float("".join(self.writes).splitlines()[-1].split()[2])
+        return f"OBSERVE {float(self._mu(np.array([x]), np.array([1.0, 1.0])))!r}\n"
+
+
+def _run_lab(tmp_path, monkeypatch, n_max, script):
+    lab = _Lab(script)
+    monkeypatch.setattr(sys, "stdin", lab)
+    monkeypatch.setattr(sys, "stdout", lab)
+    rc = main(["session", "--config", str(_session_config(tmp_path, n_max=n_max))])
+    obj = json.loads((tmp_path / "s_trajectory.json").read_text())
+    return rc, lab, obj
+
+
+def _suggest(n, x):
+    return f"SUGGEST {n} {' '.join(map(repr, x))}\n"
+
+
+def _estimate(theta):
+    return f"ESTIMATE {' '.join(map(repr, theta))}\n"
+
+
+def test_session_transcripts_write_each_step_once(tmp_path, monkeypatch):
+    """Four scripted sessions.  Each stdout is the protocol's line stream: a
+    SUGGEST before each read, ERR and the same SUGGEST after a malformed
+    line, an ESTIMATE after each refit.  Every ESTIMATE goes out in the same
+    write and flush as the next SUGGEST, or alone as the session's last write,
+    so an adaptive step costs one flush."""
+    n_max = 8
+    rc, lab, full = _run_lab(tmp_path, monkeypatch, n_max, lambda reads: None)
+    assert rc == 0
+    points, estimates, n_start = full["points"], full["estimates"], full["n_start"]
+    steps = n_max - n_start
+    starting = [_suggest(i + 1, x) for i, x in enumerate(points[:n_start])]
+    adaptive = [_estimate(estimates[k]) + _suggest(n_start + k + 1, points[n_start + k])
+                for k in range(steps)]
+    assert lab.writes == starting + adaptive + [_estimate(estimates[-1])]
+    assert lab.flushed == list(range(1, n_start + steps + 2))
+
+    # a malformed line at the first adaptive prompt, then QUIT at the re-prompt
+    script = {n_start: "OBSERVE abc\n", n_start + 1: "QUIT\n"}
+    rc, lab, obj = _run_lab(tmp_path, monkeypatch, n_max, script.get)
+    assert rc == 1 and obj["points"] == points[:n_start]
+    prompt = _suggest(n_start + 1, points[n_start])
+    assert lab.writes == starting + [
+        _estimate(estimates[0]) + prompt, "ERR not a decimal: 'abc'\n" + prompt
+    ]
+    assert lab.flushed == list(range(1, n_start + 3))
+
+    # EOF at the second starting point: no fit, so no ESTIMATE
+    rc, lab, obj = _run_lab(tmp_path, monkeypatch, n_max, lambda reads: "" if reads else None)
+    assert rc == 1 and obj["final_fit"] is None
+    assert lab.writes == starting[:2] and lab.flushed == [1, 2]
+
+    # n_max = n_start: the one ESTIMATE is the last write, flushed before main returns
+    rc, lab, obj = _run_lab(tmp_path, monkeypatch, n_start, lambda reads: None)
+    assert rc == 0 and obj["estimates"] == estimates[:1]
+    assert lab.writes == starting + [_estimate(estimates[0])]
+    assert lab.flushed == list(range(1, n_start + 2))
+
+
+def test_session_console_writes_the_last_estimate_before_exit(tmp_path):
+    """The console command with n_max = n_start: the refit's ESTIMATE is the
+    last line of stdout, as the process leaves it."""
+    bundle = builtin_bundle("michaelis_menten")
+    start = starting_design(bundle.model, bundle.design_space, bundle.parameter_space)
+    responses = [float(bundle.model.mu(x, np.array([1.0, 1.0]))) for x in start]
+    path = _session_config(tmp_path, n_max=start.shape[0])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "adwynn.cli", "session", "--config", str(path)],
+        input="".join(f"OBSERVE {y!r}\n" for y in responses),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads((tmp_path / "s_trajectory.json").read_text())
+    assert proc.stdout == "".join(
+        _suggest(i + 1, x) for i, x in enumerate(obj["points"])
+    ) + _estimate(obj["estimates"][0])
 
 
 _SESSION_LINE = st.one_of(

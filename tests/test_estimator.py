@@ -710,9 +710,10 @@ def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
     calls = []
     descend = estimator._gauss_newton
 
-    def recording(data, model, space, theta0, start=None):
+    def recording(data, model, space, theta0, start=None, regressors=None):
+        assert regressors is None  # fit_ls has no regressors to hand on
         calls.append((np.array(theta0), start))
-        calls.append(descend(data, model, space, theta0, start))
+        calls.append(descend(data, model, space, theta0, start, regressors))
         return calls[-1]
 
     monkeypatch.setattr(estimator, "_gauss_newton", recording)
