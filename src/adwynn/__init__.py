@@ -11,12 +11,6 @@ from .adaptive import (
     simulate_trajectory,
     wynn_step,
 )
-from .analysis import (
-    MCReport,
-    MassDiagnostics,
-    extract_clusters,
-    normality_stat,
-)
 from .design import (
     Design,
     d_efficiency,

@@ -12,6 +12,8 @@ The regressors at each estimate are evaluated once, on the scan grid.
 Every observed point is a grid row, so the information matrix, the
 sensitivity and the next refit's first Gauss-Newton iteration (from the
 warm start, the same estimate) all read their rows of that one array.
+The refit's warm-start objective reads the mean on the support that the
+estimator kept at the same estimate.
 
 The loop's own objects are the run's record: the estimator's grouped
 data is the one empirical design, and its fits are the trajectory's
@@ -241,7 +243,8 @@ class WynnState:
     the trajectory's columns, one entry per observation, refit or step.
 
     Every observed point must be a grid row.  ``rows`` holds the grid
-    index of each support point of ``design``, in its order, and ``F`` the
+    index of each support point of ``design``, in its order, as one
+    ``np.intp`` array, and ``F`` the
     regressors on the grid at the current estimate (``compute_info``):
     ``F[rows]`` is f on the support there, read by M, by the sensitivity
     and by the next refit's first Gauss-Newton iteration."""
@@ -257,8 +260,7 @@ class WynnState:
         self.estimator = estimator
         self.design = estimator.data
         self.grid = design_space.grid()
-        self._grid_index = {row.tobytes(): i for i, row in enumerate(self.grid)}
-        self.rows: list[int] = []
+        self.rows = np.empty(0, dtype=np.intp)
         self.F: Optional[Array] = None
         self.fit: Optional[LSFit] = None
         self.M: Optional[Array] = None
@@ -284,7 +286,7 @@ class WynnState:
         support = self.design.size
         self.estimator.update(x, y)
         if self.design.size > support:
-            self.rows.append(self._grid_index[x.tobytes()])
+            self.rows = np.append(self.rows, np.flatnonzero((self.grid == x).all(axis=1))[0])
 
     def compute_info(self, theta: Array) -> Array:
         """M at theta; keeps f on the grid at theta as ``F``."""

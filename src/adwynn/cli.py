@@ -33,7 +33,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis
 from .adaptive import (
     EndRun,
     ReplaySource,
@@ -287,6 +286,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from . import analysis  # imported by the commands that use it, so a session skips it
+
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     replicates = cfg.mc_replicates
@@ -320,6 +321,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import analysis
+
     for flag, value in (
         ("--d", args.d), ("--cell-diameter", args.cell_diameter), ("--epsilon", args.epsilon)
     ):

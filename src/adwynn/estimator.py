@@ -20,8 +20,10 @@ so the adaptive loop can refit after every observation at O(grid) cost
 per step instead of O(grid * n).  Its ``GroupedData`` is the run's one
 empirical design: the loop's information matrix reads it too.  The loop
 hands each refit the regressors at the warm start, which it has already
-evaluated, so a descent from there makes no f call for its first
-iteration.
+evaluated, and the estimator keeps mu on the support at its last
+estimate, as the descent evaluated it there, adding one point's mu when
+the support grows; so a descent from the warm start makes no model call
+for its seed or its first iteration.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class GroupedData:
         self.counts = self._counts[:size]
         self.means = self._means[:size]
 
-    def add(self, x: Array, y: float) -> None:
-        """Record response y at the (k,) point x."""
+    def add(self, x: Array, y: float) -> int:
+        """Record response y at the (k,) point x; returns the point's index."""
         key = x.tobytes()
         i = self._index.get(key)
         if i is None:
@@ -118,6 +120,7 @@ class GroupedData:
         self._counts[i] = count
         self.within_ss += float(delta * (y - self._means[i]))
         self.n += 1
+        return i
 
     def _grow(self, k: int) -> None:
         capacity = max(16, 2 * self._counts.size)
@@ -168,10 +171,16 @@ def sse_gradient(data: DataBatch, theta, model: ModelSpec) -> Array:
     return -2.0 * (F.T @ r)
 
 
-def _residual(data: GroupedData, model: ModelSpec, theta: Array) -> tuple[Array, float]:
-    """Residual of the means at theta and the objective W + sum n_x r_x^2."""
-    r = data.means - np.asarray(model.mu(data.points, theta), dtype=float)
-    return r, data.within_ss + float((data.counts * r) @ r)
+def _objective(data: GroupedData, mu: Array) -> tuple[Array, Array, float]:
+    """From mu on the support: mu, the residual of the means and the
+    objective W + sum n_x r_x^2."""
+    r = data.means - mu
+    return mu, r, data.within_ss + float((data.counts * r) @ r)
+
+
+def _residual(data: GroupedData, model: ModelSpec, theta: Array) -> tuple[Array, Array, float]:
+    """``_objective`` at theta: one mu call, on the support."""
+    return _objective(data, np.asarray(model.mu(data.points, theta), dtype=float))
 
 
 def _grid_sse(data: GroupedData, model: ModelSpec, theta_grid: Array) -> Array:
@@ -247,18 +256,19 @@ def _gauss_newton(
     model: ModelSpec,
     space: ParameterSpace,
     theta0: Array,
-    start: tuple[Array, float] | None = None,
+    start: tuple[Array, Array, float] | None = None,
     regressors: Array | None = None,
-) -> tuple[Array, float, bool]:
+) -> tuple[Array, float, bool, Array]:
     """Box-projected damped Gauss-Newton descent from theta0 on grouped data.
 
     The objective is ``W + sum_x n_x (ybar_x - mu(x))^2`` (``_residual``).
-    ``start`` is the residual and objective at theta0 (inside the box)
-    when the caller has them, and ``regressors`` is f at theta0 on
-    ``data.points``; with both, the first iteration makes no model call.
-    The residual of each accepted line-search candidate is reused by the
-    next iteration, so an iteration costs one f, at its iterate, and one
-    mu per trial.
+    ``start`` is mu on ``data.points``, the residual and the objective at
+    theta0 (inside the box) when the caller has them, and ``regressors``
+    is f at theta0 there; with both, the first iteration makes no model
+    call.  The residual of each accepted line-search candidate is reused
+    by the next iteration, so an iteration costs one f, at its iterate,
+    and one mu per trial.  Returns theta, its objective, whether the
+    descent converged, and mu on ``data.points`` at theta.
 
     Accepts only strictly decreasing steps (step-halving line search),
     so the objective along the accepted iterates is monotone.  Stops
@@ -277,16 +287,16 @@ def _gauss_newton(
     iteration is small-p algebra in plain floats, where numpy's per-call
     overhead would cost more than the arithmetic: the step (``_solve``:
     closed forms for p <= 2, LAPACK for p >= 3 and singular G), its
-    finiteness, norm and decrement, the clip of each line-search
-    candidate to the box and the length of the accepted move.
+    finiteness, norm and decrement, the clip of theta0 and of each
+    line-search candidate to the box and the length of the accepted move.
     """
     points = data.points
     # square roots of the counts scale F, so G = F_w^T F_w stays one symmetric product
     root = np.sqrt(data.counts)
     lower, upper = space.lower.tolist(), space.upper.tolist()
-    theta = space.project(theta0)
-    t = theta.tolist()
-    r, value = start if start is not None else _residual(data, model, theta)
+    t = [min(max(v, lo), hi) for v, lo, hi in zip(theta0.tolist(), lower, upper)]
+    theta = np.array(t)
+    mu, r, value = start if start is not None else _residual(data, model, theta)
     at_theta = regressors
     for _ in range(MAX_ITERATIONS):
         if at_theta is None:
@@ -298,12 +308,12 @@ def _gauss_newton(
         on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
         step = _bounded_step(G, g, t, lower, upper) if on_bound else _solve(G, g)
         if not all(map(math.isfinite, step)):
-            return theta, value, False
+            return theta, value, False, mu
         if (
             math.hypot(*step) < STEP_TOL
             or sum(map(operator.mul, g.tolist(), step)) <= STATIONARY_DECREMENT * value
         ):
-            return theta, value, True
+            return theta, value, True, mu
         alpha = 1.0
         accepted = None
         for _ in range(MAX_HALVINGS):
@@ -312,18 +322,18 @@ def _gauss_newton(
                 for tj, sj, lo, hi in zip(t, step, lower, upper)
             ]
             cand_theta = np.array(cand)
-            cand_r, cand_value = _residual(data, model, cand_theta)
+            cand_mu, cand_r, cand_value = _residual(data, model, cand_theta)
             if cand_value < value:
                 accepted = cand
                 break
             alpha *= 0.5
         if accepted is None:
-            return theta, value, False
+            return theta, value, False, mu
         moved = math.hypot(*map(operator.sub, accepted, t))
-        theta, t, r, value = cand_theta, accepted, cand_r, cand_value
+        theta, t, mu, r, value = cand_theta, accepted, cand_mu, cand_r, cand_value
         if moved < STEP_TOL:
-            return theta, value, True
-    return theta, value, False
+            return theta, value, True, mu
+    return theta, value, False, mu
 
 
 def _fit(
@@ -333,24 +343,28 @@ def _fit(
     values: Array,
     theta_grid: Array,
     warm_start: Array | None = None,
+    warm_mu: Array | None = None,
     warm_regressors: Array | None = None,
-) -> LSFit:
+) -> tuple[LSFit, Array]:
     """The least-squares core: one descent from the better of two seeds.
 
     ``values`` is the objective over ``theta_grid``.  The descent is
     seeded at the warm start, a point of the box, when its objective is
     below the scan minimum, and at the scan winner otherwise.
-    ``warm_regressors``, if given, is f at the warm start on
-    ``data.points``, handed to a descent from there.
+    ``warm_mu`` and ``warm_regressors``, if given, are mu and f at the
+    warm start on ``data.points``: the first spares the mu call for the
+    warm start's objective, the second is handed to a descent from there.
+    Returns the fit and mu on ``data.points`` at its estimate.
     """
     grid_minimum, g_min, grid_tie = _grid_winner(values, theta_grid)
     seed, start, regressors = grid_minimum, None, None
     if warm_start is not None:
-        at_warm = _residual(data, model, warm_start)
-        if at_warm[1] < g_min:
+        at_warm = (_residual(data, model, warm_start) if warm_mu is None
+                   else _objective(data, warm_mu))
+        if at_warm[2] < g_min:
             seed, start, regressors = warm_start, at_warm, warm_regressors
-    theta, value, converged = _gauss_newton(data, model, space, seed, start, regressors)
-    return LSFit(
+    theta, value, converged, mu = _gauss_newton(data, model, space, seed, start, regressors)
+    fit = LSFit(
         theta_hat=theta,
         sse_value=value,
         sigma2_hat=value / data.n,
@@ -358,6 +372,7 @@ def _fit(
         grid_minimum=grid_minimum,
         grid_tie=grid_tie,
     )
+    return fit, mu
 
 
 def fit_ls(
@@ -384,7 +399,7 @@ def fit_ls(
     grouped = GroupedData.from_arrays(data.xs, data.ys)
     theta_grid = space.sample_grid(GRID_POINTS_PER_AXIS)
     values = _grid_sse(grouped, model, theta_grid)
-    return _fit(grouped, model, space, values, theta_grid, warm_start)
+    return _fit(grouped, model, space, values, theta_grid, warm_start)[0]
 
 
 class LSAdaptiveEstimator:
@@ -395,9 +410,13 @@ class LSAdaptiveEstimator:
     sum, so each refit costs O(grid) for the scan plus one descent over
     the grouped data, O(support), with the previous estimate as the warm
     start.  The model's mean over the scan is computed once per distinct
-    design point (keyed by its bytes, as ``GroupedData`` keys it), so a
+    design point (indexed as ``GroupedData`` indexes the point), so a
     repeated point costs no mu call; the cache holds support x scan
     floats.
+
+    ``mu`` is mu on ``data.points`` at ``previous``, the last estimate:
+    the descent's, extended by one mu call at each point added since, so
+    the warm start's objective makes no model call.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace):
@@ -407,17 +426,22 @@ class LSAdaptiveEstimator:
         self.grid_sse = np.zeros(self.theta_grid.shape[0])
         self.data = GroupedData()
         self.previous: Array | None = None
-        self._scan_mu: dict[bytes, Array] = {}
+        self.mu: Array | None = None
+        self._scan_mu: list[tuple[Array, bool]] = []  # per point: mu over the scan, all finite
 
     def update(self, x, y: float) -> None:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.data.add(x, y)
-        key = x.tobytes()
-        mu = self._scan_mu.get(key)
-        if mu is None:
-            mu = self._scan_mu[key] = np.asarray(self.model.mu(x, self.theta_grid), dtype=float)
+        i = self.data.add(x, y)
+        if i == len(self._scan_mu):
+            mu = np.asarray(self.model.mu(x, self.theta_grid), dtype=float)
+            self._scan_mu.append((mu, bool(np.isfinite(mu).all())))
+            if self.previous is not None:
+                at = np.asarray(self.model.mu(x[None], self.previous), dtype=float)
+                self.mu = np.concatenate([self.mu, at])
+        mu, finite = self._scan_mu[i]
         contrib = (y - mu) ** 2
-        contrib[~np.isfinite(contrib)] = np.inf
+        if not (finite and math.isfinite(y)):  # finite terms square to finite or +inf
+            contrib[~np.isfinite(contrib)] = np.inf
         self.grid_sse += contrib
 
     def estimate(self, warm_regressors: Array | None = None) -> LSFit:
@@ -425,7 +449,7 @@ class LSAdaptiveEstimator:
         given, is f at the previous estimate on ``data.points``."""
         if self.data.n == 0:
             raise FitFailureError("no data to fit")
-        fit = _fit(self.data, self.model, self.space, self.grid_sse, self.theta_grid,
-                   self.previous, warm_regressors)
+        fit, self.mu = _fit(self.data, self.model, self.space, self.grid_sse, self.theta_grid,
+                            self.previous, self.mu, warm_regressors)
         self.previous = fit.theta_hat
         return fit

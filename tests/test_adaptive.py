@@ -622,7 +622,7 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
 
     def counted_add(self, x, y):
         adds.append(self)
-        add(self, x, y)
+        return add(self, x, y)
 
     def recorded_refresh(self):
         refresh(self)
@@ -655,9 +655,11 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
 
 def _check_regressor_reuse(scenario, seed):
     """At every stage of the run, the kept F is f on the grid at the stage's
-    estimate and M is the information of f on the support there, byte for
-    byte; from the first fit on, f runs on the grid once per stage; and a
-    fresh estimator that is handed no regressors replays every fit exactly."""
+    estimate, the estimator's kept mu is mu on the support there and M is
+    the information of f on the support there, byte for byte; from the
+    first fit on, f runs on the grid once per stage; and a fresh estimator
+    that is handed no regressors, and whose kept mu is cleared before each
+    fit, replays every fit exactly."""
     model, grid = scenario.model, scenario.design_space.grid()
     on_grid, stages = [], []
 
@@ -671,16 +673,18 @@ def _check_regressor_reuse(scenario, seed):
         first_call = len(on_grid)
         refresh(self)
         stages.append((first_call, self.n, self.fit, self.F.copy(), self.M.copy(),
-                       self.design.points.copy(), self.design.counts.copy(), list(self.rows)))
+                       self.design.points.copy(), self.design.counts.copy(), self.rows.copy(),
+                       self.estimator.mu.copy()))
 
     counted = dataclasses.replace(scenario, model=dataclasses.replace(model, f=f))
     with mock.patch.object(WynnState, "_refresh", recorded_refresh):
         traj = simulate_trajectory(counted, seed)
     assert [stage[1] for stage in stages] == list(range(traj.n_start, traj.n + 1))
     assert sum(on_grid[stages[0][0]:]) == len(stages)
-    for _, n, fit, F, M, support, counts, rows in stages:
+    for _, n, fit, F, M, support, counts, rows, mu in stages:
         theta = fit.theta_hat
-        assert np.array_equal(grid[rows], support)
+        assert rows.dtype == np.intp and np.array_equal(grid[rows], support)
+        assert np.array_equal(mu, np.asarray(model.mu(support, theta), dtype=float))
         assert np.array_equal(F, np.asarray(model.f(grid, theta), dtype=float))
         F_support = np.asarray(model.f(support, theta), dtype=float)
         assert np.array_equal(M, information(F_support, counts / n))
@@ -690,6 +694,7 @@ def _check_regressor_reuse(scenario, seed):
     for n, (x, y) in enumerate(zip(traj.points, traj.responses.tolist()), 1):
         replay.update(x, y)
         if n >= traj.n_start:
+            replay.mu = None
             fits.append(replay.estimate())
     assert len(fits) == len(stages)
     for replayed, (_, _, fit, *_) in zip(fits, stages):

@@ -1123,3 +1123,16 @@ def test_any_session_input_reprompts_or_saves_a_round_tripping_trajectory(lines)
         assert obj["final_fit"]["theta_hat"] == obj["estimates"][-1]
         assert len(obj["estimates"]) == len(accepted) - obj["n_start"] + 1
     assert Trajectory.from_jsonable(obj).to_jsonable() == obj
+
+
+def test_importing_the_cli_leaves_the_analysis_layer_unloaded():
+    """A session imports only what it runs: the study and diagnostics
+    commands import ``adwynn.analysis`` (and its process pool) themselves."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, adwynn.cli; print('adwynn.analysis' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
