@@ -7,9 +7,10 @@ solver would not implement the estimator the asymptotic guarantees are
 about, hence the mandatory grid phase.
 
 Every fit is one descent, seeded by whichever of the scan winner and
-the warm start (the previous estimate) has the lower objective: a fit
-from scratch (``fit_ls``) and each refit of the adaptive loop
-(``LSAdaptiveEstimator``) call the same core, ``_fit``.
+the warm start (the previous estimate) has the lower objective, and
+``LSAdaptiveEstimator.estimate`` is the one place that runs it: each
+refit of the adaptive loop calls it, and a fit from scratch (``fit_ls``)
+feeds its data to a fresh estimator and calls it once.
 
 Every fit runs on the data grouped by distinct design point
 (``GroupedData``): the sum of squares is W + sum_x n_x (ybar_x - mu(x))^2,
@@ -183,20 +184,12 @@ def _residual(data: GroupedData, model: ModelSpec, theta: Array) -> tuple[Array,
     return _objective(data, np.asarray(model.mu(data.points, theta), dtype=float))
 
 
-def _grid_sse(data: GroupedData, model: ModelSpec, theta_grid: Array) -> Array:
-    """Objective over the full parameter grid, vectorized; (G,) array."""
-    mu = np.asarray(model.mu(data.points[None, :, :], theta_grid[:, None, :]), dtype=float)
-    resid = data.means[None, :] - mu
-    out = (data.counts * resid**2).sum(axis=1) + data.within_ss
-    out[~np.isfinite(out)] = np.inf
-    return out
-
-
 def _grid_winner(values: Array, theta_grid: Array) -> tuple[Array, float, bool]:
     """Scan winner (lowest index among minima), its objective, and the tie flag.
 
-    ``values`` holds no NaN (its producers map non-finite objectives to
-    inf), so the grid is non-finite everywhere exactly when its minimum is.
+    ``values`` holds no NaN (``LSAdaptiveEstimator.update`` maps
+    non-finite terms to inf), so the grid is non-finite everywhere
+    exactly when its minimum is.
     """
     g_idx = int(values.argmin())
     g_min = float(values[g_idx])
@@ -336,87 +329,25 @@ def _gauss_newton(
     return theta, value, False, mu
 
 
-def _fit(
-    data: GroupedData,
-    model: ModelSpec,
-    space: ParameterSpace,
-    values: Array,
-    theta_grid: Array,
-    warm_start: Array | None = None,
-    warm_mu: Array | None = None,
-    warm_regressors: Array | None = None,
-) -> tuple[LSFit, Array]:
-    """The least-squares core: one descent from the better of two seeds.
-
-    ``values`` is the objective over ``theta_grid``.  The descent is
-    seeded at the warm start, a point of the box, when its objective is
-    below the scan minimum, and at the scan winner otherwise.
-    ``warm_mu`` and ``warm_regressors``, if given, are mu and f at the
-    warm start on ``data.points``: the first spares the mu call for the
-    warm start's objective, the second is handed to a descent from there.
-    Returns the fit and mu on ``data.points`` at its estimate.
-    """
-    grid_minimum, g_min, grid_tie = _grid_winner(values, theta_grid)
-    seed, start, regressors = grid_minimum, None, None
-    if warm_start is not None:
-        at_warm = (_residual(data, model, warm_start) if warm_mu is None
-                   else _objective(data, warm_mu))
-        if at_warm[2] < g_min:
-            seed, start, regressors = warm_start, at_warm, warm_regressors
-    theta, value, converged, mu = _gauss_newton(data, model, space, seed, start, regressors)
-    fit = LSFit(
-        theta_hat=theta,
-        sse_value=value,
-        sigma2_hat=value / data.n,
-        converged=converged,
-        grid_minimum=grid_minimum,
-        grid_tie=grid_tie,
-    )
-    return fit, mu
-
-
-def fit_ls(
-    data: DataBatch,
-    model: ModelSpec,
-    space: ParameterSpace,
-    warm_start: Array | None = None,
-) -> LSFit:
-    """Global-then-local least squares over the parameter box.
-
-    The coarse phase scans a full-factorial grid (ties broken toward
-    the lexicographically smallest grid index), then one descent runs
-    from the better of the scan winner and ``warm_start``, projected into
-    the box (``_fit``).
-    """
-    if warm_start is not None:
-        try:
-            warm_start = as_theta(warm_start, space.p)
-        except DomainError as exc:
-            raise DomainError(f"warm_start: {exc}") from None
-        if not np.all(np.isfinite(warm_start)):
-            raise DomainError("warm_start must be finite")
-        warm_start = space.project(warm_start)
-    grouped = GroupedData.from_arrays(data.xs, data.ys)
-    theta_grid = space.sample_grid(GRID_POINTS_PER_AXIS)
-    values = _grid_sse(grouped, model, theta_grid)
-    return _fit(grouped, model, space, values, theta_grid, warm_start)[0]
-
-
 class LSAdaptiveEstimator:
-    """Incrementally updated least squares for the adaptive loop.
+    """Least squares refit after each observation: the one driver of the
+    least-squares core.
 
     ``update`` records one observation in ``data``; ``estimate`` refits
     on all of them.  The coarse-grid objective is maintained as a running
     sum, so each refit costs O(grid) for the scan plus one descent over
-    the grouped data, O(support), with the previous estimate as the warm
-    start.  The model's mean over the scan is computed once per distinct
-    design point (indexed as ``GroupedData`` indexes the point), so a
-    repeated point costs no mu call; the cache holds support x scan
-    floats.
+    the grouped data, O(support).  The model's mean over the scan is
+    computed once per distinct design point (indexed as ``GroupedData``
+    indexes the point), so a repeated point costs no mu call; the cache
+    holds support x scan floats.
 
-    ``mu`` is mu on ``data.points`` at ``previous``, the last estimate:
-    the descent's, extended by one mu call at each point added since, so
-    the warm start's objective makes no model call.
+    A refit is one descent, seeded at ``previous``, the last estimate,
+    when its objective is below the scan minimum, and at the scan winner
+    (ties broken toward the lowest grid index) otherwise.  ``mu`` is mu
+    on ``data.points`` at ``previous``: the descent's, extended by one mu
+    call at each point added since, so the warm start's objective makes
+    no model call.  ``previous`` may be set to a point of the box before
+    the first ``update``, as ``fit_ls`` sets its warm start.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace):
@@ -426,7 +357,7 @@ class LSAdaptiveEstimator:
         self.grid_sse = np.zeros(self.theta_grid.shape[0])
         self.data = GroupedData()
         self.previous: Array | None = None
-        self.mu: Array | None = None
+        self.mu = np.empty(0)
         self._scan_mu: list[tuple[Array, bool]] = []  # per point: mu over the scan, all finite
 
     def update(self, x, y: float) -> None:
@@ -446,10 +377,52 @@ class LSAdaptiveEstimator:
 
     def estimate(self, warm_regressors: Array | None = None) -> LSFit:
         """Refit on every observation so far.  ``warm_regressors``, if
-        given, is f at the previous estimate on ``data.points``."""
-        if self.data.n == 0:
+        given, is f at the previous estimate on ``data.points``, handed to
+        a descent from there."""
+        data = self.data
+        if data.n == 0:
             raise FitFailureError("no data to fit")
-        fit, self.mu = _fit(self.data, self.model, self.space, self.grid_sse, self.theta_grid,
-                            self.previous, self.mu, warm_regressors)
-        self.previous = fit.theta_hat
-        return fit
+        grid_minimum, g_min, grid_tie = _grid_winner(self.grid_sse, self.theta_grid)
+        seed, start, regressors = grid_minimum, None, None
+        if self.previous is not None:
+            at_warm = _objective(data, self.mu)
+            if at_warm[2] < g_min:
+                seed, start, regressors = self.previous, at_warm, warm_regressors
+        theta, value, converged, self.mu = _gauss_newton(
+            data, self.model, self.space, seed, start, regressors
+        )
+        self.previous = theta
+        return LSFit(
+            theta_hat=theta,
+            sse_value=value,
+            sigma2_hat=value / data.n,
+            converged=converged,
+            grid_minimum=grid_minimum,
+            grid_tie=grid_tie,
+        )
+
+
+def fit_ls(
+    data: DataBatch,
+    model: ModelSpec,
+    space: ParameterSpace,
+    warm_start: Array | None = None,
+) -> LSFit:
+    """Global-then-local least squares over the parameter box.
+
+    The observations of ``data`` go, in order, to an
+    ``LSAdaptiveEstimator`` whose ``previous`` is ``warm_start``,
+    projected into the box, and its one ``estimate`` is the fit.
+    """
+    estimator = LSAdaptiveEstimator(model, space)
+    if warm_start is not None:
+        try:
+            warm_start = as_theta(warm_start, space.p)
+        except DomainError as exc:
+            raise DomainError(f"warm_start: {exc}") from None
+        if not np.all(np.isfinite(warm_start)):
+            raise DomainError("warm_start must be finite")
+        estimator.previous = space.project(warm_start)
+    for x, y in zip(data.xs, data.ys.tolist()):
+        estimator.update(x, y)
+    return estimator.estimate()

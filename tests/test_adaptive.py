@@ -658,8 +658,8 @@ def _check_regressor_reuse(scenario, seed):
     estimate, the estimator's kept mu is mu on the support there and M is
     the information of f on the support there, byte for byte; from the
     first fit on, f runs on the grid once per stage; and a fresh estimator
-    that is handed no regressors, and whose kept mu is cleared before each
-    fit, replays every fit exactly."""
+    that is handed no regressors, and whose kept mu is replaced before each
+    fit by mu on the support at its last estimate, replays every fit exactly."""
     model, grid = scenario.model, scenario.design_space.grid()
     on_grid, stages = [], []
 
@@ -694,7 +694,8 @@ def _check_regressor_reuse(scenario, seed):
     for n, (x, y) in enumerate(zip(traj.points, traj.responses.tolist()), 1):
         replay.update(x, y)
         if n >= traj.n_start:
-            replay.mu = None
+            if replay.previous is not None:
+                replay.mu = model.mu(replay.data.points, replay.previous)
             fits.append(replay.estimate())
     assert len(fits) == len(stages)
     for replayed, (_, _, fit, *_) in zip(fits, stages):

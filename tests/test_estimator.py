@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
@@ -16,8 +17,8 @@ from adwynn.estimator import (
     DataBatch,
     GroupedData,
     LSAdaptiveEstimator,
+    LSFit,
     _gauss_newton,
-    _grid_sse,
     _residual,
     _solve,
     fit_ls,
@@ -155,7 +156,8 @@ def test_descent_is_monotone(mm_bundle, rng):
         descent = _gauss_newton(GroupedData.from_arrays(xs, ys), counting.spec, space,
                                 np.array(corner))
         runs.append((descent[1], counting))
-    assert any(c.mu_calls > c.f_calls + 1 for _, c in runs)
+    # fit_ls's scan makes mu calls of its own, so the halving is read off the corners
+    assert any(c.mu_calls > c.f_calls + 1 for _, c in runs[1:])
     for final, counting in runs:
         values = [sse(batch, theta, mm_bundle.model) for theta in counting.f_thetas]
         assert len(values) >= 2
@@ -237,18 +239,35 @@ def test_fit_failure_on_nonfinite():
 # ---------------------------------------------------------------- LSAdaptiveEstimator
 
 
-def test_sequential_matches_batch_fit(mm_bundle, rng):
-    xs = rng.uniform(0.1, 3.0, size=(25, 1))
-    ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.2, 0.8]))) + rng.normal(
-        0, 0.1, size=25
-    )
-    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space)
+@pytest.mark.parametrize(
+    "points,warm_start",
+    [("distinct", None), ("repeated", None), ("distinct", (1.3, 0.7)),
+     ("repeated", (1.3, 0.7)), ("distinct", (3.5, -0.4)), ("repeated", (3.5, -0.4))],
+    ids=["distinct", "repeated", "distinct-warm-inside", "repeated-warm-inside",
+         "distinct-warm-outside", "repeated-warm-outside"],
+)
+def test_sequential_matches_batch_fit(mm_bundle, rng, points, warm_start):
+    """fit_ls is the one estimate of an estimator fed the same data in order,
+    its warm start (projected into the box) set as the last estimate: every
+    field of the fit equal, bit for bit."""
+    space = mm_bundle.parameter_space
+    if points == "distinct":
+        xs = rng.uniform(0.1, 3.0, size=(25, 1))
+        ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.2, 0.8]))) + rng.normal(
+            0, 0.1, size=25
+        )
+    else:
+        xs, ys = _repeated_batch(mm_bundle, rng, n=60)
+    seq = LSAdaptiveEstimator(mm_bundle.model, space)
+    if warm_start is not None:
+        warm_start = np.array(warm_start)
+        seq.previous = space.project(warm_start)
     for x, y in zip(xs, ys):
         seq.update(x, float(y))
     fit_seq = seq.estimate()
-    fit_batch = fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space)
-    assert np.linalg.norm(fit_seq.theta_hat - fit_batch.theta_hat) <= 1e-9
-    assert fit_seq.sse_value == pytest.approx(fit_batch.sse_value, rel=1e-12)
+    fit_batch = fit_ls(DataBatch(xs, ys), mm_bundle.model, space, warm_start=warm_start)
+    for field in dataclasses.fields(LSFit):
+        assert np.array_equal(getattr(fit_seq, field.name), getattr(fit_batch, field.name))
 
 
 def test_sequential_incremental_grid_sums(mm_bundle, rng):
@@ -580,14 +599,22 @@ def test_fit_matches_profiled_reference(mm_bundle, rng):
         assert g @ np.linalg.solve(F.T @ F, g) <= 1e-14 * fit.sse_value
 
 
-def test_boundary_minimum_is_reached_and_converged(poly1_bundle, mm_bundle, rng):
+def test_boundary_minimum_is_reached_and_converged(poly1_bundle, mm_bundle, rng, monkeypatch):
     """Minima on the box boundary: the held coordinate stays at its bound,
     the free one reaches its constrained optimum, and the descent stops on
-    the stationarity test instead of an exhausted line search."""
+    the stationarity test instead of an exhausted line search.  The model
+    calls are counted inside the descent only: the scan's come before it."""
     poly_space = poly1_bundle.parameter_space
     xs = rng.uniform(-1.0, 1.0, size=(30, 1))
     ys = 0.5 + 3.0 * xs[:, 0] + rng.normal(0, 0.1, 30)  # slope 3 > box bound 2
     counting = _CountingModel(poly1_bundle.model)
+    descend = estimator._gauss_newton
+
+    def counted_descent(*args):
+        counting.reset()
+        return descend(*args)
+
+    monkeypatch.setattr(estimator, "_gauss_newton", counted_descent)
     fit = fit_ls(DataBatch(xs, ys), counting.spec, poly_space)
     assert fit.converged
     assert fit.theta_hat[1] == poly_space.upper[1]
@@ -659,19 +686,18 @@ def test_grouped_data_of_distinct_points_is_the_data(mm_bundle, rng):
 
 
 def test_grouped_objective_equals_raw_sse(mm_bundle, rng):
-    theta_grid = mm_bundle.parameter_space.sample_grid(7)
+    """On repeated points, the estimator's scan, kept with one mu call per
+    distinct point, and the grouped objective both equal the raw SSE."""
     xs, ys = _repeated_batch(mm_bundle, rng)
-    data = GroupedData.from_arrays(xs, ys)
+    seq = LSAdaptiveEstimator(mm_bundle.model, mm_bundle.parameter_space)
+    for x, y in zip(xs, ys.tolist()):
+        seq.update(x, y)
+    theta_grid = seq.theta_grid
     raw = ((ys[None, :] - mm_bundle.model.mu(xs[None], theta_grid[:, None, :])) ** 2).sum(axis=1)
-    np.testing.assert_allclose(_grid_sse(data, mm_bundle.model, theta_grid), raw, rtol=1e-12)
-    for theta in theta_grid[::5]:
-        _, _, value = _residual(data, mm_bundle.model, theta)
+    np.testing.assert_allclose(seq.grid_sse, raw, rtol=1e-12)
+    for theta in theta_grid[::25]:
+        _, _, value = _residual(seq.data, mm_bundle.model, theta)
         assert value == pytest.approx(sse(DataBatch(xs, ys), theta, mm_bundle.model), rel=1e-12)
-    # all points distinct: the grouped scan is the raw one, bit for bit
-    xs = rng.uniform(0.1, 3.0, size=(40, 1))
-    data = GroupedData.from_arrays(xs, ys[:40])
-    raw = ((ys[None, :40] - mm_bundle.model.mu(xs[None], theta_grid[:, None, :])) ** 2).sum(axis=1)
-    assert np.array_equal(_grid_sse(data, mm_bundle.model, theta_grid), raw)
 
 
 def _ungrouped(xs, ys):
@@ -892,3 +918,48 @@ def test_fit_invariants(model, seed, n, support, sigma, warm):
     scan_minimum = min(sse(batch, t, bundle.model) for t in space.sample_grid(15))
     assert fit.sse_value <= scan_minimum * (1 + 1e-12)
     assert np.all(fit.theta_hat >= space.lower) and np.all(fit.theta_hat <= space.upper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    support=st.sampled_from([None, 3]),
+    warm=st.sampled_from(["none", "inside", "outside"]),
+)
+def test_kept_mu_is_mu_on_the_support_at_the_last_estimate(model, seed, n, support, warm):
+    """Random observation sequences, refit after a random subset of them
+    and at the end, with and without a last estimate set before the first
+    observation (as fit_ls sets its warm start): before every estimate the
+    kept mu is mu on the support at the last estimate, bit for bit, and
+    empty while there is none."""
+    bundle = builtin_bundle(model[0], **model[1])
+    space = bundle.parameter_space
+    rng = np.random.default_rng(seed)
+    lo, hi = float(bundle.design_space.lower[0]), float(bundle.design_space.upper[0])
+    if support is None:
+        xs = rng.uniform(lo, hi, size=(n, 1))
+    else:
+        xs = rng.choice(np.linspace(lo, hi, support), size=n)[:, None]
+    ys = np.asarray(bundle.model.mu(xs, rng.uniform(space.lower, space.upper))) + rng.normal(
+        0, 0.1, n
+    )
+    seq = LSAdaptiveEstimator(bundle.model, space)
+    seq.previous = {
+        "none": None,
+        "inside": rng.uniform(space.lower, space.upper),
+        "outside": space.project(space.upper + rng.uniform(0.0, 1.0, space.p)),
+    }[warm]
+    refits = rng.random(n) < 0.5
+    refits[-1] = True
+    for x, y, refit in zip(xs, ys.tolist(), refits):
+        seq.update(x, y)
+        if not refit:
+            continue
+        if seq.previous is None:
+            assert seq.mu.shape == (0,)
+        else:
+            kept = np.asarray(bundle.model.mu(seq.data.points, seq.previous), dtype=float)
+            assert np.array_equal(seq.mu, kept)
+        seq.estimate()
