@@ -8,12 +8,10 @@ a parameter sample makes every later information matrix positive
 definite by induction, since each update is a convex combination with a
 rank-one term.
 
-The regressors at each estimate are evaluated once, on the scan grid.
-Every observed point is a grid row, so the information matrix, the
-sensitivity and the next refit's first Gauss-Newton iteration (from the
-warm start, the same estimate) all read their rows of that one array.
-The refit's warm-start objective reads the mean on the support that the
-estimator kept at the same estimate.
+The regressors at each estimate are evaluated once on the scan grid,
+for the sensitivity.  The information matrix reads f on the support at
+the same estimate, which the estimator kept from its descent, as it kept
+mu there for the next refit's warm start.
 
 The loop's own objects are the run's record: the estimator's grouped
 data is the one empirical design, and its fits are the trajectory's
@@ -237,17 +235,12 @@ _RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
 
 
 class WynnState:
-    """Mutable single-run state; one writer per run.  ``design`` is the
-    estimator's grouped data, read by the refit and ``compute_info`` alike.
-    ``points``, ``responses``, ``estimates``, ``logdet`` and ``max_d`` are
-    the trajectory's columns, one entry per observation, refit or step.
-
-    Every observed point must be a grid row.  ``rows`` holds the grid
-    index of each support point of ``design``, in its order, as one
-    ``np.intp`` array, and ``F`` the
-    regressors on the grid at the current estimate (``compute_info``):
-    ``F[rows]`` is f on the support there, read by M, by the sensitivity
-    and by the next refit's first Gauss-Newton iteration."""
+    """Mutable single-run state; one writer per run.  The estimator's
+    grouped data is the empirical design, read by the refit and
+    ``compute_info`` alike.  ``points``, ``responses``, ``estimates``,
+    ``logdet`` and ``max_d`` are the trajectory's columns, one entry per
+    observation, refit or step.  ``F`` is f on the grid at the current
+    estimate (``compute_info``), read by the sensitivity."""
 
     def __init__(
         self,
@@ -258,9 +251,7 @@ class WynnState:
     ):
         self.model = model
         self.estimator = estimator
-        self.design = estimator.data
         self.grid = design_space.grid()
-        self.rows = np.empty(0, dtype=np.intp)
         self.F: Optional[Array] = None
         self.fit: Optional[LSFit] = None
         self.M: Optional[Array] = None
@@ -280,28 +271,25 @@ class WynnState:
     # -- bookkeeping ---------------------------------------------------
 
     def _append(self, x: Array, y: float) -> None:
-        """Observe y at x, a row of the grid."""
+        """Observe y at x."""
         self.points.append(x)
         self.responses.append(y)
-        support = self.design.size
         self.estimator.update(x, y)
-        if self.design.size > support:
-            self.rows = np.append(self.rows, np.flatnonzero((self.grid == x).all(axis=1))[0])
 
     def compute_info(self, theta: Array) -> Array:
-        """M at theta; keeps f on the grid at theta as ``F``."""
+        """M at theta, the estimator's last estimate, from the f it kept on
+        the support there; keeps f on the grid at theta as ``F``."""
         self.F = np.asarray(self.model.f(self.grid, theta), dtype=float)
-        return information(self.F[self.rows], self.design.counts / float(self.n))
+        estimator = self.estimator
+        return information(estimator.f, estimator.data.counts / float(self.n))
 
     def _refresh(self) -> None:
-        # F is f at the previous estimate, the refit's warm start
-        self.fit = self.estimator.estimate(None if self.F is None else self.F[self.rows])
+        self.fit = self.estimator.estimate()
         self.estimates.append(self.fit.theta_hat.copy())
         self.M = self.compute_info(self.fit.theta_hat)
         if self.n in self.keep_stages:
-            self.stages[self.n] = (
-                self.fit, self.design.points.copy(), self.design.counts.copy(), self.M
-            )
+            data = self.estimator.data
+            self.stages[self.n] = (self.fit, data.points.copy(), data.counts.copy(), self.M)
 
 
 def wynn_step(state: WynnState, response_source: ResponseSource) -> WynnState:

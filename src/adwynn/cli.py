@@ -332,6 +332,11 @@ def cmd_diagnose(args) -> int:
         trajectory = Trajectory.from_jsonable(json.loads(Path(args.trajectory).read_text()))
     except (OSError, ValueError, DomainError) as exc:
         raise ConfigError(f"cannot parse trajectory file {args.trajectory}: {exc}") from None
+    if trajectory.n < trajectory.p:
+        raise ConfigError(
+            f"trajectory file {args.trajectory} holds {trajectory.n} observations, "
+            f"fewer than p = {trajectory.p}"
+        )
     if args.n is not None and not trajectory.p <= args.n <= trajectory.n:
         raise ConfigError(
             f"--n must lie between p = {trajectory.p} and the trajectory length "
@@ -418,8 +423,8 @@ class _AnnouncingEstimator(LSAdaptiveEstimator):
         super().__init__(model, space)
         self._source = source
 
-    def estimate(self, warm_regressors=None):
-        fit = super().estimate(warm_regressors)
+    def estimate(self):
+        fit = super().estimate()
         self._source.hold("ESTIMATE " + " ".join(repr(float(v)) for v in fit.theta_hat))
         return fit
 

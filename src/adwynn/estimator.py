@@ -19,12 +19,11 @@ so its cost grows with the design's support, not with n.
 ``LSAdaptiveEstimator`` keeps the grid objective incrementally updated
 so the adaptive loop can refit after every observation at O(grid) cost
 per step instead of O(grid * n).  Its ``GroupedData`` is the run's one
-empirical design: the loop's information matrix reads it too.  The loop
-hands each refit the regressors at the warm start, which it has already
-evaluated, and the estimator keeps mu on the support at its last
-estimate, as the descent evaluated it there, adding one point's mu when
-the support grows; so a descent from the warm start makes no model call
-for its seed or its first iteration.
+empirical design, and it keeps mu and f on the support at its last
+estimate, as the descent evaluated them there, adding one point's mu and
+f when the support grows.  The loop's information matrix reads the
+design and the kept f, and a descent from the warm start makes no model
+call for its seed or its first iteration.
 """
 
 from __future__ import annotations
@@ -84,14 +83,6 @@ class GroupedData:
         self.size = 0
         self.n = 0
         self.within_ss = 0.0
-
-    @classmethod
-    def from_arrays(cls, xs: Array, ys: Array) -> "GroupedData":
-        """Group (n, k) points and their n responses, one ``add`` each, in order."""
-        data = cls()
-        for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float).tolist()):
-            data.add(x, y)
-        return data
 
     @property
     def size(self) -> int:
@@ -251,7 +242,7 @@ def _gauss_newton(
     theta0: Array,
     start: tuple[Array, Array, float] | None = None,
     regressors: Array | None = None,
-) -> tuple[Array, float, bool, Array]:
+) -> tuple[Array, float, bool, Array, Array]:
     """Box-projected damped Gauss-Newton descent from theta0 on grouped data.
 
     The objective is ``W + sum_x n_x (ybar_x - mu(x))^2`` (``_residual``).
@@ -261,7 +252,8 @@ def _gauss_newton(
     call.  The residual of each accepted line-search candidate is reused
     by the next iteration, so an iteration costs one f, at its iterate,
     and one mu per trial.  Returns theta, its objective, whether the
-    descent converged, and mu on ``data.points`` at theta.
+    descent converged, and mu and f on ``data.points`` at theta; f costs
+    one more call only when the descent stops right after a move.
 
     Accepts only strictly decreasing steps (step-halving line search),
     so the objective along the accepted iterates is monotone.  Stops
@@ -290,23 +282,23 @@ def _gauss_newton(
     t = [min(max(v, lo), hi) for v, lo, hi in zip(theta0.tolist(), lower, upper)]
     theta = np.array(t)
     mu, r, value = start if start is not None else _residual(data, model, theta)
-    at_theta = regressors
+    f = regressors
+    converged = False
     for _ in range(MAX_ITERATIONS):
-        if at_theta is None:
-            at_theta = np.asarray(model.f(points, theta), dtype=float)
-        F = at_theta * root[:, None]
-        at_theta = None
+        if f is None:
+            f = np.asarray(model.f(points, theta), dtype=float)
+        F = f * root[:, None]
         g = F.T @ (root * r)
         G = F.T @ F
         on_bound = any(map(float.__le__, t, lower)) or any(map(float.__ge__, t, upper))
         step = _bounded_step(G, g, t, lower, upper) if on_bound else _solve(G, g)
         if not all(map(math.isfinite, step)):
-            return theta, value, False, mu
+            return theta, value, False, mu, f
         if (
             math.hypot(*step) < STEP_TOL
             or sum(map(operator.mul, g.tolist(), step)) <= STATIONARY_DECREMENT * value
         ):
-            return theta, value, True, mu
+            return theta, value, True, mu, f
         alpha = 1.0
         accepted = None
         for _ in range(MAX_HALVINGS):
@@ -321,12 +313,13 @@ def _gauss_newton(
                 break
             alpha *= 0.5
         if accepted is None:
-            return theta, value, False, mu
+            return theta, value, False, mu, f
         moved = math.hypot(*map(operator.sub, accepted, t))
-        theta, t, mu, r, value = cand_theta, accepted, cand_mu, cand_r, cand_value
+        theta, t, mu, r, value, f = cand_theta, accepted, cand_mu, cand_r, cand_value, None
         if moved < STEP_TOL:
-            return theta, value, True, mu
-    return theta, value, False, mu
+            converged = True
+            break
+    return theta, value, converged, mu, np.asarray(model.f(points, theta), dtype=float)
 
 
 class LSAdaptiveEstimator:
@@ -347,7 +340,10 @@ class LSAdaptiveEstimator:
     on ``data.points`` at ``previous``: the descent's, extended by one mu
     call at each point added since, so the warm start's objective makes
     no model call.  ``previous`` may be set to a point of the box before
-    the first ``update``, as ``fit_ls`` sets its warm start.
+    the first ``update``, as ``fit_ls`` sets its warm start.  ``f`` is f
+    on ``data.points`` at ``previous``, kept by the same rules: the warm
+    descent's first iteration reads it, and so does the loop's
+    information matrix.
     """
 
     def __init__(self, model: ModelSpec, space: ParameterSpace):
@@ -358,6 +354,7 @@ class LSAdaptiveEstimator:
         self.data = GroupedData()
         self.previous: Array | None = None
         self.mu = np.empty(0)
+        self.f = np.empty((0, space.p))
         self._scan_mu: list[tuple[Array, bool]] = []  # per point: mu over the scan, all finite
 
     def update(self, x, y: float) -> None:
@@ -369,16 +366,16 @@ class LSAdaptiveEstimator:
             if self.previous is not None:
                 at = np.asarray(self.model.mu(x[None], self.previous), dtype=float)
                 self.mu = np.concatenate([self.mu, at])
+                at = np.asarray(self.model.f(x[None], self.previous), dtype=float)
+                self.f = np.concatenate([self.f, at])
         mu, finite = self._scan_mu[i]
         contrib = (y - mu) ** 2
         if not (finite and math.isfinite(y)):  # finite terms square to finite or +inf
             contrib[~np.isfinite(contrib)] = np.inf
         self.grid_sse += contrib
 
-    def estimate(self, warm_regressors: Array | None = None) -> LSFit:
-        """Refit on every observation so far.  ``warm_regressors``, if
-        given, is f at the previous estimate on ``data.points``, handed to
-        a descent from there."""
+    def estimate(self) -> LSFit:
+        """Refit on every observation so far."""
         data = self.data
         if data.n == 0:
             raise FitFailureError("no data to fit")
@@ -387,8 +384,8 @@ class LSAdaptiveEstimator:
         if self.previous is not None:
             at_warm = _objective(data, self.mu)
             if at_warm[2] < g_min:
-                seed, start, regressors = self.previous, at_warm, warm_regressors
-        theta, value, converged, self.mu = _gauss_newton(
+                seed, start, regressors = self.previous, at_warm, self.f
+        theta, value, converged, self.mu, self.f = _gauss_newton(
             data, self.model, self.space, seed, start, regressors
         )
         self.previous = theta

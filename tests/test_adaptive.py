@@ -47,13 +47,15 @@ from adwynn.noise import Heteroscedastic, IIDGaussian, NonAH, make_rng, mix_seed
 
 
 class FixedEstimator(LSAdaptiveEstimator):
-    """Groups the data as least squares does, but always reports the same parameter."""
+    """Groups the data as least squares does, but always reports the same
+    parameter, and keeps f on the support there."""
 
     def __init__(self, bundle, theta):
         super().__init__(bundle.model, bundle.parameter_space)
         self.theta = np.asarray(theta, dtype=float)
 
-    def estimate(self, warm_regressors=None):
+    def estimate(self):
+        self.f = np.asarray(self.model.f(self.data.points, self.theta), dtype=float)
         return LSFit(
             theta_hat=self.theta.copy(),
             sse_value=math.nan,
@@ -222,12 +224,10 @@ def test_quadratic_run_from_a_certified_start(grid_resolution, start):
 
 
 def _manual_state(bundle, points, responses, theta):
-    """A state observed at the grid rows nearest ``points``: the loop
-    observes only grid rows."""
+    """A state observed at ``points`` and fitted at ``theta``."""
     state = WynnState(bundle.model, bundle.design_space, FixedEstimator(bundle, theta))
     for x, y in zip(points, responses):
-        row = np.abs(state.grid - np.asarray(x, dtype=float)).sum(axis=1).argmin()
-        state._append(state.grid[row].copy(), float(y))
+        state._append(np.asarray(x, dtype=float), float(y))
     state.n_start = state.n
     state._refresh()
     return state
@@ -289,9 +289,10 @@ def test_step_rejects_non_finite_information_matrix(poly1_bundle):
     assert state.logdet == state.max_d == [] and state.n == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_step_rejects_regressors_that_are_not_finite_at_the_estimate():
     # f(0, theta) is 0/0 at theta2 = 0: a NaN sensitivity would send the step to
-    # grid index 0 and record max_d as NaN
+    # grid index 0 and record max_d as NaN; numpy warns of that division, as expected
     bundle = builtin_bundle(
         "michaelis_menten", x_bounds=[0.0, 3.0], theta_bounds=[[0.2, 3.0], [0.0, 3.0]]
     )
@@ -626,7 +627,7 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
 
     def recorded_refresh(self):
         refresh(self)
-        at_refresh[self.n] = (len(adds), self.M.copy(), self.design is self.estimator.data)
+        at_refresh[self.n] = (len(adds), self.M.copy())
 
     with mock.patch.object(GroupedData, "__init__", counted_init), mock.patch.object(
         GroupedData, "add", counted_add
@@ -636,8 +637,8 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
     assert all(data is created[0] for data in adds)
     assert set(traj.stages) == {n for n in keep if n >= traj.n_start}
     for n, (fit, support, counts, M_kept) in traj.stages.items():
-        n_adds, M, shared = at_refresh[n]
-        assert n_adds == n and shared
+        n_adds, M = at_refresh[n]
+        assert n_adds == n
         assert np.array_equal(M_kept, M)
         assert counts.sum() == n
         assert abs((counts / n).sum() - 1.0) <= 1e-12
@@ -655,11 +656,11 @@ def test_shared_design_invariants_at_every_kept_stage(name, seed, keep):
 
 def _check_regressor_reuse(scenario, seed):
     """At every stage of the run, the kept F is f on the grid at the stage's
-    estimate, the estimator's kept mu is mu on the support there and M is
-    the information of f on the support there, byte for byte; from the
+    estimate, the estimator's kept mu and f are mu and f on the support
+    there and M is the information of that kept f, byte for byte; from the
     first fit on, f runs on the grid once per stage; and a fresh estimator
-    that is handed no regressors, and whose kept mu is replaced before each
-    fit by mu on the support at its last estimate, replays every fit exactly."""
+    whose kept mu and f are replaced before each fit by mu and f on the
+    support at its last estimate replays every fit exactly."""
     model, grid = scenario.model, scenario.design_space.grid()
     on_grid, stages = [], []
 
@@ -672,22 +673,22 @@ def _check_regressor_reuse(scenario, seed):
     def recorded_refresh(self):
         first_call = len(on_grid)
         refresh(self)
+        data = self.estimator.data
         stages.append((first_call, self.n, self.fit, self.F.copy(), self.M.copy(),
-                       self.design.points.copy(), self.design.counts.copy(), self.rows.copy(),
-                       self.estimator.mu.copy()))
+                       data.points.copy(), data.counts.copy(), self.estimator.mu.copy(),
+                       self.estimator.f.copy()))
 
     counted = dataclasses.replace(scenario, model=dataclasses.replace(model, f=f))
     with mock.patch.object(WynnState, "_refresh", recorded_refresh):
         traj = simulate_trajectory(counted, seed)
     assert [stage[1] for stage in stages] == list(range(traj.n_start, traj.n + 1))
     assert sum(on_grid[stages[0][0]:]) == len(stages)
-    for _, n, fit, F, M, support, counts, rows, mu in stages:
+    for _, n, fit, F, M, support, counts, mu, f_support in stages:
         theta = fit.theta_hat
-        assert rows.dtype == np.intp and np.array_equal(grid[rows], support)
         assert np.array_equal(mu, np.asarray(model.mu(support, theta), dtype=float))
+        assert np.array_equal(f_support, np.asarray(model.f(support, theta), dtype=float))
         assert np.array_equal(F, np.asarray(model.f(grid, theta), dtype=float))
-        F_support = np.asarray(model.f(support, theta), dtype=float)
-        assert np.array_equal(M, information(F_support, counts / n))
+        assert np.array_equal(M, information(f_support, counts / n))
 
     replay = LSAdaptiveEstimator(model, scenario.parameter_space)
     fits = []
@@ -696,6 +697,7 @@ def _check_regressor_reuse(scenario, seed):
         if n >= traj.n_start:
             if replay.previous is not None:
                 replay.mu = model.mu(replay.data.points, replay.previous)
+                replay.f = model.f(replay.data.points, replay.previous)
             fits.append(replay.estimate())
     assert len(fits) == len(stages)
     for replayed, (_, _, fit, *_) in zip(fits, stages):

@@ -636,14 +636,26 @@ def _twenty_point_trajectory(tmp_path):
     return str(tmp_path / "tw_trajectory.json")
 
 
-@pytest.mark.parametrize("n", ["500", "1"])
-def test_diagnose_n_outside_trajectory_exits_2(tmp_path, capsys, n):
-    traj = _twenty_point_trajectory(tmp_path)
+@pytest.mark.parametrize("observed, n", [(20, "500"), (20, "1"), (0, None), (1, None)])
+def test_diagnose_n_outside_trajectory_exits_2(tmp_path, capsys, monkeypatch, observed, n):
+    """A stage outside [p, trajectory length] names --n and the length; a
+    session that sends QUIT at its first prompt or after one observation
+    leaves a trajectory shorter than p, so even its default stage, the
+    whole trajectory, is outside, and the message names the file."""
+    if observed == 20:
+        traj = _twenty_point_trajectory(tmp_path)
+    else:
+        _run_lab(tmp_path, monkeypatch, 8, lambda reads: "QUIT\n" if reads == observed else None)
+        traj = str(tmp_path / "s_trajectory.json")
     capsys.readouterr()
-    rc = main(["diagnose", traj, "--d", "0.1", "--cell-diameter", "0.1", "--n", n])
+    flags = [] if n is None else ["--n", n]
+    rc = main(["diagnose", traj, "--d", "0.1", "--cell-diameter", "0.1", *flags])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--n" in err and "20" in err
+    if n is None:
+        assert f"trajectory file {traj} holds {observed} observations" in err
+    else:
+        assert "--n" in err and "20" in err
     assert not (tmp_path / "adwynn_diagnostics.json").exists()
 
 

@@ -36,6 +36,14 @@ def _noiseless_batch(bundle, theta_bar, n=10):
     return DataBatch(xs, ys)
 
 
+def _grouped(xs, ys):
+    """Group (n, k) points and their n responses, one ``add`` each, in order."""
+    data = GroupedData()
+    for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float).tolist()):
+        data.add(x, y)
+    return data
+
+
 # ---------------------------------------------------------------- sse
 
 
@@ -142,8 +150,8 @@ def test_boundary_truth_recovered(mm_bundle):
 def test_descent_is_monotone(mm_bundle, rng):
     """The SSE falls strictly along the iterates of the fit and of descents
     from the box's corners, read off the f calls: the descent calls f once
-    per iteration, at the current iterate.  From some corner the line search
-    halves a step (more trials than iterations)."""
+    at each iterate.  From some corner the line search halves a step (more
+    trials than iterations)."""
     xs = rng.uniform(0.1, 3.0, size=(20, 1))
     ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.0, 1.0]))) + rng.normal(
         0, 0.2, size=20
@@ -153,8 +161,7 @@ def test_descent_is_monotone(mm_bundle, rng):
     runs = [(fit_ls(batch, counting.spec, space).sse_value, counting)]
     for corner in itertools.product(*zip(space.lower, space.upper)):
         counting = _CountingModel(mm_bundle.model)
-        descent = _gauss_newton(GroupedData.from_arrays(xs, ys), counting.spec, space,
-                                np.array(corner))
+        descent = _gauss_newton(_grouped(xs, ys), counting.spec, space, np.array(corner))
         runs.append((descent[1], counting))
     # fit_ls's scan makes mu calls of its own, so the halving is read off the corners
     assert any(c.mu_calls > c.f_calls + 1 for _, c in runs[1:])
@@ -345,9 +352,8 @@ def test_descent_from_optimum_stops_at_once(mm_bundle, rng):
     fit = fit_ls(DataBatch(xs, ys), mm_bundle.model, mm_bundle.parameter_space)
     assert fit.converged
     counting = _CountingModel(mm_bundle.model)
-    theta, value, converged, _ = _gauss_newton(
-        GroupedData.from_arrays(xs, ys), counting.spec, mm_bundle.parameter_space,
-        fit.theta_hat,
+    theta, value, converged, _, _ = _gauss_newton(
+        _grouped(xs, ys), counting.spec, mm_bundle.parameter_space, fit.theta_hat
     )
     # one SSE at the seed and one residual for the step; no line search
     assert counting.mu_calls <= 2
@@ -399,15 +405,15 @@ def test_sequential_refits_are_cheap_along_a_run(mm_bundle):
 
 @pytest.mark.parametrize("name", ["michaelis_menten", "exponential_decay"])
 def test_a_warm_refit_calls_f_per_later_iteration_and_mu_per_trial(name, monkeypatch):
-    """The loop's refits, replayed with the regressors at the warm start
-    handed in, as the loop hands them.  A refit seeded at the warm start
+    """The loop's refits, replayed.  A refit seeded at the warm start
     makes no model call for its seed or its first iteration.  Its iterations
     are counted by the steps it solves, and its line-search trials are
     rebuilt from those steps by the halving rule: the mu calls are exactly
     the trials, and the f calls exactly the iterates after the first.  An
-    observation at a new point makes one mu call at the last estimate, on
-    that point alone, besides the scan's; a repeated point makes none; and
-    the kept mu is mu on the support at the last estimate."""
+    observation at a new point makes one mu call and one f call at the last
+    estimate, on that point alone, besides the scan's mu; a repeated point
+    makes none; and the kept mu and f are mu and f on the support at the
+    last estimate."""
     bundle = builtin_bundle(name)
     model, space = bundle.model, bundle.parameter_space
     from adwynn.adaptive import Scenario, WynnConfig, simulate_trajectory
@@ -446,19 +452,21 @@ def test_a_warm_refit_calls_f_per_later_iteration_and_mu_per_trial(name, monkeyp
         seq.update(x, y)
         grew = seq.data.size > support
         assert counting.mu_calls == grew * (1 + (seq.previous is not None))
+        assert counting.f_calls == grew * (seq.previous is not None)
         if seq.previous is not None:
             assert [theta.tolist() for theta in counting.mu_thetas[1:]] == (
                 [seq.previous.tolist()] if grew else [])
+            assert [theta.tolist() for theta in counting.f_thetas] == (
+                [seq.previous.tolist()] if grew else [])
             assert np.array_equal(seq.mu, np.asarray(model.mu(seq.data.points, seq.previous)))
+            assert np.array_equal(seq.f, np.asarray(model.f(seq.data.points, seq.previous)))
         if i < traj.n_start:
             continue
         previous = seq.previous
         warm = previous is not None and objective(previous) < seq.grid_sse.min()
-        regressors = (None if previous is None
-                      else np.asarray(model.f(seq.data.points, previous), dtype=float))
         counting.reset()
         steps.clear()
-        fit = seq.estimate(regressors)
+        fit = seq.estimate()
         assert np.array_equal(fit.theta_hat, traj.estimates[i - traj.n_start])
         if warm:
             warm_refits += 1
@@ -479,6 +487,7 @@ def test_a_warm_refit_calls_f_per_later_iteration_and_mu_per_trial(name, monkeyp
             assert counting.f_calls == len(steps) - 1
             assert [theta.tolist() for theta in counting.f_thetas] == iterates[:len(steps) - 1]
         assert np.array_equal(seq.mu, np.asarray(model.mu(seq.data.points, fit.theta_hat)))
+        assert np.array_equal(seq.f, np.asarray(model.f(seq.data.points, fit.theta_hat)))
     assert warm_refits >= 0.9 * len(traj.estimates)
 
 
@@ -548,11 +557,30 @@ def test_failed_stop_is_not_converged(poly1_bundle, rng, monkeypatch, broken, ma
     # a start near the optimum keeps every uphill candidate inside the box
     theta0 = np.array([0.45, -0.95])
     model = broken(poly1_bundle.model)
-    theta, value, converged, _ = _gauss_newton(
-        GroupedData.from_arrays(xs, ys), model, poly1_bundle.parameter_space, theta0
-    )
+    data = _grouped(xs, ys)
+    theta, value, converged, mu, f = _gauss_newton(data, model, poly1_bundle.parameter_space,
+                                                   theta0)
     assert not converged
     assert value <= sse(DataBatch(xs, ys), theta0, poly1_bundle.model)
+    # at every stop, the returned mu and f are those at the returned theta
+    assert np.array_equal(mu, model.mu(data.points, theta))
+    assert np.array_equal(f, model.f(data.points, theta), equal_nan=True)
+
+
+def test_a_descent_cut_after_a_move_returns_f_at_its_last_iterate(mm_bundle, rng,
+                                                                  monkeypatch):
+    """A descent that stops right after a move, here cut by MAX_ITERATIONS
+    = 1, calls f once more, at the iterate it returns, and returns that f."""
+    monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+    xs, ys = _mm_noisy_batch(mm_bundle, rng)
+    data, space = _grouped(xs, ys), mm_bundle.parameter_space
+    counting = _CountingModel(mm_bundle.model)
+    theta0 = space.center()
+    theta, _, converged, mu, f = _gauss_newton(data, counting.spec, space, theta0)
+    assert not converged and not np.array_equal(theta, theta0)
+    assert [t.tolist() for t in counting.f_thetas] == [theta0.tolist(), theta.tolist()]
+    assert np.array_equal(mu, mm_bundle.model.mu(data.points, theta))
+    assert np.array_equal(f, mm_bundle.model.f(data.points, theta))
 
 
 def test_fit_matches_profiled_reference(mm_bundle, rng):
@@ -657,7 +685,7 @@ def test_grouped_data_statistics(mm_bundle, rng):
     incremental = GroupedData()
     for x, y in zip(xs, ys):
         incremental.add(x, float(y))
-    batch = GroupedData.from_arrays(xs, ys)
+    batch = _grouped(xs, ys)
     # points in order of first appearance
     _, first = np.unique(xs[:, 0], return_index=True)
     expected_points = xs[np.sort(first)]
@@ -684,7 +712,7 @@ def test_grouped_data_of_distinct_points_is_the_data(mm_bundle, rng):
     incremental = GroupedData()
     for x, y in zip(xs, ys):
         incremental.add(x, float(y))
-    for data in (incremental, GroupedData.from_arrays(xs, ys)):
+    for data in (incremental, _grouped(xs, ys)):
         assert np.array_equal(data.points, xs) and np.array_equal(data.means, ys)
         assert np.all(data.counts == 1.0) and data.within_ss == 0.0
 
@@ -726,8 +754,8 @@ def test_fit_on_grouped_data_matches_raw_descent(name, kwargs, rng):
         else:
             xs, ys = _repeated_batch(bundle, rng, n=n, support=support)
         fit = fit_ls(DataBatch(xs, ys), bundle.model, space)
-        theta, value, converged, _ = _gauss_newton(_ungrouped(xs, ys), bundle.model, space,
-                                                   fit.grid_minimum)
+        theta, value, converged, _, _ = _gauss_newton(_ungrouped(xs, ys), bundle.model, space,
+                                                      fit.grid_minimum)
         assert converged == fit.converged
         if support is None:
             assert np.array_equal(fit.theta_hat, theta) and fit.sse_value == value
@@ -738,7 +766,7 @@ def test_fit_on_grouped_data_matches_raw_descent(name, kwargs, rng):
 
 def test_descent_from_a_known_start_skips_its_evaluation(mm_bundle, rng):
     xs, ys = _repeated_batch(mm_bundle, rng)
-    data = GroupedData.from_arrays(xs, ys)
+    data = _grouped(xs, ys)
     counting = _CountingModel(mm_bundle.model)
     args = (data, counting.spec, mm_bundle.parameter_space, np.array([1.5, 1.5]))
     plain = _gauss_newton(*args)
@@ -748,7 +776,7 @@ def test_descent_from_a_known_start_skips_its_evaluation(mm_bundle, rng):
     known = _gauss_newton(*args, start=start)
     assert counting.mu_calls == plain_calls - 1
     assert np.array_equal(plain[0], known[0]) and plain[1:3] == known[1:3]
-    assert np.array_equal(plain[3], known[3])
+    assert np.array_equal(plain[3], known[3]) and np.array_equal(plain[4], known[4])
 
 
 # ---------------------------------------------------------------- small-p kernel
@@ -822,8 +850,8 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
     for bundle, xs, ys, j, bound in cases:
         space = bundle.parameter_space
         counting = _CountingModel(bundle.model)  # f is called once per iterate
-        _, _, converged, _ = _gauss_newton(
-            GroupedData.from_arrays(xs, ys), counting.spec, space, space.center()
+        _, _, converged, _, _ = _gauss_newton(
+            _grouped(xs, ys), counting.spec, space, space.center()
         )
         assert converged
         path = np.array(counting.f_thetas)
@@ -840,9 +868,10 @@ def test_line_search_clip_lands_exactly_on_the_bound(poly1_bundle, mm_bundle, rn
 def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
                                                    shift, warm_wins):
     """fit_ls descends once: from the warm start (projected into the box) when
-    its objective is below the scan minimum, from the scan winner otherwise.
-    The data put the minimum on the box's lower theta2 bound, so the warm
-    start shifted below that bound projects back onto the minimum."""
+    its objective is below the scan minimum, handed mu and f there, and from
+    the scan winner otherwise.  The data put the minimum on the box's lower
+    theta2 bound, so the warm start shifted below that bound projects back
+    onto the minimum."""
     space = mm_bundle.parameter_space
     xs = rng.uniform(0.1, 3.0, size=(40, 1))
     ys = np.asarray(mm_bundle.model.mu(xs, np.array([1.0, 0.1]))) + rng.normal(0, 0.05, 40)
@@ -853,15 +882,14 @@ def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
     descend = estimator._gauss_newton
 
     def recording(data, model, space, theta0, start=None, regressors=None):
-        assert regressors is None  # fit_ls has no regressors to hand on
-        calls.append((np.array(theta0), start))
+        calls.append((np.array(theta0), start, regressors))
         calls.append(descend(data, model, space, theta0, start, regressors))
         return calls[-1]
 
     monkeypatch.setattr(estimator, "_gauss_newton", recording)
     fit = fit_ls(batch, mm_bundle.model, space, warm_start=warm_start)
     assert len(calls) == 2
-    (seed, start), (theta, value, converged, _) = calls
+    (seed, start, regressors), (theta, value, converged, _, _) = calls
     scan_minimum = min(sse(batch, t, mm_bundle.model) for t in space.sample_grid(15))
     if warm_start is not None:
         projected = space.project(warm_start)
@@ -871,10 +899,11 @@ def test_fit_runs_one_descent_from_the_better_seed(mm_bundle, rng, monkeypatch,
         assert (at_warm < scan_minimum) == warm_wins
     if warm_wins:
         assert np.array_equal(seed, space.project(warm_start))
-        # the seed's objective was computed for the choice and is handed on
+        # the seed's objective was computed for the choice and is handed on, with f there
         assert start is not None and start[2] == pytest.approx(at_warm, rel=1e-12)
+        assert np.array_equal(regressors, mm_bundle.model.f(batch.xs, projected))
     else:
-        assert np.array_equal(seed, fit.grid_minimum) and start is None
+        assert np.array_equal(seed, fit.grid_minimum) and start is regressors is None
     assert np.array_equal(fit.theta_hat, theta)
     assert (fit.sse_value, fit.converged) == (value, converged)
 
@@ -936,8 +965,8 @@ def test_kept_mu_is_mu_on_the_support_at_the_last_estimate(model, seed, n, suppo
     """Random observation sequences, refit after a random subset of them
     and at the end, with and without a last estimate set before the first
     observation (as fit_ls sets its warm start): before every estimate the
-    kept mu is mu on the support at the last estimate, bit for bit, and
-    empty while there is none."""
+    kept mu and f are mu and f on the support at the last estimate, bit for
+    bit, and empty while there is none."""
     bundle = builtin_bundle(model[0], **model[1])
     space = bundle.parameter_space
     rng = np.random.default_rng(seed)
@@ -962,8 +991,10 @@ def test_kept_mu_is_mu_on_the_support_at_the_last_estimate(model, seed, n, suppo
         if not refit:
             continue
         if seq.previous is None:
-            assert seq.mu.shape == (0,)
+            assert seq.mu.shape == (0,) and seq.f.shape == (0, space.p)
         else:
             kept = np.asarray(bundle.model.mu(seq.data.points, seq.previous), dtype=float)
             assert np.array_equal(seq.mu, kept)
+            kept = np.asarray(bundle.model.f(seq.data.points, seq.previous), dtype=float)
+            assert np.array_equal(seq.f, kept)
         seq.estimate()
